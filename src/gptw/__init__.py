@@ -23,6 +23,7 @@ from .field import (
 from .functionals import (
     ActionReport,
     Certificate,
+    Kernel,
     Params,
     action,
     certify,
@@ -72,6 +73,7 @@ from .spectrum import (
     hessian_spectrum_at_constant,
     plane_wave_onset,
     poincare_constant,
+    smallest_direction,
     symbol_eigenvalues,
     weighted_eigenvalue,
 )

@@ -6,15 +6,15 @@ scan), testfn (vortex test-function scaling table), certify (certificates of
 a stored field), info (GPTW file metadata).
 
 Configuration comes from flags plus an optional `key = value` file
-(# comments allowed); flags override file values. Every output directory
-receives the fully resolved configuration for reproducibility. Exit codes:
+(# comments allowed); flags override file values. A command accepts only
+the flags and keys it reads, and every output directory receives the fully
+resolved configuration for reproducibility. Exit codes:
 0 success, 2 validation error, 3 non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path as FsPath
 
@@ -35,6 +35,38 @@ _FLOAT_KEYS = {"c", "T", "R", "tol", "core_width", "cutoff_inner", "cutoff_outer
 _INT_KEYS = {"N", "size", "seed", "starts", "max_iters", "nodes", "count", "band"}
 _CONFIG_ALIASES = {"max-iters": "max_iters", "core-width": "core_width",
                    "cutoff-inner": "cutoff_inner", "cutoff-outer": "cutoff_outer"}
+
+# Built-in defaults per command. A command registers one flag per key of its
+# dict and nothing else, so every accepted flag acts and lands in
+# run_config.txt.
+_VORTEX = dict(core_width=None, cutoff_inner=None, cutoff_outer=None)
+_DEFAULTS = {
+    "minimize": dict(c=1.0, T=40.0, N=2, size=256, R=8.0, tol=None, max_iters=50000,
+                     out=None, **_VORTEX),
+    "mp": dict(c=1.0, T=40.0, N=2, size=256, R=8.0, nodes=33, seed=0, tol=None,
+               max_iters=50, out=None, **_VORTEX),
+    "spectrum": dict(c=1.0, T=2 * np.pi, N=2, size=16, count=6, seed=0, out=None),
+    "scan": dict(c=1.0, T="1.0,1.5,1.8", size=32, starts=20, seed=0, band=4, out=None),
+    "testfn": dict(c=1.0, R="4,8,16,32", out=None, **_VORTEX),
+}
+_FLAGS = {
+    "c": dict(type=float, help="wave speed"),
+    "T": dict(help="period (scan: comma list)"),
+    "N": dict(type=int, choices=(2, 3), help="dimension"),
+    "size": dict(type=int, help="points per axis"),
+    "R": dict(help="vortex radius (testfn: comma list)"),
+    "core_width": dict(type=float),
+    "cutoff_inner": dict(type=float),
+    "cutoff_outer": dict(type=float),
+    "seed": dict(type=int, help="random seed"),
+    "starts": dict(type=int, help="multistart count"),
+    "band": dict(type=int, help="perturbation band limit"),
+    "tol": dict(type=float, help="residual tolerance"),
+    "max_iters": dict(type=int),
+    "nodes": dict(type=int, help="path node count"),
+    "count": dict(type=int, help="eigenvalue count"),
+    "out": dict(help="output directory"),
+}
 
 
 def _fmt(x) -> str:
@@ -109,13 +141,6 @@ def _ansatz_from(resolved: dict, R: float, T: float) -> VortexAnsatz:
                         cutoff_outer=outer if outer is not None else base.cutoff_outer)
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("GPTW_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def write_pgm(path, data: np.ndarray):
     """8-bit binary PGM of a real 2-d array, min-max scaled."""
     lo, hi = float(data.min()), float(data.max())
@@ -139,10 +164,7 @@ def _field_images(out: FsPath, stem: str, f: ComplexField):
 
 
 def _cmd_minimize(args) -> int:
-    defaults = dict(c=1.0, T=40.0, N=2, size=256, R=8.0, seed=0,
-                    tol=None, max_iters=50000, out=None,
-                    core_width=None, cutoff_inner=None, cutoff_outer=None)
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args, _DEFAULTS["minimize"])
     resolved["T"] = float(resolved["T"])
     resolved["R"] = float(resolved["R"])
     out = _prepare_out(resolved, "minimize")
@@ -174,10 +196,7 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_mp(args) -> int:
-    defaults = dict(c=1.0, T=40.0, N=2, size=256, R=8.0, nodes=33, seed=0,
-                    tol=None, max_iters=50, out=None,
-                    core_width=None, cutoff_inner=None, cutoff_outer=None)
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args, _DEFAULTS["mp"])
     resolved["T"] = float(resolved["T"])
     resolved["R"] = float(resolved["R"])
     out = _prepare_out(resolved, "mp")
@@ -219,8 +238,7 @@ def _cmd_mp(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    defaults = dict(c=1.0, T=2 * np.pi, N=2, size=16, count=6, seed=0, out=None)
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args, _DEFAULTS["spectrum"])
     resolved["T"] = float(resolved["T"])
     out = _prepare_out(resolved, "spectrum")
     grid = TorusGrid((resolved["size"],) * resolved["N"], resolved["T"])
@@ -254,32 +272,13 @@ def _parse_list(text: str) -> list[float]:
 
 
 def _cmd_scan(args) -> int:
-    defaults = dict(c=1.0, T="1.0,1.5,1.8", size=32, starts=20, seed=0,
-                    band=4, out=None)
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args, _DEFAULTS["scan"])
     out = _prepare_out(resolved, "scan")
     T_values = _parse_list(resolved["T"])
     if not T_values:
         raise ValueError("scan needs at least one period in --T")
-    threads = _threads()
-    if threads > 1 and len(T_values) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def one(T):
-            return constancy_scan(resolved["c"], [T], resolved["starts"],
-                                  resolved["size"], seed=resolved["seed"],
-                                  band=resolved["band"]).rows[0]
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, sorted(T_values)))
-        from .spectrum import ThresholdReport, case1_bound, plane_wave_onset
-        onset = next((r.T for r in rows if not r.all_constant), float("inf"))
-        rep = ThresholdReport(resolved["c"], case1_bound(resolved["c"]),
-                              plane_wave_onset(resolved["c"]), onset, tuple(rows))
-    else:
-        rep = constancy_scan(resolved["c"], T_values, resolved["starts"],
-                             resolved["size"], seed=resolved["seed"],
-                             band=resolved["band"])
+    rep = constancy_scan(resolved["c"], T_values, resolved["starts"],
+                         resolved["size"], seed=resolved["seed"], band=resolved["band"])
     lines = ["T,all_constant,nonconstant,unconverged"]
     for r in rep.rows:
         lines.append(f"{_fmt(r.T)},{str(r.all_constant).lower()},{r.nonconstant},{r.unconverged}")
@@ -293,9 +292,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_testfn(args) -> int:
-    defaults = dict(c=1.0, R="4,8,16,32", seed=0, out=None,
-                    core_width=None, cutoff_inner=None, cutoff_outer=None)
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args, _DEFAULTS["testfn"])
     out = _prepare_out(resolved, "testfn")
     R_values = _parse_list(resolved["R"])
     p = Params(c=resolved["c"])
@@ -362,49 +359,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "scan small periods for constancy.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, R=True, nodes=False, starts=False, count=False):
-        sp.add_argument("--c", type=float, default=None, help="wave speed")
-        sp.add_argument("--T", default=None, help="period (scan: comma list)")
-        sp.add_argument("--N", type=int, default=None, choices=(2, 3), help="dimension")
-        sp.add_argument("--size", type=int, default=None, help="points per axis")
-        if R:
-            sp.add_argument("--R", default=None, help="vortex radius (testfn: comma list)")
-            sp.add_argument("--core-width", dest="core_width", type=float, default=None)
-            sp.add_argument("--cutoff-inner", dest="cutoff_inner", type=float, default=None)
-            sp.add_argument("--cutoff-outer", dest="cutoff_outer", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=None, help="random seed")
-        if starts:
-            sp.add_argument("--starts", type=int, default=None, help="multistart count")
-            sp.add_argument("--band", type=int, default=None, help="perturbation band limit")
-        sp.add_argument("--tol", type=float, default=None, help="residual tolerance")
-        sp.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-        if nodes:
-            sp.add_argument("--nodes", type=int, default=None, help="path node count")
-        if count:
-            sp.add_argument("--count", type=int, default=None, help="eigenvalue count")
-        sp.add_argument("--out", default=None, help="output directory")
+    commands = (
+        ("minimize", "global-minimizer experiment from 1 + w_R", _cmd_minimize, True),
+        ("mp", "mountain-pass pipeline: path, relax, saddle", _cmd_mp, True),
+        ("spectrum", "Hessian spectrum at the constant solution", _cmd_spectrum, True),
+        ("scan", "small-period constancy scan", _cmd_scan, False),
+        ("testfn", "vortex test-function scaling table", _cmd_testfn, False),
+    )
+    for name, help_text, handler, images in commands:
+        sp = sub.add_parser(name, help=help_text)
+        for key in _DEFAULTS[name]:
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                            **_FLAGS[key])
         sp.add_argument("--config", default=None, help="key = value configuration file")
-        sp.add_argument("--images", action="store_true", help="write PGM images")
-
-    sp = sub.add_parser("minimize", help="global-minimizer experiment from 1 + w_R")
-    common(sp)
-    sp.set_defaults(handler=_cmd_minimize)
-
-    sp = sub.add_parser("mp", help="mountain-pass pipeline: path, relax, saddle")
-    common(sp, nodes=True)
-    sp.set_defaults(handler=_cmd_mp)
-
-    sp = sub.add_parser("spectrum", help="Hessian spectrum at the constant solution")
-    common(sp, R=False, count=True)
-    sp.set_defaults(handler=_cmd_spectrum)
-
-    sp = sub.add_parser("scan", help="small-period constancy scan")
-    common(sp, R=False, starts=True)
-    sp.set_defaults(handler=_cmd_scan)
-
-    sp = sub.add_parser("testfn", help="vortex test-function scaling table")
-    common(sp)
-    sp.set_defaults(handler=_cmd_testfn)
+        if images:
+            sp.add_argument("--images", action="store_true", help="write PGM images")
+        sp.set_defaults(handler=handler)
 
     sp = sub.add_parser("certify", help="certificates of a stored field")
     sp.add_argument("file", help="GPTW field file")

@@ -9,21 +9,28 @@ the L2 gradient, so its norm is directly the residual of that equation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .field import (
+    PHYSICAL,
     ComplexField,
+    GridMismatch,
     InconsistentWinding,
+    TorusGrid,
     VortexPresent,
+    fft_forward,
+    fft_inverse,
     l2_norm,
     lift,
+    spectral_derivative,
 )
 
 
 @dataclass(frozen=True)
 class Params:
-    """Wave speed and tolerances shared across operations.
+    """Wave speed and the certificate tolerance shared across operations.
 
     cert_tol bounds the integrated certificate |int (1-|f|^2) f| of a
     converged find_saddle result: its refinement stops at
@@ -34,14 +41,13 @@ class Params:
     """
 
     c: float
-    grad_tol: float = 1e-8
     cert_tol: float = 1e-6
     dealias: bool = False
 
     def __post_init__(self):
         if self.c < 0:
             raise ValueError(f"wave speed must be >= 0, got {self.c}")
-        if not (self.grad_tol > 0 and self.cert_tol > 0):
+        if not self.cert_tol > 0:
             raise ValueError("tolerances must be positive")
 
 
@@ -77,42 +83,148 @@ class Certificate:
         return self.lift_identity is not None
 
 
-def _spectral(values: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(values) / values.size
+class Kernel:
+    """Action, L2 gradient and Hessian of I = E - c*P on raw node arrays.
 
+    Every linear operator is a Fourier symbol on the grid: -Lap - c*i*d_x1
+    is the real multiplier |xi|^2 + c*xi1 (xi1 Nyquist-zeroed), so a
+    gradient or a Hessian product costs one forward and one inverse
+    transform. With p.dealias the cubic term is 2/3-rule truncated.
+    """
 
-def _truncate(grid, values: np.ndarray) -> np.ndarray:
-    spec = np.fft.fftn(values)
-    spec[~grid.dealias_mask] = 0.0
-    return np.fft.ifftn(spec)
+    def __init__(self, grid: TorusGrid, p: Params):
+        self.grid = grid
+        self.c = p.c
+        self.lap = grid.laplacian_symbol
+        self.xi1 = grid.deriv_symbols[0]
+        self.weight = grid.quad_weight
+        self.volume = grid.cell_volume
+        self.mask = grid.dealias_mask if p.dealias else None
+
+    @cached_property
+    def linear(self) -> np.ndarray:
+        """|xi|^2 + c*xi1, the symbol of -Lap - c*i*d_x1."""
+        return self.lap + self.c * self.xi1
+
+    def truncate(self, spec: np.ndarray) -> np.ndarray:
+        """Inverse transform of unnormalized coefficients with the modes
+        outside the 2/3 rule dropped."""
+        return fft_inverse(np.where(self.mask, spec, 0.0))
+
+    def parts(self, v: np.ndarray) -> tuple[float, float, float]:
+        """Kinetic (1/2)int|grad v|^2, potential (1/4)int(1-|v|^2)^2 and
+        momentum (1/2)int (i d_x1 v).v, from one forward transform."""
+        spec = fft_forward(v) / v.size
+        p2 = spec.real**2 + spec.imag**2
+        kinetic = 0.5 * self.volume * float(np.sum(self.lap * p2))
+        mom = -0.5 * self.volume * float(np.sum(self.xi1 * p2))
+        vt = v if self.mask is None else self.truncate(spec * v.size)
+        dens = 1.0 - (vt.real**2 + vt.imag**2)
+        potential = 0.25 * self.weight * float(np.sum(dens**2))
+        return kinetic, potential, mom
+
+    def action(self, v: np.ndarray) -> float:
+        # overflow deliberately saturates to inf; callers treat a non-finite
+        # value as a rejected trial or raise NonFiniteValue
+        with np.errstate(over="ignore", invalid="ignore"):
+            kinetic, potential, mom = self.parts(v)
+            return kinetic + potential - self.c * mom
+
+    def gradient(self, v: np.ndarray) -> np.ndarray:
+        """-Lap v - c*i*d_x1 v - (1-|v|^2) v."""
+        spec = fft_forward(v)
+        out = fft_inverse(self.linear * spec)
+        if self.mask is not None:
+            vt = self.truncate(spec)
+            nl = self.truncate(fft_forward((1.0 - (vt.real**2 + vt.imag**2)) * vt))
+        else:
+            nl = (1.0 - (v.real**2 + v.imag**2)) * v
+        return out - nl
+
+    def hessian(self, psi: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """-Lap u - c*i*d_x1 u - (1-|psi|^2) u + 2 (psi.u) psi."""
+        spec = fft_forward(u)
+        out = fft_inverse(self.linear * spec)
+        if self.mask is not None:
+            psi = self.truncate(fft_forward(psi))
+            u = self.truncate(spec)
+        pairing = psi.real * u.real + psi.imag * u.imag
+        nl = -(1.0 - (psi.real**2 + psi.imag**2)) * u + 2.0 * pairing * psi
+        if self.mask is not None:
+            nl = self.truncate(fft_forward(nl))
+        return out + nl
+
+    def precondition(self, g: np.ndarray) -> np.ndarray:
+        """Inverse Helmholtz operator (1 - Lap)^(-1)."""
+        return fft_inverse(fft_forward(g) / self.grid.helmholtz_symbol)
+
+    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Real L2 pairing int a.b."""
+        return float(np.vdot(a, b).real) * self.weight
+
+    def ray_coefficients(self, f: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Coefficients p (degree 0..4) of the quartic alpha -> I(f + alpha d).
+
+        The quadratic part comes from the kinetic/momentum symbols, the
+        quartic part from the pointwise Ginzburg-Landau density. With
+        dealiasing on, f and d are truncated first, which keeps the
+        polynomial consistent with action().
+        """
+        fs = fft_forward(f) / f.size
+        ds = fft_forward(d) / d.size
+        quad_sym = 0.5 * self.lap + 0.5 * self.c * self.xi1
+        k0 = self.volume * float(np.sum(quad_sym * (fs.real**2 + fs.imag**2)))
+        k1 = 2.0 * self.volume * float(np.sum(quad_sym * (fs.real * ds.real + fs.imag * ds.imag)))
+        k2 = self.volume * float(np.sum(quad_sym * (ds.real**2 + ds.imag**2)))
+        if self.mask is not None:
+            f = self.truncate(fs * f.size)
+            d = self.truncate(ds * d.size)
+        a = 1.0 - (f.real**2 + f.imag**2)
+        b = 2.0 * (f.real * d.real + f.imag * d.imag)
+        cc = d.real**2 + d.imag**2
+        w4 = 0.25 * self.weight
+        return np.array([
+            k0 + w4 * float(np.sum(a * a)),
+            k1 - w4 * 2.0 * float(np.sum(a * b)),
+            k2 + w4 * float(np.sum(b * b - 2.0 * a * cc)),
+            w4 * 2.0 * float(np.sum(b * cc)),
+            w4 * float(np.sum(cc * cc)),
+        ])
+
+    @staticmethod
+    def ray_minimum(p: np.ndarray) -> float | None:
+        """argmin over alpha > 0 of the quartic with coefficients p, or None."""
+        dp = np.array([p[1], 2.0 * p[2], 3.0 * p[3], 4.0 * p[4]])
+        if abs(dp[-1]) < 1e-300:
+            return None
+        roots = np.roots(dp[::-1])
+        best, best_val = None, p[0]
+        for r in roots:
+            if abs(r.imag) > 1e-10 * (1.0 + abs(r.real)) or r.real <= 0:
+                continue
+            alpha = float(r.real)
+            val = float(np.polyval(p[::-1], alpha))
+            if val < best_val:
+                best, best_val = alpha, val
+        return best
 
 
 def energy(f: ComplexField, dealias: bool = False) -> tuple[float, float]:
     """Kinetic and potential parts, (1/2)int|grad f|^2 and (1/4)int(1-|f|^2)^2."""
-    f._require("physical")
-    grid = f.grid
-    spec = _spectral(f.values)
-    kinetic = 0.5 * grid.cell_volume * float(
-        np.sum(grid.laplacian_symbol * (spec.real**2 + spec.imag**2))
-    )
-    v = _truncate(grid, f.values) if dealias else f.values
-    dens = 1.0 - (v.real**2 + v.imag**2)
-    potential = 0.25 * grid.quad_weight * float(np.sum(dens**2))
+    f._require(PHYSICAL)
+    kinetic, potential, _ = Kernel(f.grid, Params(c=0.0, dealias=dealias)).parts(f.values)
     return kinetic, potential
 
 
 def momentum(f: ComplexField) -> float:
     """First momentum component P = (1/2) int (i d_x1 f) . f."""
-    f._require("physical")
-    grid = f.grid
-    spec = _spectral(f.values)
-    xi1 = grid.deriv_symbols[0]
-    return -0.5 * grid.cell_volume * float(np.sum(xi1 * (spec.real**2 + spec.imag**2)))
+    f._require(PHYSICAL)
+    return Kernel(f.grid, Params(c=0.0)).parts(f.values)[2]
 
 
 def action(f: ComplexField, p: Params) -> ActionReport:
-    kin, pot = energy(f, dealias=p.dealias)
-    return ActionReport.assemble(kin, pot, momentum(f), p.c)
+    f._require(PHYSICAL)
+    return ActionReport.assemble(*Kernel(f.grid, p).parts(f.values), p.c)
 
 
 def gradient(f: ComplexField, p: Params) -> ComplexField:
@@ -121,18 +233,8 @@ def gradient(f: ComplexField, p: Params) -> ComplexField:
     This is the negative left-hand side of the traveling-wave equation, so
     l2_norm(gradient) is the equation residual.
     """
-    f._require("physical")
-    grid = f.grid
-    v = f.values
-    spec = np.fft.fftn(v)
-    neg_lap = np.fft.ifftn(grid.laplacian_symbol * spec)
-    d1 = np.fft.ifftn(1j * grid.deriv_symbols[0] * spec)
-    if p.dealias:
-        vt = _truncate(grid, v)
-        nl = _truncate(grid, (1.0 - (vt.real**2 + vt.imag**2)) * vt)
-    else:
-        nl = (1.0 - (v.real**2 + v.imag**2)) * v
-    return f.with_values(neg_lap - p.c * 1j * d1 - nl)
+    f._require(PHYSICAL)
+    return f.with_values(Kernel(f.grid, p).gradient(f.values))
 
 
 def hessian_apply(base: ComplexField, direction: ComplexField, p: Params) -> ComplexField:
@@ -144,34 +246,10 @@ def hessian_apply(base: ComplexField, direction: ComplexField, p: Params) -> Com
     Symmetric with respect to the L2 pairing.
     """
     if base.grid != direction.grid:
-        from .field import GridMismatch
-
         raise GridMismatch("hessian_apply needs base and direction on one grid")
-    base._require("physical")
-    direction._require("physical")
-    grid = base.grid
-    u = direction.values
-    spec = np.fft.fftn(u)
-    neg_lap = np.fft.ifftn(grid.laplacian_symbol * spec)
-    d1 = np.fft.ifftn(1j * grid.deriv_symbols[0] * spec)
-    if p.dealias:
-        psi = _truncate(grid, base.values)
-        ut = _truncate(grid, u)
-        pairing = psi.real * ut.real + psi.imag * ut.imag
-        nl = _truncate(
-            grid,
-            -(1.0 - (psi.real**2 + psi.imag**2)) * ut + 2.0 * pairing * psi,
-        )
-    else:
-        psi = base.values
-        pairing = psi.real * u.real + psi.imag * u.imag
-        nl = -(1.0 - (psi.real**2 + psi.imag**2)) * u + 2.0 * pairing * psi
-    return base.with_values(neg_lap - p.c * 1j * d1 + nl)
-
-
-def _deriv_real(grid, arr: np.ndarray, axis: int) -> np.ndarray:
-    spec = np.fft.fftn(arr)
-    return np.fft.ifftn(1j * grid.deriv_symbols[axis] * spec).real
+    base._require(PHYSICAL)
+    direction._require(PHYSICAL)
+    return base.with_values(Kernel(base.grid, p).hessian(base.values, direction.values))
 
 
 def certify(f: ComplexField, p: Params) -> Certificate:
@@ -184,7 +262,7 @@ def certify(f: ComplexField, p: Params) -> Certificate:
       exists. For zero-winding fields the speed term equals the usual
       c (rho^2 - 1) d_x1 theta form since int d_x1 theta = 0.
     """
-    f._require("physical")
+    f._require(PHYSICAL)
     grid = f.grid
     residual = l2_norm(gradient(f, p))
     v = f.values
@@ -201,8 +279,9 @@ def certify(f: ComplexField, p: Params) -> Certificate:
     grad_theta2 = np.zeros_like(rho)
     dtheta1 = None
     for ax in range(grid.dim):
-        dr = _deriv_real(grid, rho, ax)
-        dt = _deriv_real(grid, theta_p, ax) + 2.0 * np.pi * lifted.windings[ax] / grid.period
+        dr = spectral_derivative(ComplexField(grid, rho), ax).values.real
+        dt = (spectral_derivative(ComplexField(grid, theta_p), ax).values.real
+              + 2.0 * np.pi * lifted.windings[ax] / grid.period)
         grad_rho2 += dr**2
         grad_theta2 += dt**2
         if ax == 0:

@@ -1,8 +1,8 @@
 """Action descent to critical points and their classification.
 
 The optimizer is nonlinear conjugate gradient (Polak-Ribiere with restarts)
-with a backtracking Armijo line search, optionally preconditioned by the
-inverse Helmholtz operator (1 - Lap)^(-1) in spectral space. Accepted steps
+with a backtracking Armijo line search, preconditioned by the inverse
+Helmholtz operator (1 - Lap)^(-1) in spectral space. Accepted steps
 never increase the action, so descent started below the zero action level of
 the modulus-one constants can only end at a nonconstant critical point.
 """
@@ -17,7 +17,7 @@ import numpy as np
 from .ansatz import fitted_vortex_ansatz, vortex_test_function
 from .field import ComplexField, TorusGrid, axis_windings, lift
 from .field import VortexPresent, InconsistentWinding
-from .functionals import ActionReport, Certificate, Params, action, certify
+from .functionals import ActionReport, Certificate, Kernel, Params, action, certify
 
 ZERO_CONSTANT = "ZeroConstant"
 UNIT_CONSTANT = "UnitConstant"
@@ -46,7 +46,6 @@ class MinimizeOptions:
     armijo: float = 1e-4
     max_backtracks: int = 40
     restart_every: int = 100
-    precondition: bool = True
     exact_line_search: bool = True
     class_tol: float = 1e-6
     log_stream: TextIO | None = None
@@ -82,109 +81,6 @@ def default_grad_tol(grid: TorusGrid) -> float:
     return 1e-8 * grid.period ** (grid.dim / 2.0)
 
 
-class _Engine:
-    """Raw-array action/gradient evaluations with cached Fourier symbols."""
-
-    def __init__(self, grid: TorusGrid, p: Params):
-        self.grid = grid
-        self.c = p.c
-        self.dealias = p.dealias
-        self.lap = grid.laplacian_symbol
-        self.xi1 = grid.deriv_symbols[0]
-        self.weight = grid.quad_weight
-        self.volume = grid.cell_volume
-        self.helmholtz = grid.helmholtz_symbol
-        self.mask = grid.dealias_mask if p.dealias else None
-
-    def action(self, v: np.ndarray) -> float:
-        # overflow deliberately saturates to inf; callers treat a non-finite
-        # value as a rejected trial or raise NonFiniteValue
-        with np.errstate(over="ignore", invalid="ignore"):
-            spec = np.fft.fftn(v) / v.size
-            p2 = spec.real**2 + spec.imag**2
-            kinetic = 0.5 * self.volume * float(np.sum(self.lap * p2))
-            mom = -0.5 * self.volume * float(np.sum(self.xi1 * p2))
-            if self.mask is not None:
-                spec[~self.mask] = 0.0
-                vt = np.fft.ifftn(spec * v.size)
-            else:
-                vt = v
-            dens = 1.0 - (vt.real**2 + vt.imag**2)
-            potential = 0.25 * self.weight * float(np.sum(dens**2))
-            return kinetic + potential - self.c * mom
-
-    def gradient(self, v: np.ndarray) -> np.ndarray:
-        # -Lap and -c*i*d1 merge into one real multiplier: |xi|^2 + c*xi1
-        spec = np.fft.fftn(v)
-        out = np.fft.ifftn((self.lap + self.c * self.xi1) * spec)
-        if self.mask is not None:
-            st = spec.copy()
-            st[~self.mask] = 0.0
-            vt = np.fft.ifftn(st)
-            nl = (1.0 - (vt.real**2 + vt.imag**2)) * vt
-            nls = np.fft.fftn(nl)
-            nls[~self.mask] = 0.0
-            nl = np.fft.ifftn(nls)
-        else:
-            nl = (1.0 - (v.real**2 + v.imag**2)) * v
-        return out - nl
-
-    def precondition(self, g: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(np.fft.fftn(g) / self.helmholtz)
-
-    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.vdot(a, b).real) * self.weight
-
-    def ray_coefficients(self, f: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Coefficients p (degree 0..4) of the quartic alpha -> I(f + alpha d).
-
-        The quadratic part comes from the kinetic/momentum symbols, the
-        quartic part from the pointwise Ginzburg-Landau density. With
-        dealiasing on, f and d are truncated first, which keeps the
-        polynomial consistent with action().
-        """
-        fs = np.fft.fftn(f) / f.size
-        ds = np.fft.fftn(d) / d.size
-        quad_sym = 0.5 * self.lap + 0.5 * self.c * self.xi1
-        k0 = self.volume * float(np.sum(quad_sym * (fs.real**2 + fs.imag**2)))
-        k1 = 2.0 * self.volume * float(np.sum(quad_sym * (fs.real * ds.real + fs.imag * ds.imag)))
-        k2 = self.volume * float(np.sum(quad_sym * (ds.real**2 + ds.imag**2)))
-        if self.mask is not None:
-            fs[~self.mask] = 0.0
-            ds[~self.mask] = 0.0
-            f = np.fft.ifftn(fs * f.size)
-            d = np.fft.ifftn(ds * d.size)
-        a = 1.0 - (f.real**2 + f.imag**2)
-        b = 2.0 * (f.real * d.real + f.imag * d.imag)
-        cc = d.real**2 + d.imag**2
-        w4 = 0.25 * self.weight
-        p = np.array([
-            k0 + w4 * float(np.sum(a * a)),
-            k1 - w4 * 2.0 * float(np.sum(a * b)),
-            k2 + w4 * float(np.sum(b * b - 2.0 * a * cc)),
-            w4 * 2.0 * float(np.sum(b * cc)),
-            w4 * float(np.sum(cc * cc)),
-        ])
-        return p
-
-    @staticmethod
-    def ray_minimum(p: np.ndarray) -> float | None:
-        """argmin over alpha > 0 of the quartic with coefficients p, or None."""
-        dp = np.array([p[1], 2.0 * p[2], 3.0 * p[3], 4.0 * p[4]])
-        if abs(dp[-1]) < 1e-300:
-            return None
-        roots = np.roots(dp[::-1])
-        best, best_val = None, p[0]
-        for r in roots:
-            if abs(r.imag) > 1e-10 * (1.0 + abs(r.real)) or r.real <= 0:
-                continue
-            alpha = float(r.real)
-            val = float(np.polyval(p[::-1], alpha))
-            if val < best_val:
-                best, best_val = alpha, val
-        return best
-
-
 def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None = None) -> CriticalPoint:
     """Descend the action from `init` until the L2 residual meets grad_tol.
 
@@ -196,7 +92,7 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
     opts = opts or MinimizeOptions()
     grid = init.grid
     tol = opts.grad_tol if opts.grad_tol is not None else default_grad_tol(grid)
-    eng = _Engine(grid, p)
+    eng = Kernel(grid, p)
     log = opts.log_stream
 
     f = init.values.copy()
@@ -205,7 +101,7 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
         raise NonFiniteValue(f"action not finite at the initial field ({val})")
     g = eng.gradient(f)
     res = np.sqrt(eng.dot(g, g))
-    z = eng.precondition(g) if opts.precondition else g
+    z = eng.precondition(g)
     gz = eng.dot(g, z)
     d = -z
     step = opts.step0
@@ -249,7 +145,7 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
             raise NonFiniteValue("iterate left the finite range")
         g_new = eng.gradient(f)
         res = np.sqrt(eng.dot(g_new, g_new))
-        z_new = eng.precondition(g_new) if opts.precondition else g_new
+        z_new = eng.precondition(g_new)
         gz_new = eng.dot(g_new, z_new)
         iters += 1
         if log is not None and (iters % opts.log_every == 0 or res <= tol):

@@ -17,10 +17,10 @@ import numpy as np
 
 from .ansatz import VortexAnsatz, fitted_vortex_ansatz, vortex_test_function
 from .field import ComplexField, TorusGrid, l2_product
-from .functionals import Params, action, hessian_apply
-from .minimize import CriticalPoint, MinimizeOptions, _Engine, _finalize
+from .functionals import Kernel, Params, action, hessian_apply
+from .minimize import CriticalPoint, MinimizeOptions, _finalize
 from .newton import certified_tol, newton_minres
-from .spectrum import _lanczos_pass, hessian_operator, _unflatten
+from .spectrum import smallest_direction
 
 
 class StalledPath(RuntimeError):
@@ -68,7 +68,6 @@ class RelaxOptions:
     step0: float = 0.5
     rel_tol: float = 1e-4
     patience: int = 8
-    precondition: bool = True
 
     def __post_init__(self):
         if self.sweeps < 1 or self.node_steps < 1 or self.patience < 1:
@@ -132,7 +131,7 @@ def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None) -> tuple
     """
     opts = opts or RelaxOptions()
     grid = path.grid
-    eng = _Engine(grid, p)
+    eng = Kernel(grid, p)
     nodes = [n.values.copy() for n in path.nodes]
     endpoints = (path.nodes[0], path.nodes[-1])
 
@@ -148,7 +147,7 @@ def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None) -> tuple
             v = trial[i]
             for _ in range(opts.node_steps):
                 g = eng.gradient(v)
-                z = eng.precondition(g) if opts.precondition else g
+                z = eng.precondition(g)
                 znorm = np.sqrt(eng.dot(z, z))
                 if znorm == 0.0:
                     break
@@ -187,8 +186,7 @@ class SaddleOptions:
 
     max_iters caps the Newton steps; grad_tol of None means the
     volume-scaled default 1e-8 * T^(N/2), and the refinement target is
-    min(grad_tol, cert_tol / T^(N/2)) (see find_saddle). precondition
-    switches the Helmholtz preconditioner of MINRES.
+    min(grad_tol, cert_tol / T^(N/2)) (see find_saddle).
     """
 
     max_iters: int = 50
@@ -196,7 +194,6 @@ class SaddleOptions:
     probe_count: int = 50
     witness_tol: float = 1e-8
     seed: int = 0
-    precondition: bool = True
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -229,22 +226,15 @@ def find_saddle(path: Path, p: Params, opts: SaddleOptions | None = None,
     tol = certified_tol(grid, p, opts.grad_tol)
     idx = _pick_max_node(path, p)
     gamma = float(path.actions(p).max())
-    refined = newton_minres(path.nodes[idx], p, tol, max_steps=opts.max_iters,
-                            precondition=opts.precondition)
+    refined = newton_minres(path.nodes[idx], p, tol, max_steps=opts.max_iters)
     saddle_field = refined.field
     mopts = MinimizeOptions(grad_tol=tol)
     point = _finalize(saddle_field, p, mopts, refined.converged, refined.steps)
 
-    # Index witness: an approximate smallest-eigenvalue direction. Only its
-    # Rayleigh quotient matters (a negative value certifies the index), so a
-    # loose Ritz residual target keeps this cheap on large grids.
+    # Index witness: only its Rayleigh quotient matters, a negative value
+    # certifies the index.
     rng = np.random.default_rng(opts.seed)
-    matvec = hessian_operator(saddle_field, p)
-    vals, vecs, _ = _lanczos_pass(matvec, 2 * grid.node_count, 1, rng,
-                                  tol=opts.witness_tol,
-                                  max_dim=min(2 * grid.node_count, 500),
-                                  res_target=1e-3)
-    witness = ComplexField(grid, _unflatten(vecs[:, 0], grid))
+    witness = smallest_direction(saddle_field, p, rng, tol=opts.witness_tol)
     quad = l2_product(hessian_apply(saddle_field, witness, p), witness)
     norm2 = l2_product(witness, witness)
     witness_value = quad / norm2

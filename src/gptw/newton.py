@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import ComplexField, TorusGrid
-from .functionals import Params, gradient, hessian_apply
+from .field import ComplexField, TorusGrid, fft_forward, fft_inverse, from_real, to_real
+from .functionals import Kernel, Params, hessian_apply
 from .minimize import default_grad_tol
 
 # MINRES iterations allowed per Newton step.
@@ -55,13 +55,13 @@ def _symmetry_basis(f: ComplexField) -> np.ndarray:
     coordinates; directions that vanish (at constants, at 0) are dropped."""
     grid = f.grid
     v = f.values
-    spec = np.fft.fftn(v)
-    columns = [1j * v] + [np.fft.ifftn(1j * grid.deriv_symbols[ax] * spec)
+    spec = fft_forward(v)
+    columns = [1j * v] + [fft_inverse(1j * grid.deriv_symbols[ax] * spec)
                           for ax in range(grid.dim)]
     scale = float(np.linalg.norm(v))
     basis: list[np.ndarray] = []
     for col in columns:
-        q = col.ravel().view(np.float64).copy()
+        q = to_real(col)
         for b in basis:
             q -= b * float(b @ q)
         norm = float(np.linalg.norm(q))
@@ -70,8 +70,8 @@ def _symmetry_basis(f: ComplexField) -> np.ndarray:
     return np.column_stack(basis) if basis else np.zeros((2 * v.size, 0))
 
 
-def newton_minres(init: ComplexField, p: Params, tol: float, max_steps: int = 50,
-                  precondition: bool = True) -> NewtonResult:
+def newton_minres(init: ComplexField, p: Params, tol: float,
+                  max_steps: int = 50) -> NewtonResult:
     """Newton iteration from `init` until ||grad I|| <= tol.
 
     Returns the last iterate with converged=False when max_steps is spent,
@@ -81,17 +81,13 @@ def newton_minres(init: ComplexField, p: Params, tol: float, max_steps: int = 50
     from scipy.sparse.linalg import LinearOperator, minres
 
     grid = init.grid
-    weight = grid.quad_weight
-    helmholtz = grid.helmholtz_symbol
+    kern = Kernel(grid, p)
     dim = 2 * grid.node_count
     products = 0
 
-    def residual_norm(g: ComplexField) -> float:
-        return float(np.linalg.norm(g.values)) * np.sqrt(weight)
-
     f = init
-    g = gradient(f, p)
-    res = residual_norm(g)
+    g = kern.gradient(f.values)
+    res = np.sqrt(kern.dot(g, g))
     res0 = max(res, tol)
     steps = 0
     while res > tol and steps < max_steps:
@@ -103,32 +99,30 @@ def newton_minres(init: ComplexField, p: Params, tol: float, max_steps: int = 50
         def hess(x, f=f):
             nonlocal products
             products += 1
-            phi = ComplexField(grid, project(x).view(np.complex128).reshape(grid.sizes))
-            return project(hessian_apply(f, phi, p).values.ravel().view(np.float64))
+            phi = ComplexField(grid, from_real(project(x), grid))
+            return project(to_real(hessian_apply(f, phi, p).values))
 
         def helm(x):
-            z = project(x).view(np.complex128).reshape(grid.sizes)
-            return project(np.fft.ifftn(np.fft.fftn(z) / helmholtz).ravel().view(np.float64))
+            return project(to_real(kern.precondition(from_real(project(x), grid))))
 
         H = LinearOperator((dim, dim), matvec=hess, dtype=np.float64)
-        M = LinearOperator((dim, dim), matvec=helm, dtype=np.float64) if precondition else None
-        rhs = project(-g.values.ravel().view(np.float64))
+        M = LinearOperator((dim, dim), matvec=helm, dtype=np.float64)
+        rhs = project(to_real(-g))
         # Forcing term, tightening as the residual falls. MINRES measures
         # its residual against ||H|| ||s||, which can exceed ||grad I|| by
         # the condition number, hence the small prefactor.
         eta = 1e-3 * np.sqrt(min(1.0, res / res0))
         x, _ = minres(H, rhs, rtol=eta, maxiter=KRYLOV_MAX, M=M)
-        s = project(x).view(np.complex128).reshape(grid.sizes)
+        s = from_real(project(x), grid)
         alpha = 1.0
         hit = None
         for _ in range(MAX_BACKTRACKS):
             values = f.values + alpha * s
-            if np.all(np.isfinite(values.view(np.float64))):
-                trial = ComplexField(grid, values)
-                tg = gradient(trial, p)
-                tres = residual_norm(tg)
+            if np.all(np.isfinite(values)):
+                tg = kern.gradient(values)
+                tres = np.sqrt(kern.dot(tg, tg))
                 if tres <= (1.0 - 1e-4 * alpha) * res:
-                    hit = (trial, tg, tres)
+                    hit = (ComplexField(grid, values), tg, tres)
                     break
             alpha *= 0.5
         if hit is None:

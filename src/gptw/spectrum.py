@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .ansatz import SupportTooLarge, constant, fitted_vortex_ansatz, perturb, vortex_test_function
-from .field import ComplexField, TorusGrid, l2_norm
+from .field import ComplexField, TorusGrid, fft_forward, fft_inverse, from_real, l2_norm, to_real
 from .functionals import Params, hessian_apply
 from .minimize import CONSTANT_CLASSES, MinimizeOptions, minimize_action
 
@@ -247,15 +247,6 @@ def _lanczos_pass(matvec, dim: int, count: int, rng, tol: float, max_dim: int | 
     return tvals[bottom], Q[:, :k] @ tvecs[:, bottom], top_value
 
 
-def _flatten(values: np.ndarray) -> np.ndarray:
-    return np.concatenate([values.real.ravel(), values.imag.ravel()])
-
-
-def _unflatten(vec: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    n = grid.node_count
-    return (vec[:n] + 1j * vec[n:]).reshape(grid.sizes)
-
-
 def hessian_operator(base: ComplexField, p: Params, project_out: np.ndarray | None = None,
                      shift: float = 0.0):
     """Matrix-free symmetric Hessian on flattened real coordinates.
@@ -270,8 +261,8 @@ def hessian_operator(base: ComplexField, p: Params, project_out: np.ndarray | No
         if project_out is not None:
             coeff = float(project_out @ vec)
             vec = vec - project_out * coeff
-        phi = ComplexField(grid, _unflatten(vec, grid))
-        out = _flatten(hessian_apply(base, phi, p).values)
+        phi = ComplexField(grid, from_real(vec, grid))
+        out = to_real(hessian_apply(base, phi, p).values)
         if project_out is not None:
             out -= project_out * float(project_out @ out)
             if shift:
@@ -279,6 +270,22 @@ def hessian_operator(base: ComplexField, p: Params, project_out: np.ndarray | No
         return out
 
     return matvec
+
+
+def smallest_direction(base: ComplexField, p: Params, rng, tol: float) -> ComplexField:
+    """Approximate smallest-eigenvalue Hessian direction at `base` from one
+    Lanczos pass started from `rng`, with at most 500 Krylov vectors.
+
+    The Ritz residual target is loose (1e-3), which keeps this cheap on
+    large grids when only the sign of the Rayleigh quotient matters, as for
+    an index witness.
+    """
+    grid = base.grid
+    dim = 2 * grid.node_count
+    matvec = hessian_operator(base, p)
+    _, vecs, _ = _lanczos_pass(matvec, dim, 1, rng, tol=tol, max_dim=min(dim, 500),
+                               res_target=1e-3)
+    return ComplexField(grid, from_real(vecs[:, 0], grid))
 
 
 def dense_hessian(base: ComplexField, p: Params) -> np.ndarray:
@@ -299,7 +306,7 @@ def dense_hessian(base: ComplexField, p: Params) -> np.ndarray:
 
 
 def _dominant_mode(grid: TorusGrid, values: np.ndarray) -> tuple[int, ...]:
-    spec = np.fft.fftn(values)
+    spec = fft_forward(values)
     power = spec.real**2 + spec.imag**2
     # fold k with -k so a conjugate pair carries one label
     neg = power[np.ix_(*[(-np.arange(m)) % m for m in grid.sizes])]
@@ -323,7 +330,7 @@ def hessian_spectrum_at_constant(theta: float, p: Params, grid: TorusGrid,
     if count < 1:
         raise ValueError("count must be >= 1")
     base = constant(theta, grid)
-    phase_dir = _flatten(1j * base.values)
+    phase_dir = to_real(1j * base.values)
     phase_dir /= np.linalg.norm(phase_dir)
     hphase = hessian_apply(base, ComplexField(grid, 1j * base.values), p)
     degenerate_residual = l2_norm(hphase)
@@ -338,7 +345,7 @@ def hessian_spectrum_at_constant(theta: float, p: Params, grid: TorusGrid,
     entries = []
     for i in range(min(count, vals.size)):
         value = float(vals[i])
-        mode = _dominant_mode(grid, _unflatten(vecs[:, i], grid))
+        mode = _dominant_mode(grid, from_real(vecs[:, i], grid))
         xi2 = sum((2.0 * np.pi * m / grid.period) ** 2 for m in mode)
         xi1 = 2.0 * np.pi * mode[0] / grid.period
         if all(m == 0 for m in mode):
@@ -378,7 +385,7 @@ def _dense_neg_laplacian(grid: TorusGrid) -> np.ndarray:
     e = np.zeros(grid.sizes)
     for j, idx in enumerate(np.ndindex(*grid.sizes)):
         e[idx] = 1.0
-        A[:, j] = np.fft.ifftn(lap * np.fft.fftn(e)).real.ravel()
+        A[:, j] = fft_inverse(lap * fft_forward(e)).real.ravel()
         e[idx] = 0.0
     return 0.5 * (A + A.T)
 

@@ -98,15 +98,6 @@ class TestScanCommand:
         assert rows[3].startswith("1.8,true")
         assert any("case1_bound" in r for r in rows)
 
-    def test_scan_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GPTW_THREADS", "2")
-        out = tmp_path / "scan2"
-        code = main(["scan", "--c", "1", "--T", "1.5,2.0", "--starts", "2",
-                     "--size", "16", "--out", str(out)])
-        assert code == 0
-        rows = (out / "threshold.csv").read_text().splitlines()
-        assert rows[1].startswith("1.5,true")
-
 
 class TestSpectrumCommand:
     def test_report(self, tmp_path):
@@ -165,6 +156,52 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+
+# (command, flag, value, key in run_config.txt or None when argparse must
+# reject the flag because the command does not read it)
+_FLAG_CASES = [
+    ("minimize", "--seed", "1", None),
+    ("spectrum", "--tol", "0.1", None),
+    ("spectrum", "--max-iters", "1", None),
+    ("scan", "--N", "3", None),
+    ("scan", "--tol", "0.1", None),
+    ("scan", "--max-iters", "1", None),
+    ("scan", "--images", None, None),
+    ("testfn", "--T", "10", None),
+    ("testfn", "--N", "2", None),
+    ("testfn", "--size", "64", None),
+    ("testfn", "--seed", "1", None),
+    ("testfn", "--tol", "0.1", None),
+    ("testfn", "--max-iters", "1", None),
+    ("testfn", "--images", None, None),
+    ("scan", "--c", "0.5", "c = 0.5"),
+    ("scan", "--T", "1.2", "T = 1.2"),
+    ("scan", "--size", "12", "size = 12"),
+    ("scan", "--starts", "1", "starts = 1"),
+    ("scan", "--seed", "3", "seed = 3"),
+    ("scan", "--band", "3", "band = 3"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value,recorded", _FLAG_CASES)
+def test_flag_registration(tmp_path, command, flag, value, recorded):
+    out = tmp_path / "run"
+    argv = [command, flag] + ([value] if value is not None else []) + ["--out", str(out)]
+    if recorded is None:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert not out.exists()
+        return
+    base = {"--T": "1.0", "--size": "16", "--starts": "1", "--band": "2"}
+    for key, default in base.items():
+        if key != flag:
+            argv += [key, default]
+    assert main(argv) == 0
+    lines = (out / "run_config.txt").read_text().splitlines()
+    assert recorded in lines
+    assert f"out = {out}" in lines
 
 
 class TestPgm:

@@ -5,7 +5,9 @@ differences of the action, the classical independent oracle.
 """
 
 import numpy as np
+import numpy.fft
 import pytest
+import scipy.fft
 
 from gptw.field import ComplexField, TorusGrid, l2_norm, l2_product
 from gptw.functionals import (
@@ -44,7 +46,7 @@ class TestParams:
         with pytest.raises(ValueError):
             Params(c=-0.5)
         with pytest.raises(ValueError):
-            Params(c=1.0, grad_tol=0.0)
+            Params(c=1.0, cert_tol=0.0)
 
     def test_report_identity(self):
         rep = ActionReport.assemble(1.5, 0.25, 2.0, 1.0)
@@ -219,6 +221,30 @@ class TestHessian:
         for target in (2 - np.sqrt(2), 2 + np.sqrt(2)):
             hits = np.sum(np.abs(ev - target) < 1e-9)
             assert hits >= 2
+
+
+class TestTransformCount:
+    def test_gradient_and_hessian_cost_two_transforms(self, grid16, p1, monkeypatch):
+        # count calls into every numpy.fft / scipy.fft transform entry point
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (numpy.fft, scipy.fft):
+            for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+                         "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn"):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        f = random_field(grid16, 1)
+        phi = random_field(grid16, 2)
+        gradient(f, p1)
+        assert len(calls) == 2
+        calls.clear()
+        hessian_apply(f, phi, p1)
+        assert len(calls) == 2
 
 
 class TestCertify:
