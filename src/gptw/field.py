@@ -236,6 +236,30 @@ def from_real(vec: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return out.reshape(grid.sizes)
 
 
+def symmetry_basis(f: ComplexField) -> np.ndarray:
+    """Orthonormal columns spanning i*f and d_j f, flattened to real
+    coordinates; directions that vanish (at constants, at 0) are dropped.
+
+    These are the directions of the global phase and the translations, along
+    which the Hessian of the action is singular at every critical point.
+    """
+    grid = f.grid
+    v = f.values
+    spec = fft_forward(v)
+    columns = [1j * v] + [fft_inverse(1j * grid.deriv_symbols[ax] * spec)
+                          for ax in range(grid.dim)]
+    scale = float(np.linalg.norm(v))
+    basis: list[np.ndarray] = []
+    for col in columns:
+        q = to_real(col)
+        for b in basis:
+            q -= b * float(b @ q)
+        norm = float(np.linalg.norm(q))
+        if norm > 1e-8 * scale:
+            basis.append(q / norm)
+    return np.column_stack(basis) if basis else np.zeros((2 * v.size, 0))
+
+
 def transform_forward(f: ComplexField) -> ComplexField:
     """Fourier coefficients indexed by integer wave vectors.
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import ComplexField, TorusGrid, fft_forward, fft_inverse, from_real, to_real
+from .field import ComplexField, TorusGrid, from_real, symmetry_basis, to_real
 from .functionals import Kernel, Params, hessian_apply
 from .minimize import default_grad_tol
 
@@ -50,26 +50,6 @@ def certified_tol(grid: TorusGrid, p: Params, grad_tol: float | None = None) -> 
     return min(base, p.cert_tol / grid.period ** (grid.dim / 2.0))
 
 
-def _symmetry_basis(f: ComplexField) -> np.ndarray:
-    """Orthonormal columns spanning i*f and d_j f, flattened to real
-    coordinates; directions that vanish (at constants, at 0) are dropped."""
-    grid = f.grid
-    v = f.values
-    spec = fft_forward(v)
-    columns = [1j * v] + [fft_inverse(1j * grid.deriv_symbols[ax] * spec)
-                          for ax in range(grid.dim)]
-    scale = float(np.linalg.norm(v))
-    basis: list[np.ndarray] = []
-    for col in columns:
-        q = to_real(col)
-        for b in basis:
-            q -= b * float(b @ q)
-        norm = float(np.linalg.norm(q))
-        if norm > 1e-8 * scale:
-            basis.append(q / norm)
-    return np.column_stack(basis) if basis else np.zeros((2 * v.size, 0))
-
-
 def newton_minres(init: ComplexField, p: Params, tol: float,
                   max_steps: int = 50) -> NewtonResult:
     """Newton iteration from `init` until ||grad I|| <= tol.
@@ -91,7 +71,7 @@ def newton_minres(init: ComplexField, p: Params, tol: float,
     res0 = max(res, tol)
     steps = 0
     while res > tol and steps < max_steps:
-        Q = _symmetry_basis(f)
+        Q = symmetry_basis(f)
 
         def project(x, Q=Q):
             return x - Q @ (Q.T @ x)

@@ -3,9 +3,15 @@ small-period constancy scan.
 
 At a modulus-one constant the second variation diagonalizes per Fourier mode
 with eigenvalue branches |xi|^2 + 1 +- sqrt(1 + c^2 xi1^2); the k = 0 pair is
-{0, 2}, the zero belonging to the global phase direction i*e^{i theta}. The
-iterative path (projected Lanczos on the matrix-free Hessian) is cross-checked
-against that symbol formula and against a dense eigensolve on small grids.
+{0, 2}, the zero belonging to the global phase direction i*e^{i theta}.
+
+One eigensolver serves both sign questions of the paper: ARPACK's implicitly
+restarted Lanczos (lanczos_smallest) on the matrix-free Hessian with the
+symmetry directions (phase and translations) projected out and shifted up
+(hessian_operator). At a constant it gives the spectrum off the phase
+direction, cross-checked against the symbol formula and against a dense
+eigensolve on small grids; at a saddle it gives the index witness
+(smallest_direction).
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ import numpy as np
 import scipy.linalg
 
 from .ansatz import SupportTooLarge, constant, fitted_vortex_ansatz, perturb, vortex_test_function
-from .field import ComplexField, TorusGrid, fft_forward, fft_inverse, from_real, l2_norm, to_real
+from .field import (ComplexField, TorusGrid, fft_forward, fft_inverse, from_real, l2_norm,
+                    symmetry_basis, to_real)
 from .functionals import Params, hessian_apply
 from .minimize import CONSTANT_CLASSES, MinimizeOptions, minimize_action
 
@@ -118,173 +125,93 @@ def positivity_criterion(c: float, period: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Matrix-free Lanczos with full reorthogonalization
+# Matrix-free eigensolves
 # ---------------------------------------------------------------------------
 
 
-def lanczos_smallest(matvec, dim: int, count: int, rng, tol: float = 1e-10,
-                     max_dim: int | None = None, res_tol: float = 1e-5):
+def lanczos_smallest(matvec, dim: int, count: int, rng, tol: float = 1e-10):
     """Smallest `count` eigenpairs of a symmetric operator on R^dim,
     multiplicity included.
 
-    Runs Lanczos with full reorthogonalization and deflated restarts: a
-    single Krylov pass cannot split a degenerate cluster, so accepted
-    eigenvectors are shifted to the top of the spectrum and the iteration is
-    restarted until `count` residual-verified pairs are collected. Returns
-    (values, vectors) sorted ascending. Raises NoConvergence if the budget
-    is exhausted.
+    Implicitly restarted Lanczos (ARPACK, through scipy.sparse.linalg.eigsh)
+    from start vectors drawn from `rng`; tol is ARPACK's relative accuracy
+    of the Ritz values. In exact arithmetic a Krylov space holds one vector
+    per distinct eigenvalue, and ARPACK finds further copies of a multiple
+    eigenvalue only through rounding, so it can return a set that skips one.
+    For count > 1 the solve is therefore followed by one on the complement
+    of the pairs found (moved up the spectrum), and a value found there
+    below them joins the set until none does; for count == 1 a skipped copy
+    cannot change the result. Returns (values, vectors) sorted ascending.
+    Raises NoConvergence when ARPACK spends its iteration budget.
+    scipy.sparse.linalg is imported on first use, so importing the package
+    does not load it.
     """
-    found_vals: list[float] = []
-    found_vecs: list[np.ndarray] = []
-    top_estimate = None
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    def deflated_op():
-        if not found_vecs:
-            return matvec
-        V = np.column_stack(found_vecs)
-        shift = (top_estimate or 0.0) + 1.0
+    def smallest(op, k):
+        A = LinearOperator((dim, dim), matvec=op, dtype=np.float64)
+        try:
+            return eigsh(A, k=k, which="SA", tol=tol, v0=rng.standard_normal(dim))
+        except ArpackNoConvergence as exc:
+            raise NoConvergence(f"ARPACK: {exc}") from exc
 
-        def op(vec, V=V, shift=shift):
-            coeff = V.T @ vec
-            out = matvec(vec - V @ coeff)
-            out -= V @ (V.T @ out)
-            return out + V @ (shift * coeff)
-
-        return op
-
-    for _ in range(2 * count + 6):
-        complete = len(found_vals) >= count
-        want = 1 if complete else count - len(found_vals) + 1
-        vals, vecs, top = _lanczos_pass(deflated_op(), dim, want, rng, tol, max_dim,
-                                        res_target=0.5 * res_tol)
-        top_estimate = top if top_estimate is None else max(top_estimate, top)
-        accepted = []
-        for i in range(vals.size):
-            v = vecs[:, i]
-            if found_vecs:
-                W = np.column_stack(found_vecs)
-                v = v - W @ (W.T @ v)
-                nv = float(np.linalg.norm(v))
-                if nv < 1e-6:
-                    continue
-                v = v / nv
-            av = matvec(v)
-            lam = float(v @ av)
-            if float(np.linalg.norm(av - lam * v)) <= res_tol * (1.0 + abs(lam)):
-                found_vals.append(lam)
-                found_vecs.append(v)
-                accepted.append(lam)
-        if not accepted:
-            raise NoConvergence("deflated Lanczos restart made no progress")
-        if len(found_vals) >= count:
-            # Closure: the smallest value this pass is the smallest eigenvalue
-            # outside the deflated set; once it clears the count-th smallest
-            # found, the bottom of the spectrum is complete.
-            kth = float(np.sort(found_vals)[count - 1])
-            if complete and min(accepted) >= kth - 1e-9 * (1.0 + abs(kth)):
-                break
-    else:
-        raise NoConvergence(
-            f"bottom {count} eigenvalues did not close within the restart budget"
-        )
-    order = np.argsort(found_vals)[:count]
-    vals = np.array([found_vals[i] for i in order])
-    vecs = np.column_stack([found_vecs[i] for i in order])
+    vals, vecs = smallest(matvec, count)
+    while count > 1:
+        order = np.argsort(vals)[:count]
+        vals, vecs = vals[order], vecs[:, order]
+        top = float(vals[-1])
+        extra_val, extra_vec = smallest(_deflate(matvec, vecs, top + 1.0), 1)
+        if extra_val[0] >= top - tol * (1.0 + abs(top)):
+            return vals, vecs
+        vals = np.append(vals, extra_val)
+        vecs = np.column_stack([vecs, extra_vec])
     return vals, vecs
 
 
-def _lanczos_pass(matvec, dim: int, count: int, rng, tol: float, max_dim: int | None,
-                  res_target: float = 5e-6):
-    """One Lanczos run with full reorthogonalization.
+def _deflate(matvec, V: np.ndarray, shift: float):
+    """matvec with the orthonormal columns of V projected out on both sides
+    and moved up to the eigenvalue `shift`."""
 
-    Stops when the Ritz residual bound beta*|last eigenvector component| of
-    the bottom `count` pairs drops below tol-derived targets. Returns the
-    bottom Ritz pairs and the top Ritz value.
-    """
-    if max_dim is None:
-        max_dim = min(dim, max(60 * count, 400))
-    max_dim = min(max_dim, dim)
-    q = rng.standard_normal(dim)
-    q /= np.linalg.norm(q)
-    Q = np.zeros((dim, max_dim))
-    alphas = np.zeros(max_dim)
-    betas = np.zeros(max_dim)
-    Q[:, 0] = q
-    k = 0
-    converged = False
-    while k < max_dim:
-        u = matvec(Q[:, k])
-        alphas[k] = float(Q[:, k] @ u)
-        # full reorthogonalization, twice for safety
-        u -= Q[:, : k + 1] @ (Q[:, : k + 1].T @ u)
-        u -= Q[:, : k + 1] @ (Q[:, : k + 1].T @ u)
-        beta = float(np.linalg.norm(u))
-        k += 1
-        exhausted = beta < 1e-13
-        if k >= count and (k % 8 == 0 or k == max_dim or exhausted):
-            tvals, tvecs = scipy.linalg.eigh_tridiagonal(alphas[:k], betas[: k - 1])
-            bounds = beta * np.abs(tvecs[k - 1, :count])
-            if exhausted or np.all(bounds <= res_target * (1.0 + np.abs(tvals[:count]))):
-                converged = True
-                break
-        if k == max_dim:
-            break
-        if exhausted:
-            # invariant subspace hit; restart with a fresh direction
-            u = rng.standard_normal(dim)
-            u -= Q[:, :k] @ (Q[:, :k].T @ u)
-            beta = float(np.linalg.norm(u))
-            betas[k - 1] = 0.0
-        else:
-            betas[k - 1] = beta
-        Q[:, k] = u / beta
-    if not converged and k == max_dim and max_dim < dim:
-        raise NoConvergence(f"Lanczos did not converge within {max_dim} iterations")
-    tvals, tvecs = scipy.linalg.eigh_tridiagonal(alphas[:k], betas[: k - 1])
-    order = np.argsort(tvals)
-    bottom = order[:count]
-    top_value = float(tvals[order[-1]])
-    return tvals[bottom], Q[:, :k] @ tvecs[:, bottom], top_value
+    def op(vec):
+        coeff = V.T @ vec
+        out = matvec(vec - V @ coeff)
+        out -= V @ (V.T @ out)
+        return out + V @ (shift * coeff)
+
+    return op
 
 
-def hessian_operator(base: ComplexField, p: Params, project_out: np.ndarray | None = None,
-                     shift: float = 0.0):
+def hessian_operator(base: ComplexField, p: Params, basis: np.ndarray | None = None):
     """Matrix-free symmetric Hessian on flattened real coordinates.
 
-    project_out: optional unit vector (flattened) removed on both sides; with
-    a nonzero shift that direction is moved to the eigenvalue `shift` instead
-    of 0, which keeps it away from the bottom of the spectrum.
+    basis: optional orthonormal columns (flattened) projected out on both
+    sides and moved up to the eigenvalue 4 + (2*pi/T)^2 * max(M)^2, above
+    the top of the spectrum at a constant, so the bottom of the spectrum is
+    that of the Hessian on the complement of span(basis).
     """
     grid = base.grid
 
     def matvec(vec):
-        if project_out is not None:
-            coeff = float(project_out @ vec)
-            vec = vec - project_out * coeff
         phi = ComplexField(grid, from_real(vec, grid))
-        out = to_real(hessian_apply(base, phi, p).values)
-        if project_out is not None:
-            out -= project_out * float(project_out @ out)
-            if shift:
-                out += (shift * coeff) * project_out
-        return out
+        return to_real(hessian_apply(base, phi, p).values)
 
-    return matvec
+    if basis is None:
+        return matvec
+    return _deflate(matvec, basis, 4.0 + (2.0 * np.pi / grid.period) ** 2 * max(grid.sizes) ** 2)
 
 
-def smallest_direction(base: ComplexField, p: Params, rng, tol: float) -> ComplexField:
-    """Approximate smallest-eigenvalue Hessian direction at `base` from one
-    Lanczos pass started from `rng`, with at most 500 Krylov vectors.
+def smallest_direction(base: ComplexField, p: Params, rng) -> ComplexField:
+    """Smallest-eigenvalue Hessian direction at `base` on the complement of
+    the symmetry directions i*base and d_j base (symmetry_basis), which
+    carry the zero modes of every critical point.
 
-    The Ritz residual target is loose (1e-3), which keeps this cheap on
-    large grids when only the sign of the Rayleigh quotient matters, as for
-    an index witness.
+    The Ritz values are resolved to a loose relative accuracy (1e-3), which
+    keeps this cheap on large grids when only the sign of the Rayleigh
+    quotient matters, as for an index witness.
     """
     grid = base.grid
-    dim = 2 * grid.node_count
-    matvec = hessian_operator(base, p)
-    _, vecs, _ = _lanczos_pass(matvec, dim, 1, rng, tol=tol, max_dim=min(dim, 500),
-                               res_target=1e-3)
+    matvec = hessian_operator(base, p, symmetry_basis(base))
+    _, vecs = lanczos_smallest(matvec, 2 * grid.node_count, 1, rng, tol=1e-3)
     return ComplexField(grid, from_real(vecs[:, 0], grid))
 
 
@@ -322,24 +249,19 @@ def _dominant_mode(grid: TorusGrid, values: np.ndarray) -> tuple[int, ...]:
 
 
 def hessian_spectrum_at_constant(theta: float, p: Params, grid: TorusGrid,
-                                 count: int = 5, tol: float = 1e-10,
-                                 seed: int = 0) -> SpectrumReport:
+                                 count: int = 5, seed: int = 0) -> SpectrumReport:
     """Iterative smallest Hessian eigenvalues at exp(i*theta) on the
     complement of the phase direction, labeled by Fourier mode and branch
     and compared with the analytic symbol."""
     if count < 1:
         raise ValueError("count must be >= 1")
     base = constant(theta, grid)
-    phase_dir = to_real(1j * base.values)
-    phase_dir /= np.linalg.norm(phase_dir)
     hphase = hessian_apply(base, ComplexField(grid, 1j * base.values), p)
     degenerate_residual = l2_norm(hphase)
-    # Shift the known degenerate direction far up so the bottom of the
-    # spectrum is purely the complement of span{i e^{i theta}}.
-    shift = 4.0 + (2.0 * np.pi / grid.period) ** 2 * max(grid.sizes) ** 2
-    matvec = hessian_operator(base, p, project_out=phase_dir, shift=shift)
+    # At a constant the symmetry basis is the phase direction alone.
+    matvec = hessian_operator(base, p, symmetry_basis(base))
     rng = np.random.default_rng(seed)
-    vals, vecs = lanczos_smallest(matvec, 2 * grid.node_count, count, rng, tol=tol)
+    vals, vecs = lanczos_smallest(matvec, 2 * grid.node_count, count, rng)
     analytic = symbol_eigenvalues(grid, p.c)
     analytic_min = analytic[0][0]
     entries = []

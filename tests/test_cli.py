@@ -110,6 +110,13 @@ class TestSpectrumCommand:
         first = float(rows[1].split(",")[2])
         assert first == pytest.approx(2 - np.sqrt(2), abs=1e-8)
 
+    def test_no_convergence_exits_3(self, tmp_path, capsys, arpack_fails):
+        out = tmp_path / "spec"
+        code = main(["spectrum", "--size", "16", "--count", "2", "--out", str(out)])
+        assert code == 3
+        assert "spectrum:" in capsys.readouterr().err
+        assert not (out / "spectrum.csv").exists()
+
 
 class TestTestfnCommand:
     def test_table(self, tmp_path):

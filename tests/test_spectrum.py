@@ -1,8 +1,14 @@
 """Hessian spectra, Poincare constants, weighted eigenvalues, constancy scan."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gptw
 from gptw.field import ComplexField, TorusGrid
 from gptw.functionals import Params
 from gptw.ansatz import constant
@@ -62,13 +68,24 @@ class TestLanczos:
             r = A @ vecs[:, i] - vals[i] * vecs[:, i]
             assert np.linalg.norm(r) <= 1e-4
 
-    def test_budget_error(self):
+    def test_budget_error(self, arpack_fails):
         rng = np.random.default_rng(2)
         n = 400
         d = np.linspace(1.0, 1.001, n)  # hopelessly clustered spectrum
         A = np.diag(d)
         with pytest.raises(NoConvergence):
-            lanczos_smallest(lambda v: A @ v, n, 3, rng, max_dim=8)
+            lanczos_smallest(lambda v: A @ v, n, 3, rng)
+        assert len(arpack_fails) == 1
+
+    def test_import_does_not_load_eigensolver(self):
+        # scipy.sparse.linalg is imported on first use, not with the package
+        code = ("import sys, gptw; "
+                "assert 'scipy.sparse.linalg' not in sys.modules, 'loaded'")
+        src = str(Path(gptw.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
 
 
 class TestSpectrumAtConstant:
@@ -113,6 +130,16 @@ class TestSpectrumAtConstant:
                 g = TorusGrid((12, 12), T)
                 rep = hessian_spectrum_at_constant(0.0, Params(c=c), g, count=1)
                 assert rep.positivity == positivity_criterion(c, T)
+
+    def test_3d_start_that_defeated_the_lanczos_restarts(self):
+        # 24^3 with this start seed: a hand-written restarted Lanczos raised
+        # NoConvergence, and a single eigsh solve with two BLAS threads
+        # returned one of the four copies of the eigenvalue 1 short
+        g = TorusGrid((24,) * 3, 2 * np.pi)
+        rep = hessian_spectrum_at_constant(0.0, Params(c=1.0), g, count=5, seed=1918102982)
+        sym = np.array([e[0] for e in symbol_eigenvalues(g, 1.0)[:5]])
+        got = np.array([e[0] for e in rep.eigenvalues])
+        assert np.abs(got - sym).max() <= 1e-8 * np.abs(sym).max()
 
     def test_subsonic_decrease(self):
         p = Params(c=1.3)
