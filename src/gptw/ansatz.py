@@ -58,13 +58,17 @@ class VortexAnsatz:
             raise ValueError(f"cutoff_outer {outer} must exceed cutoff_inner {inner}")
 
 
-def fitted_vortex_ansatz(R: float, period: float, margin: float = 0.98) -> VortexAnsatz:
+# Share of the period that the support diameter of a fitted ansatz may use.
+FIT_MARGIN = 0.98
+
+
+def fitted_vortex_ansatz(R: float, period: float) -> VortexAnsatz:
     """Ansatz with the default 3R/4R cutoffs when they fit the cell, else the
     widest legal cutoffs. Raises SupportTooLarge when no legal choice exists
     (needs period > 4R)."""
-    if 8.0 * R < margin * period:
+    if 8.0 * R < FIT_MARGIN * period:
         return VortexAnsatz(R)
-    outer = margin * period / 2.0
+    outer = FIT_MARGIN * period / 2.0
     inner = max(2.04 * R, 0.8 * outer)
     if not (outer > inner > 2.0 * R):
         raise SupportTooLarge(

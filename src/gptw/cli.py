@@ -31,14 +31,11 @@ from .mountainpass import NotASaddle, SaddleOptions, mountain_pass_pipeline
 from .spectrum import (constancy_scan, hessian_spectrum_at_constant,
                        positivity_criterion, NoConvergence)
 
-_FLOAT_KEYS = {"c", "T", "R", "tol", "core_width", "cutoff_inner", "cutoff_outer"}
-_INT_KEYS = {"N", "size", "seed", "starts", "max_iters", "nodes", "count", "band"}
-_CONFIG_ALIASES = {"max-iters": "max_iters", "core-width": "core_width",
-                   "cutoff-inner": "cutoff_inner", "cutoff-outer": "cutoff_outer"}
-
 # Built-in defaults per command. A command registers one flag per key of its
 # dict and nothing else, so every accepted flag acts and lands in
-# run_config.txt.
+# run_config.txt. A key's flag spec in _FLAGS also types its config-file
+# value; keys without a type (T, R, out) stay strings, which the handlers
+# convert.
 _VORTEX = dict(core_width=None, cutoff_inner=None, cutoff_outer=None)
 _DEFAULTS = {
     "minimize": dict(c=1.0, T=40.0, N=2, size=256, R=8.0, tol=None, max_iters=50000,
@@ -86,17 +83,8 @@ def load_config(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
             key, _, val = line.partition("=")
-            key = _CONFIG_ALIASES.get(key.strip(), key.strip())
-            values[key] = val.strip()
+            values[key.strip().replace("-", "_")] = val.strip()
     return values
-
-
-def _coerce(key: str, raw: str):
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _INT_KEYS:
-        return int(raw)
-    return raw
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
@@ -106,7 +94,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         for key, raw in load_config(args.config).items():
             if key not in defaults:
                 raise ValueError(f"unknown configuration key {key!r}")
-            cfg[key] = _coerce(key, raw)
+            cfg[key] = _FLAGS[key].get("type", str)(raw)
     resolved = dict(defaults)
     resolved.update(cfg)
     for key in defaults:

@@ -141,18 +141,6 @@ class TorusGrid:
         """1 + |xi|^2, the inverse-Helmholtz preconditioner denominator."""
         return 1.0 + self.laplacian_symbol
 
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """Boolean 2/3-rule mask (True = kept mode)."""
-        mask = np.ones(self.sizes, dtype=bool)
-        for ax in range(self.dim):
-            m = self.sizes[ax]
-            k = np.abs(self.integer_modes(ax))
-            shape = [1] * self.dim
-            shape[ax] = m
-            mask &= (k <= m // 3).reshape(shape)
-        return mask
-
 
 @dataclass(frozen=True, eq=False)
 class ComplexField:
@@ -361,24 +349,23 @@ class LiftResult:
         return ComplexField(self.grid, self.rho * np.exp(1j * self.theta))
 
 
-def lift(f: ComplexField, floor: float = LIFT_FLOOR, unwrap_tol: float = UNWRAP_TOL) -> LiftResult:
+def lift(f: ComplexField) -> LiftResult:
     """Lift f = rho*exp(i*theta) with integer windings per axis.
 
     Unwraps along the axis-0 line through the grid origin first, then sweeps
-    the remaining axes. Raises VortexPresent when min |f| < floor and
-    InconsistentWinding when circulation differs between parallel lines.
+    the remaining axes. Raises VortexPresent when min |f| < LIFT_FLOOR and
+    InconsistentWinding when circulation differs between parallel lines by
+    more than UNWRAP_TOL.
     """
     f._require(PHYSICAL)
-    if not floor > 0:
-        raise ValueError("floor must be positive")
     rho = np.abs(f.values)
     lo = float(rho.min())
-    if lo < floor:
-        raise VortexPresent(f"min |f| = {lo:.3e} below floor {floor:.3e}")
+    if lo < LIFT_FLOOR:
+        raise VortexPresent(f"min |f| = {lo:.3e} below floor {LIFT_FLOOR:.3e}")
     windings, dev = axis_windings(f)
-    if dev > unwrap_tol:
+    if dev > UNWRAP_TOL:
         raise InconsistentWinding(
-            f"circulation varies between lines by {dev:.3e} rad/node (tol {unwrap_tol:.1e})"
+            f"circulation varies between lines by {dev:.3e} rad/node (tol {UNWRAP_TOL:.1e})"
         )
     theta = np.angle(f.values)
     dim = f.grid.dim

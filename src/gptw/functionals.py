@@ -35,14 +35,10 @@ class Params:
     cert_tol bounds the integrated certificate |int (1-|f|^2) f| of a
     converged find_saddle result: its refinement stops at
     ||grad I|| <= cert_tol / T^(N/2) or lower (newton.certified_tol).
-    dealias enables 2/3-rule truncation of the cubic term; off by default
-    since solutions are smooth and aliasing sits below solver tolerance at
-    the recommended resolutions.
     """
 
     c: float
     cert_tol: float = 1e-6
-    dealias: bool = False
 
     def __post_init__(self):
         if self.c < 0:
@@ -89,7 +85,9 @@ class Kernel:
     Every linear operator is a Fourier symbol on the grid: -Lap - c*i*d_x1
     is the real multiplier |xi|^2 + c*xi1 (xi1 Nyquist-zeroed), so a
     gradient or a Hessian product costs one forward and one inverse
-    transform. With p.dealias the cubic term is 2/3-rule truncated.
+    transform. The cubic term is evaluated pointwise on the nodes, with no
+    2/3-rule filter: solutions are smooth, and at the recommended
+    resolutions aliasing sits below the solver tolerances.
     """
 
     def __init__(self, grid: TorusGrid, p: Params):
@@ -99,17 +97,11 @@ class Kernel:
         self.xi1 = grid.deriv_symbols[0]
         self.weight = grid.quad_weight
         self.volume = grid.cell_volume
-        self.mask = grid.dealias_mask if p.dealias else None
 
     @cached_property
     def linear(self) -> np.ndarray:
         """|xi|^2 + c*xi1, the symbol of -Lap - c*i*d_x1."""
         return self.lap + self.c * self.xi1
-
-    def truncate(self, spec: np.ndarray) -> np.ndarray:
-        """Inverse transform of unnormalized coefficients with the modes
-        outside the 2/3 rule dropped."""
-        return fft_inverse(np.where(self.mask, spec, 0.0))
 
     def parts(self, v: np.ndarray) -> tuple[float, float, float]:
         """Kinetic (1/2)int|grad v|^2, potential (1/4)int(1-|v|^2)^2 and
@@ -118,8 +110,7 @@ class Kernel:
         p2 = spec.real**2 + spec.imag**2
         kinetic = 0.5 * self.volume * float(np.sum(self.lap * p2))
         mom = -0.5 * self.volume * float(np.sum(self.xi1 * p2))
-        vt = v if self.mask is None else self.truncate(spec * v.size)
-        dens = 1.0 - (vt.real**2 + vt.imag**2)
+        dens = 1.0 - (v.real**2 + v.imag**2)
         potential = 0.25 * self.weight * float(np.sum(dens**2))
         return kinetic, potential, mom
 
@@ -132,26 +123,14 @@ class Kernel:
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
         """-Lap v - c*i*d_x1 v - (1-|v|^2) v."""
-        spec = fft_forward(v)
-        out = fft_inverse(self.linear * spec)
-        if self.mask is not None:
-            vt = self.truncate(spec)
-            nl = self.truncate(fft_forward((1.0 - (vt.real**2 + vt.imag**2)) * vt))
-        else:
-            nl = (1.0 - (v.real**2 + v.imag**2)) * v
-        return out - nl
+        out = fft_inverse(self.linear * fft_forward(v))
+        return out - (1.0 - (v.real**2 + v.imag**2)) * v
 
     def hessian(self, psi: np.ndarray, u: np.ndarray) -> np.ndarray:
         """-Lap u - c*i*d_x1 u - (1-|psi|^2) u + 2 (psi.u) psi."""
-        spec = fft_forward(u)
-        out = fft_inverse(self.linear * spec)
-        if self.mask is not None:
-            psi = self.truncate(fft_forward(psi))
-            u = self.truncate(spec)
+        out = fft_inverse(self.linear * fft_forward(u))
         pairing = psi.real * u.real + psi.imag * u.imag
         nl = -(1.0 - (psi.real**2 + psi.imag**2)) * u + 2.0 * pairing * psi
-        if self.mask is not None:
-            nl = self.truncate(fft_forward(nl))
         return out + nl
 
     def precondition(self, g: np.ndarray) -> np.ndarray:
@@ -166,9 +145,8 @@ class Kernel:
         """Coefficients p (degree 0..4) of the quartic alpha -> I(f + alpha d).
 
         The quadratic part comes from the kinetic/momentum symbols, the
-        quartic part from the pointwise Ginzburg-Landau density. With
-        dealiasing on, f and d are truncated first, which keeps the
-        polynomial consistent with action().
+        quartic part from the pointwise Ginzburg-Landau density, so the
+        polynomial agrees with action() along the whole ray.
         """
         fs = fft_forward(f) / f.size
         ds = fft_forward(d) / d.size
@@ -176,9 +154,6 @@ class Kernel:
         k0 = self.volume * float(np.sum(quad_sym * (fs.real**2 + fs.imag**2)))
         k1 = 2.0 * self.volume * float(np.sum(quad_sym * (fs.real * ds.real + fs.imag * ds.imag)))
         k2 = self.volume * float(np.sum(quad_sym * (ds.real**2 + ds.imag**2)))
-        if self.mask is not None:
-            f = self.truncate(fs * f.size)
-            d = self.truncate(ds * d.size)
         a = 1.0 - (f.real**2 + f.imag**2)
         b = 2.0 * (f.real * d.real + f.imag * d.imag)
         cc = d.real**2 + d.imag**2
@@ -209,10 +184,10 @@ class Kernel:
         return best
 
 
-def energy(f: ComplexField, dealias: bool = False) -> tuple[float, float]:
+def energy(f: ComplexField) -> tuple[float, float]:
     """Kinetic and potential parts, (1/2)int|grad f|^2 and (1/4)int(1-|f|^2)^2."""
     f._require(PHYSICAL)
-    kinetic, potential, _ = Kernel(f.grid, Params(c=0.0, dealias=dealias)).parts(f.values)
+    kinetic, potential, _ = Kernel(f.grid, Params(c=0.0)).parts(f.values)
     return kinetic, potential
 
 

@@ -1,10 +1,12 @@
 """Action descent to critical points and their classification.
 
 The optimizer is nonlinear conjugate gradient (Polak-Ribiere with restarts)
-with a backtracking Armijo line search, preconditioned by the inverse
-Helmholtz operator (1 - Lap)^(-1) in spectral space. Accepted steps
-never increase the action, so descent started below the zero action level of
-the modulus-one constants can only end at a nonconstant critical point.
+preconditioned by the inverse Helmholtz operator (1 - Lap)^(-1) in spectral
+space. The action restricted to a ray is a quartic polynomial, so each line
+search steps to its exact minimum (Kernel.ray_coefficients, ray_minimum).
+Accepted steps never increase the action, so descent started below the zero
+action level of the modulus-one constants can only end at a nonconstant
+critical point.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ OTHER_NONCONSTANT = "OtherNonconstant"
 
 CONSTANT_CLASSES = (ZERO_CONSTANT, UNIT_CONSTANT)
 
+# Sup-norm tolerance of the constancy tests in classify.
+CLASS_TOL = 1e-6
+# The conjugate-gradient direction restarts from steepest descent this often.
+RESTART_EVERY = 100
+
 
 class NonFiniteValue(RuntimeError):
     """The iterate left the finite floating-point range."""
@@ -36,30 +43,20 @@ class NonFiniteValue(RuntimeError):
 class MinimizeOptions:
     """Knobs for minimize_action.
 
-    grad_tol of None means the volume-scaled default 1e-8 * T^(N/2).
+    grad_tol of None means the volume-scaled default 1e-8 * T^(N/2). When
+    log_stream is set, every accepted iteration writes one line
+    "iteration action residual" to it.
     """
 
     max_iters: int = 50000
     grad_tol: float | None = None
-    step0: float = 1.0
-    backtrack: float = 0.5
-    armijo: float = 1e-4
-    max_backtracks: int = 40
-    restart_every: int = 100
-    exact_line_search: bool = True
-    class_tol: float = 1e-6
     log_stream: TextIO | None = None
-    log_every: int = 100
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.grad_tol is not None and not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtracking factor must lie in (0, 1)")
-        if not (self.step0 > 0 and 0 < self.armijo < 1):
-            raise ValueError("bad line search parameters")
 
 
 @dataclass(frozen=True)
@@ -84,10 +81,13 @@ def default_grad_tol(grid: TorusGrid) -> float:
 def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None = None) -> CriticalPoint:
     """Descend the action from `init` until the L2 residual meets grad_tol.
 
-    Returns the converged critical point, or the best iterate with
-    converged=False after max_iters. Accepted steps are monotone in the
-    action. Raises NonFiniteValue if the action or gradient overflows at an
-    accepted iterate.
+    Each step goes to the exact minimum of the quartic ray restriction of
+    the action, along the conjugate direction or, when that is no descent,
+    along steepest descent. Returns the converged critical point, or the
+    last iterate with converged=False after max_iters or when neither
+    direction lowers the action (no descent at rounding level). Accepted
+    steps are monotone in the action. Raises NonFiniteValue if the action
+    or gradient overflows at an accepted iterate.
     """
     opts = opts or MinimizeOptions()
     grid = init.grid
@@ -104,39 +104,28 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
     z = eng.precondition(g)
     gz = eng.dot(g, z)
     d = -z
-    step = opts.step0
     iters = 0
     converged = res <= tol
     steepest = True
 
-    def search(direction, slope):
-        """One line search along `direction`; returns (alpha, value) or None.
-
-        Tries the exact minimizer of the quartic ray restriction first, then
-        falls back to backtracking with the Armijo test.
-        """
-        if opts.exact_line_search:
-            alpha = eng.ray_minimum(eng.ray_coefficients(f, direction))
-            if alpha is not None:
-                tv = eng.action(f + alpha * direction)
-                if np.isfinite(tv) and tv <= val + 1e-14 * (1.0 + abs(val)):
-                    return alpha, tv
-        alpha = step
-        for _ in range(opts.max_backtracks):
-            tv = eng.action(f + alpha * direction)
-            if np.isfinite(tv) and tv <= val + opts.armijo * alpha * slope:
-                return alpha, tv
-            alpha *= opts.backtrack
+    def search(direction):
+        """Exact minimum of the quartic ray restriction along `direction`;
+        returns (alpha, value), or None when it does not lower the action."""
+        alpha = eng.ray_minimum(eng.ray_coefficients(f, direction))
+        if alpha is None:
+            return None
+        tv = eng.action(f + alpha * direction)
+        if np.isfinite(tv) and tv <= val + 1e-14 * (1.0 + abs(val)):
+            return alpha, tv
         return None
 
     while not converged and iters < opts.max_iters:
-        slope = eng.dot(g, d)
-        if slope >= 0:
-            d, slope, steepest = -z, -gz, True
-        hit = search(d, slope)
+        if eng.dot(g, d) >= 0:
+            d, steepest = -z, True
+        hit = search(d)
         if hit is None and not steepest:
-            d, slope, steepest = -z, -gz, True
-            hit = search(d, slope)
+            d, steepest = -z, True
+            hit = search(d)
         if hit is None:
             break  # no descent possible at rounding level
         alpha, val = hit
@@ -148,7 +137,7 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
         z_new = eng.precondition(g_new)
         gz_new = eng.dot(g_new, z_new)
         iters += 1
-        if log is not None and (iters % opts.log_every == 0 or res <= tol):
+        if log is not None:
             log.write(f"{iters} {val:.17g} {res:.17g}\n")
         if res <= tol:
             converged = True
@@ -156,22 +145,20 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
         # Preconditioned Polak-Ribiere with nonnegativity restart.
         beta = eng.dot(g_new - g, z_new) / gz if gz > 0 else 0.0
         beta = max(beta, 0.0)
-        if iters % opts.restart_every == 0:
+        if iters % RESTART_EVERY == 0:
             beta = 0.0
         d = -z_new + beta * d
         steepest = beta == 0.0
         g, z, gz = g_new, z_new, gz_new
-        step = min(max(2.0 * alpha, 1e-10), 1e6)
 
     final = ComplexField(grid, f)
-    return _finalize(final, p, opts, converged, iters)
+    return _finalize(final, p, converged, iters)
 
 
-def _finalize(field: ComplexField, p: Params, opts: MinimizeOptions,
-              converged: bool, iters: int) -> CriticalPoint:
+def _finalize(field: ComplexField, p: Params, converged: bool, iters: int) -> CriticalPoint:
     rep = action(field, p)
     cert = certify(field, p)
-    cls = classify(field, opts.class_tol)
+    cls = classify(field)
     return CriticalPoint(
         field=field,
         report=rep,
@@ -184,23 +171,21 @@ def _finalize(field: ComplexField, p: Params, opts: MinimizeOptions,
     )
 
 
-def classify(f: ComplexField, class_tol: float = 1e-6) -> str:
-    """Bucket a field by its constancy structure.
+def classify(f: ComplexField) -> str:
+    """Bucket a field by its constancy structure, to sup-norm CLASS_TOL.
 
     Order of the tie-breaking tests: ZeroConstant, UnitConstant, PlaneWave,
     Vortexful, OtherNonconstant.
     """
-    if not class_tol > 0:
-        raise ValueError("class_tol must be positive")
     v = f.values
     mod = np.abs(v)
-    if float(mod.max()) <= class_tol:
+    if float(mod.max()) <= CLASS_TOL:
         return ZERO_CONSTANT
     mean = v.mean()
-    if float(np.abs(v - mean).max()) <= class_tol and float(np.abs(mod - 1.0).max()) <= class_tol:
+    if float(np.abs(v - mean).max()) <= CLASS_TOL and float(np.abs(mod - 1.0).max()) <= CLASS_TOL:
         return UNIT_CONSTANT
     mod_variation = float(mod.max() - mod.min())
-    if mod_variation <= class_tol:
+    if mod_variation <= CLASS_TOL:
         windings, dev = axis_windings(f)
         if dev <= 1e-3 and any(windings):
             return PLANE_WAVE

@@ -2,8 +2,10 @@
 max-action node to a critical point.
 
 The path functional gamma = inf over paths of the max action along the path
-is estimated by the string method: interior nodes take preconditioned
-descent steps, then the path is reparametrized to uniform L2 arclength.
+is estimated by the simplified string method (E, Ren & Vanden-Eijnden,
+J. Chem. Phys. 126, 164103, 2007): interior nodes take fixed-size
+preconditioned descent steps, then the path is reparametrized to uniform L2
+arclength.
 Endpoints stay fixed. The max node is refined by Newton-MINRES on the
 action gradient (gptw.newton), whose stopping rule implies the integrated
 certificate, and a negative Hessian direction off the symmetry directions
@@ -19,7 +21,7 @@ import numpy as np
 from .ansatz import VortexAnsatz, fitted_vortex_ansatz, vortex_test_function
 from .field import ComplexField, TorusGrid, l2_product
 from .functionals import Kernel, Params, action, hessian_apply
-from .minimize import CriticalPoint, MinimizeOptions, _finalize
+from .minimize import CriticalPoint, _finalize
 from .newton import certified_tol, newton_minres
 from .spectrum import smallest_direction
 
@@ -60,19 +62,25 @@ class Path:
         return np.array([action(n, p).action for n in self.nodes])
 
 
+# Descent steps per interior node and sweep, each -STEP0 * (1 - Lap)^(-1) grad I
+# until a rejected sweep halves the step.
+NODE_STEPS = 2
+STEP0 = 0.5
+# A sweep improves gamma when it lowers it by more than REL_TOL * (1 + |gamma|).
+REL_TOL = 1e-4
+
+
 @dataclass
 class RelaxOptions:
-    """String-method knobs: per-node descent steps, sweep budget, stall test."""
+    """String-method knobs: the sweep budget, and the stall test, which
+    gives up after `patience` sweeps in a row that do not improve gamma."""
 
     sweeps: int = 60
-    node_steps: int = 2
-    step0: float = 0.5
-    rel_tol: float = 1e-4
     patience: int = 8
 
     def __post_init__(self):
-        if self.sweeps < 1 or self.node_steps < 1 or self.patience < 1:
-            raise ValueError("sweeps, node_steps and patience must be >= 1")
+        if self.sweeps < 1 or self.patience < 1:
+            raise ValueError("sweeps and patience must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -124,11 +132,13 @@ def _reparametrize(values: list[np.ndarray], weight: float) -> list[np.ndarray]:
 def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None) -> tuple[Path, float]:
     """String-method relaxation of the interior nodes.
 
-    Returns (relaxed path, gamma estimate). gamma never increases across
-    accepted sweeps; a sweep that would raise it is rejected and retried with
-    a smaller step. Raises StalledPath (with the current state attached) when
-    gamma stops improving by rel_tol over `patience` sweeps before the sweep
-    budget runs out.
+    Each sweep moves every interior node by NODE_STEPS fixed-size
+    preconditioned descent steps v -> v - step * (1 - Lap)^(-1) grad I(v),
+    starting at step STEP0, then reparametrizes the path. Returns (relaxed
+    path, gamma estimate). gamma never increases across accepted sweeps; a
+    sweep that would raise it is rejected and the step halved. Raises
+    StalledPath (with the current state attached) when gamma stops improving
+    by REL_TOL over `patience` sweeps before the sweep budget runs out.
     """
     opts = opts or RelaxOptions()
     grid = path.grid
@@ -140,27 +150,22 @@ def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None) -> tuple
         return max(eng.action(v) for v in vals)
 
     gamma = gamma_of(nodes)
-    step_scale = opts.step0
+    step_scale = STEP0
     stall = 0
     for _ in range(opts.sweeps):
         trial = [v.copy() for v in nodes]
         for i in range(1, len(trial) - 1):
             v = trial[i]
-            for _ in range(opts.node_steps):
-                g = eng.gradient(v)
-                z = eng.precondition(g)
-                znorm = np.sqrt(eng.dot(z, z))
-                if znorm == 0.0:
+            for _ in range(NODE_STEPS):
+                z = eng.precondition(eng.gradient(v))
+                if eng.dot(z, z) == 0.0:
                     break
-                alpha = eng.ray_minimum(eng.ray_coefficients(v, -z))
-                if alpha is None:
-                    alpha = step_scale / max(znorm, 1.0)
-                v = v - min(alpha, step_scale) * z
+                v = v - step_scale * z
             trial[i] = v
         trial = _reparametrize(trial, grid.quad_weight)
         new_gamma = gamma_of(trial)
         if new_gamma <= gamma + 1e-14 * (1.0 + abs(gamma)):
-            improved = gamma - new_gamma > opts.rel_tol * (1.0 + abs(gamma))
+            improved = gamma - new_gamma > REL_TOL * (1.0 + abs(gamma))
             nodes = trial
             gamma = min(gamma, new_gamma)
             stall = 0 if improved else stall + 1
@@ -229,8 +234,7 @@ def find_saddle(path: Path, p: Params, opts: SaddleOptions | None = None,
     gamma = float(acts.max())
     refined = newton_minres(path.nodes[idx], p, tol, max_steps=opts.max_iters)
     saddle_field = refined.field
-    mopts = MinimizeOptions(grad_tol=tol)
-    point = _finalize(saddle_field, p, mopts, refined.converged, refined.steps)
+    point = _finalize(saddle_field, p, refined.converged, refined.steps)
 
     # Index witness: only its Rayleigh quotient matters, a negative value
     # certifies the index.

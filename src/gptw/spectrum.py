@@ -26,7 +26,7 @@ from .ansatz import SupportTooLarge, constant, fitted_vortex_ansatz, perturb, vo
 from .field import (ComplexField, TorusGrid, fft_forward, fft_inverse, from_real, l2_norm,
                     symmetry_basis, to_real)
 from .functionals import Params, hessian_apply
-from .minimize import CONSTANT_CLASSES, MinimizeOptions, minimize_action
+from .minimize import CONSTANT_CLASSES, minimize_action
 
 DENSE_NODE_LIMIT = 4096
 
@@ -342,14 +342,16 @@ def weighted_eigenvalue(weight: np.ndarray, grid: TorusGrid) -> float:
 # ---------------------------------------------------------------------------
 
 _SCAN_AMPLITUDES = (0.1, 0.5, 1.0)
+# Radius of the vortex test function added to the starts where it fits.
+_SCAN_VORTEX_R = 2.0
 
 
 def constancy_scan(c: float, T_values, starts: int, resolution: int,
-                   seed: int = 0, band: int = 4, R: float = 2.0,
-                   opts: MinimizeOptions | None = None) -> ThresholdReport:
+                   seed: int = 0, band: int = 4) -> ThresholdReport:
     """Multistart minimization per period: do nonconstant critical points show
-    up? Starts are band-limited perturbations of the constant 1 with cycled
-    amplitudes, plus the vortex test function whenever it fits the cell.
+    up? Starts are band-limited perturbations of 0 and of the constant 1 with
+    cycled amplitudes, plus the radius-2 vortex test function whenever it fits
+    the cell. Each start descends with the default MinimizeOptions.
 
     empirical_onset is the smallest scanned period whose converged critical
     points are not all constant (inf when every row is constant).
@@ -368,13 +370,13 @@ def constancy_scan(c: float, T_values, starts: int, resolution: int,
             for j in range(starts)
         ]
         try:
-            inits.append(vortex_test_function(fitted_vortex_ansatz(R, T), grid))
+            inits.append(vortex_test_function(fitted_vortex_ansatz(_SCAN_VORTEX_R, T), grid))
         except SupportTooLarge:
             pass
         nonconstant = 0
         unconverged = 0
         for init in inits:
-            point = minimize_action(init, p, opts)
+            point = minimize_action(init, p)
             if not point.converged:
                 unconverged += 1
             elif point.classification not in CONSTANT_CLASSES:

@@ -58,6 +58,13 @@ class TestMinimizeCommand:
         summary = (out / "summary.csv").read_text().splitlines()
         assert summary[0] == "c,T,action,residual,classification"
         assert float(summary[1].split(",")[2]) < 0
+        # one row per accepted iteration; actions never rise beyond the
+        # descent's acceptance allowance 1e-14 * (1 + |I|) (near convergence
+        # steps are flat to a few ulps)
+        rows = [line.split() for line in (out / "progress.log").read_text().splitlines()]
+        assert [int(r[0]) for r in rows] == list(range(1, len(rows) + 1))
+        actions = [float(r[1]) for r in rows]
+        assert all(b <= a + 1e-14 * (1 + abs(a)) for a, b in zip(actions, actions[1:]))
 
     def test_determinism(self, tmp_path):
         args = ["minimize", "--c", "1", "--T", "14", "--size", "32", "--R", "2.5"]
@@ -158,6 +165,29 @@ class TestConfigHandling:
         cfg.write_text("bogus = 1\n")
         code = main(["minimize", "--config", str(cfg), "--out", str(tmp_path / "y")])
         assert code == 2
+
+    @pytest.mark.parametrize("command,settings,csv", [
+        ("scan", {"c": "1", "T": "1.0,1.5", "size": "16", "starts": "1", "band": "2"},
+         "threshold.csv"),
+        ("testfn", {"c": "1", "R": "4,8"}, "testfn.csv"),
+    ])
+    def test_config_file_matches_flags(self, tmp_path, command, settings, csv):
+        # list-valued keys (scan T, testfn R) stay strings in a config file,
+        # exactly as their flags do
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        by_file, by_flags = tmp_path / "file", tmp_path / "flags"
+        assert main([command, "--config", str(cfg), "--out", str(by_file)]) == 0
+        argv = [command, "--out", str(by_flags)]
+        for key, value in settings.items():
+            argv += ["--" + key, value]
+        assert main(argv) == 0
+        assert (by_file / csv).read_bytes() == (by_flags / csv).read_bytes()
+
+        def config_lines(out):
+            lines = (out / "run_config.txt").read_text().splitlines()
+            return [line for line in lines if not line.startswith("out = ")]
+        assert config_lines(by_file) == config_lines(by_flags)
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:

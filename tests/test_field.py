@@ -248,11 +248,6 @@ class TestLift:
         with pytest.raises(InconsistentWinding):
             lift(f)
 
-    def test_floor_validation(self, grid16):
-        f = ComplexField(grid16, np.ones(grid16.sizes, dtype=complex))
-        with pytest.raises(ValueError):
-            lift(f, floor=0.0)
-
     def test_axis_windings_consistency_measure(self, grid16):
         f = random_field(grid16, 11, scale=0.1)
         smooth = ComplexField(grid16, 1.0 + f.values * 0.01)

@@ -12,6 +12,7 @@ import scipy.fft
 from gptw.field import ComplexField, TorusGrid, l2_norm, l2_product
 from gptw.functionals import (
     ActionReport,
+    Kernel,
     Params,
     action,
     certificate_csv_header,
@@ -289,24 +290,34 @@ class TestCertify:
         assert row.split(",")[1] == "1"
 
 
-class TestDealias:
-    def test_gradient_matches_for_resolved_fields(self, grid16):
-        from gptw.ansatz import perturb
-        p_off = Params(c=1.0)
-        p_on = Params(c=1.0, dealias=True)
-        f = perturb(constant(0.0, grid16), 0.2, 2, 5)
-        g_off = gradient(f, p_off).values
-        g_on = gradient(f, p_on).values
-        # band 2 cubic terms reach mode 6 > 16/3: truncation touches little
-        assert np.abs(g_on - g_off).max() <= 1e-2 * np.abs(g_off).max()
+_RAY_GRIDS = [((16, 16), 2 * np.pi), ((8, 8, 8), 3.0)]
 
-    def test_fd_consistency_with_dealias(self, grid16):
-        p = Params(c=1.0, dealias=True)
-        h = 1e-5
-        f = random_field(grid16, 4, scale=0.5)
-        phi = random_field(grid16, 5)
-        plus = ComplexField(grid16, f.values + h * phi.values)
-        minus = ComplexField(grid16, f.values - h * phi.values)
-        fd = (action(plus, p).action - action(minus, p).action) / (2 * h)
-        pairing = l2_product(gradient(f, p), phi)
-        assert abs(fd - pairing) <= 1e-6 * (1 + abs(pairing))
+
+class TestRay:
+    """Kernel.ray_coefficients and ray_minimum are the descent's only step rule."""
+
+    @pytest.mark.parametrize("sizes,period", _RAY_GRIDS)
+    def test_quartic_matches_action(self, sizes, period):
+        grid = TorusGrid(sizes, period)
+        kernel = Kernel(grid, Params(c=1.0))
+        f = random_field(grid, 31).values
+        d = random_field(grid, 32).values
+        p = kernel.ray_coefficients(f, d)
+        for a in (-1.0, -0.3, 0.25, 0.7, 1.5):
+            exact = kernel.action(f + a * d)
+            assert abs(np.polyval(p[::-1], a) - exact) <= 1e-12 * abs(exact)
+
+    @pytest.mark.parametrize("sizes,period", _RAY_GRIDS)
+    def test_minimum_not_beaten_by_samples(self, sizes, period):
+        grid = TorusGrid(sizes, period)
+        kernel = Kernel(grid, Params(c=1.0))
+        f = random_field(grid, 33).values
+        d = -kernel.gradient(f)
+        p = kernel.ray_coefficients(f, d)
+        alpha = kernel.ray_minimum(p)
+        assert alpha is not None and alpha > 0
+        samples = np.linspace(0.0, 2.0 * alpha, 4001)[1:]
+        best = np.polyval(p[::-1], alpha)
+        # the root is exact to rounding, so a sample may tie it to an ulp
+        assert best <= np.polyval(p[::-1], samples).min() + 1e-14 * abs(best)
+        assert best < p[0]
