@@ -22,8 +22,8 @@ import numpy as np
 
 from .ansatz import (NoSuchSolution, SupportTooLarge, VortexAnsatz,
                      fitted_vortex_ansatz, vortex_test_function)
-from .field import (ComplexField, FieldFormatError, TorusGrid, read_field,
-                    read_header, write_field)
+from .field import (GPTW_VERSION, ComplexField, FieldFormatError, TorusGrid,
+                    read_field, write_field)
 from .functionals import (Params, action, certificate_csv_header,
                           certificate_csv_row, certify)
 from .minimize import MinimizeOptions, minimizer_experiment
@@ -196,7 +196,7 @@ def _cmd_mp(args) -> int:
             resolved["c"], grid, resolved["R"], node_count=resolved["nodes"],
             ansatz=_ansatz_from(resolved, resolved["R"], resolved["T"]),
             saddle_opts=sopts)
-    except NotASaddle as exc:
+    except (NotASaddle, NoConvergence) as exc:
         print(f"mp: {exc}", file=sys.stderr)
         return 3
     p = Params(c=resolved["c"])
@@ -323,17 +323,14 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    with open(args.file, "rb") as fh:
-        raw = fh.read()
-    head = read_header(raw)
     f, c = read_field(args.file)
     mod = np.abs(f.values)
     print(f"file: {args.file}")
-    print(f"format version: {head['version']}")
-    print(f"dimension: {head['dim']}")
-    print(f"sizes: {'x'.join(str(m) for m in head['sizes'])}")
-    print(f"period: {_fmt(head['period'])}")
-    print(f"speed c: {_fmt(head['c'])}")
+    print(f"format version: {GPTW_VERSION}")
+    print(f"dimension: {f.grid.dim}")
+    print(f"sizes: {'x'.join(str(m) for m in f.grid.sizes)}")
+    print(f"period: {_fmt(f.grid.period)}")
+    print(f"speed c: {_fmt(c)}")
     print(f"nodes: {f.grid.node_count}")
     print(f"modulus range: [{_fmt(float(mod.min()))}, {_fmt(float(mod.max()))}]")
     return 0

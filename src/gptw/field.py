@@ -8,6 +8,7 @@ integrands. Axis 0 is the traveling direction x1.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,7 +48,7 @@ class TorusGrid:
     """Uniform discretization of [0, T]^N, N in {2, 3}, equal period per axis.
 
     sizes : points per axis, each even and >= 8
-    period : side length T > 0
+    period : finite side length T > 0
     """
 
     sizes: tuple[int, ...]
@@ -61,8 +62,8 @@ class TorusGrid:
             raise ValueError(f"dimension must be 2 or 3, got {len(sizes)}")
         if any(m < 8 or m % 2 != 0 for m in sizes):
             raise ValueError(f"axis sizes must be even and >= 8, got {sizes}")
-        if not self.period > 0:
-            raise ValueError(f"period must be positive, got {self.period}")
+        if not (math.isfinite(self.period) and self.period > 0):
+            raise ValueError(f"period must be finite and positive, got {self.period}")
 
     @property
     def dim(self) -> int:
@@ -70,7 +71,7 @@ class TorusGrid:
 
     @property
     def node_count(self) -> int:
-        return int(np.prod(self.sizes))
+        return math.prod(self.sizes)
 
     @property
     def spacing(self) -> tuple[float, ...]:
@@ -85,18 +86,14 @@ class TorusGrid:
         """Rectangle-rule weight prod(T/M_i)."""
         return self.cell_volume / self.node_count
 
-    def axis_coordinates(self, axis: int) -> np.ndarray:
-        m = self.sizes[axis]
-        return np.arange(m) * (self.period / m)
-
     @cached_property
     def coords(self) -> tuple[np.ndarray, ...]:
         """Broadcastable coordinate arrays, one per axis."""
         out = []
-        for ax in range(self.dim):
+        for ax, m in enumerate(self.sizes):
             shape = [1] * self.dim
-            shape[ax] = self.sizes[ax]
-            out.append(self.axis_coordinates(ax).reshape(shape))
+            shape[ax] = m
+            out.append((np.arange(m) * (self.period / m)).reshape(shape))
         return tuple(out)
 
     def integer_modes(self, axis: int) -> np.ndarray:
@@ -222,30 +219,6 @@ def from_real(vec: np.ndarray, grid: TorusGrid) -> np.ndarray:
     out.real = vec[:n]
     out.imag = vec[n:]
     return out.reshape(grid.sizes)
-
-
-def symmetry_basis(f: ComplexField) -> np.ndarray:
-    """Orthonormal columns spanning i*f and d_j f, flattened to real
-    coordinates; directions that vanish (at constants, at 0) are dropped.
-
-    These are the directions of the global phase and the translations, along
-    which the Hessian of the action is singular at every critical point.
-    """
-    grid = f.grid
-    v = f.values
-    spec = fft_forward(v)
-    columns = [1j * v] + [fft_inverse(1j * grid.deriv_symbols[ax] * spec)
-                          for ax in range(grid.dim)]
-    scale = float(np.linalg.norm(v))
-    basis: list[np.ndarray] = []
-    for col in columns:
-        q = to_real(col)
-        for b in basis:
-            q -= b * float(b @ q)
-        norm = float(np.linalg.norm(q))
-        if norm > 1e-8 * scale:
-            basis.append(q / norm)
-    return np.column_stack(basis) if basis else np.zeros((2 * v.size, 0))
 
 
 def transform_forward(f: ComplexField) -> ComplexField:
@@ -422,7 +395,8 @@ def read_header(raw: bytes) -> dict:
 
 
 def read_field(path) -> tuple[ComplexField, float]:
-    """Read a GPTW file, returning the field and the stored wave speed."""
+    """Read a GPTW file, returning the field and the stored wave speed.
+    Every malformed file raises FieldFormatError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     head = read_header(raw)
@@ -430,6 +404,8 @@ def read_field(path) -> tuple[ComplexField, float]:
         grid = TorusGrid(head["sizes"], head["period"])
     except ValueError as exc:
         raise FieldFormatError(f"invalid grid in header: {exc}") from exc
+    if not math.isfinite(head["c"]):
+        raise FieldFormatError(f"speed in header must be finite, got {head['c']}")
     n = grid.node_count
     payload = raw[head["payload_offset"]:]
     if len(payload) != 16 * n:
@@ -437,4 +413,7 @@ def read_field(path) -> tuple[ComplexField, float]:
             f"truncated node data: expected {16 * n} bytes for {n} nodes, found {len(payload)}"
         )
     values = np.frombuffer(payload, dtype="<c16").reshape(grid.sizes)
-    return ComplexField(grid, values), head["c"]
+    try:
+        return ComplexField(grid, values), head["c"]
+    except ValueError as exc:
+        raise FieldFormatError(f"invalid node data: {exc}") from exc

@@ -8,6 +8,7 @@ the L2 gradient, so its norm is directly the residual of that equation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,8 +42,8 @@ class Params:
     cert_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.c < 0:
-            raise ValueError(f"wave speed must be >= 0, got {self.c}")
+        if not (math.isfinite(self.c) and self.c >= 0):
+            raise ValueError(f"wave speed must be finite and >= 0, got {self.c}")
         if not self.cert_tol > 0:
             raise ValueError("tolerances must be positive")
 
@@ -66,7 +67,8 @@ class ActionReport:
 @dataclass(frozen=True)
 class Certificate:
     """Solution certificates: gradient residual, the integrated equation
-    int (1-|f|^2) f, and the lifted identity when a lifting exists."""
+    int (1-|f|^2) f, and, when a lifting exists, the lifted identity, a
+    resolution indicator for the lifting (see certify)."""
 
     residual: float
     integral: complex
@@ -236,6 +238,11 @@ def certify(f: ComplexField, p: Params) -> Certificate:
       + c rho^2 d_x1 theta - (1-rho^2) rho^2, evaluated when a lifting
       exists. For zero-winding fields the speed term equals the usual
       c (rho^2 - 1) d_x1 theta form since int d_x1 theta = 0.
+
+    The lifted identity equals <grad I(f), f> in the continuum. On the grid
+    it measures how well rho and theta are resolved: it agrees with
+    <grad I(f), f> to rounding on band-limited vortex-free fields, but the
+    64^2 saddle at T = 29 reads 0.0424 where <grad I(f), f> is 1.7e-8.
     """
     f._require(PHYSICAL)
     grid = f.grid

@@ -4,9 +4,10 @@ The optimizer is nonlinear conjugate gradient (Polak-Ribiere with restarts)
 preconditioned by the inverse Helmholtz operator (1 - Lap)^(-1) in spectral
 space. The action restricted to a ray is a quartic polynomial, so each line
 search steps to its exact minimum (Kernel.ray_coefficients, ray_minimum).
-Accepted steps never increase the action, so descent started below the zero
-action level of the modulus-one constants can only end at a nonconstant
-critical point.
+A step is accepted when it raises the action by at most 1e-14 * (1 + |I|),
+an allowance for rounding in the flat steps near convergence, so descent
+started clearly below the zero action level of the modulus-one constants can
+only end at a nonconstant critical point.
 """
 
 from __future__ import annotations
@@ -85,9 +86,10 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
     the action, along the conjugate direction or, when that is no descent,
     along steepest descent. Returns the converged critical point, or the
     last iterate with converged=False after max_iters or when neither
-    direction lowers the action (no descent at rounding level). Accepted
-    steps are monotone in the action. Raises NonFiniteValue if the action
-    or gradient overflows at an accepted iterate.
+    direction lowers the action (no descent at rounding level). An
+    accepted step never raises the action by more than 1e-14 * (1 + |I|),
+    the rounding allowance of the acceptance test. Raises NonFiniteValue if
+    the action or gradient overflows at an accepted iterate.
     """
     opts = opts or MinimizeOptions()
     grid = init.grid

@@ -149,6 +149,10 @@ def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None) -> tuple
     def gamma_of(vals):
         return max(eng.action(v) for v in vals)
 
+    def current_path():
+        interior = tuple(ComplexField(grid, v) for v in nodes[1:-1])
+        return Path((endpoints[0],) + interior + (endpoints[1],))
+
     gamma = gamma_of(nodes)
     step_scale = STEP0
     stall = 0
@@ -173,17 +177,11 @@ def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None) -> tuple
             step_scale *= 0.5
             stall += 1
         if stall >= opts.patience:
-            relaxed = Path((endpoints[0],)
-                           + tuple(ComplexField(grid, v) for v in nodes[1:-1])
-                           + (endpoints[1],))
             raise StalledPath(
                 f"gamma stalled at {gamma:.6g} after {opts.patience} flat sweeps",
-                path=relaxed, gamma=gamma,
+                path=current_path(), gamma=gamma,
             )
-    relaxed = Path((endpoints[0],)
-                   + tuple(ComplexField(grid, v) for v in nodes[1:-1])
-                   + (endpoints[1],))
-    return relaxed, gamma
+    return current_path(), gamma
 
 
 @dataclass

@@ -4,11 +4,11 @@ Each Newton step solves H[s] = -grad I by MINRES on the symmetric,
 indefinite Hessian, preconditioned by the inverse Helmholtz symbol
 (1 + |xi|^2)^(-1). The Hessian is singular along the symmetry directions
 i*psi (global phase) and d_j psi (translations) at every nonconstant
-critical point, so those directions are projected out of the Krylov space;
-the gradient is orthogonal to them at every field, so the projected system
-stays consistent. Steps backtrack on the L2 residual ||grad I||
-(Knoll & Keyes, J. Comput. Phys. 193, 2004). Newton converges to unstable
-critical points as well as to minimizers.
+critical point, but the gradient is orthogonal to them at every field, so
+the system stays consistent and MINRES solves it without projecting them out
+(Choi, Paige & Saunders, SIAM J. Sci. Comput. 33, 2011). Steps backtrack on
+the L2 residual ||grad I|| (Knoll & Keyes, J. Comput. Phys. 193, 2004).
+Newton converges to unstable critical points as well as to minimizers.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import ComplexField, TorusGrid, from_real, symmetry_basis, to_real
+from .field import ComplexField, TorusGrid, from_real, to_real
 from .functionals import Kernel, Params, hessian_apply
 from .minimize import default_grad_tol
 
@@ -64,36 +64,32 @@ def newton_minres(init: ComplexField, p: Params, tol: float,
     kern = Kernel(grid, p)
     dim = 2 * grid.node_count
     products = 0
-
     f = init
+
+    def hess(x):
+        nonlocal products
+        products += 1
+        phi = ComplexField(grid, from_real(x, grid))
+        return to_real(hessian_apply(f, phi, p).values)
+
+    def helm(x):
+        return to_real(kern.precondition(from_real(x, grid)))
+
+    # both read the current iterate f, so they are built once per solve
+    H = LinearOperator((dim, dim), matvec=hess, dtype=np.float64)
+    M = LinearOperator((dim, dim), matvec=helm, dtype=np.float64)
+
     g = kern.gradient(f.values)
     res = np.sqrt(kern.dot(g, g))
     res0 = max(res, tol)
     steps = 0
     while res > tol and steps < max_steps:
-        Q = symmetry_basis(f)
-
-        def project(x, Q=Q):
-            return x - Q @ (Q.T @ x)
-
-        def hess(x, f=f):
-            nonlocal products
-            products += 1
-            phi = ComplexField(grid, from_real(project(x), grid))
-            return project(to_real(hessian_apply(f, phi, p).values))
-
-        def helm(x):
-            return project(to_real(kern.precondition(from_real(project(x), grid))))
-
-        H = LinearOperator((dim, dim), matvec=hess, dtype=np.float64)
-        M = LinearOperator((dim, dim), matvec=helm, dtype=np.float64)
-        rhs = project(to_real(-g))
         # Forcing term, tightening as the residual falls. MINRES measures
         # its residual against ||H|| ||s||, which can exceed ||grad I|| by
         # the condition number, hence the small prefactor.
         eta = 1e-3 * np.sqrt(min(1.0, res / res0))
-        x, _ = minres(H, rhs, rtol=eta, maxiter=KRYLOV_MAX, M=M)
-        s = from_real(project(x), grid)
+        x, _ = minres(H, to_real(-g), rtol=eta, maxiter=KRYLOV_MAX, M=M)
+        s = from_real(x, grid)
         alpha = 1.0
         hit = None
         for _ in range(MAX_BACKTRACKS):

@@ -7,10 +7,10 @@ with eigenvalue branches |xi|^2 + 1 +- sqrt(1 + c^2 xi1^2); the k = 0 pair is
 
 One eigensolver serves both sign questions of the paper: ARPACK's implicitly
 restarted Lanczos (lanczos_smallest) on the matrix-free Hessian with the
-symmetry directions (phase and translations) projected out and shifted up
-(hessian_operator). At a constant it gives the spectrum off the phase
-direction, cross-checked against the symbol formula and against a dense
-eigensolve on small grids; at a saddle it gives the index witness
+symmetry directions (symmetry_basis; no other module removes them) projected
+out and shifted up (hessian_operator). At a constant it gives the spectrum
+off the phase direction, cross-checked against the symbol formula and a
+dense eigensolve on small grids; at a saddle it gives the index witness
 (smallest_direction).
 """
 
@@ -23,8 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .ansatz import SupportTooLarge, constant, fitted_vortex_ansatz, perturb, vortex_test_function
-from .field import (ComplexField, TorusGrid, fft_forward, fft_inverse, from_real, l2_norm,
-                    symmetry_basis, to_real)
+from .field import ComplexField, TorusGrid, fft_forward, fft_inverse, from_real, l2_norm, to_real
 from .functionals import Params, hessian_apply
 from .minimize import CONSTANT_CLASSES, minimize_action
 
@@ -181,23 +180,44 @@ def _deflate(matvec, V: np.ndarray, shift: float):
     return op
 
 
-def hessian_operator(base: ComplexField, p: Params, basis: np.ndarray | None = None):
-    """Matrix-free symmetric Hessian on flattened real coordinates.
+def symmetry_basis(f: ComplexField) -> np.ndarray:
+    """Orthonormal columns spanning i*f and d_j f, flattened to real
+    coordinates; directions that vanish (at constants, at 0) are dropped.
 
-    basis: optional orthonormal columns (flattened) projected out on both
-    sides and moved up to the eigenvalue 4 + (2*pi/T)^2 * max(M)^2, above
-    the top of the spectrum at a constant, so the bottom of the spectrum is
-    that of the Hessian on the complement of span(basis).
+    These are the directions of the global phase and the translations, along
+    which the Hessian of the action is singular at every critical point.
     """
+    grid = f.grid
+    v = f.values
+    spec = fft_forward(v)
+    columns = [1j * v] + [fft_inverse(1j * grid.deriv_symbols[ax] * spec)
+                          for ax in range(grid.dim)]
+    scale = float(np.linalg.norm(v))
+    basis: list[np.ndarray] = []
+    for col in columns:
+        q = to_real(col)
+        for b in basis:
+            q -= b * float(b @ q)
+        norm = float(np.linalg.norm(q))
+        if norm > 1e-8 * scale:
+            basis.append(q / norm)
+    return np.column_stack(basis) if basis else np.zeros((2 * v.size, 0))
+
+
+def hessian_operator(base: ComplexField, p: Params):
+    """Matrix-free symmetric Hessian at `base` on flattened real coordinates
+    with symmetry_basis(base) projected out on both sides and moved up to
+    the eigenvalue 4 + (2*pi/T)^2 * max(M)^2, above the top of the spectrum
+    at a constant, so the bottom of its spectrum is that of the Hessian off
+    the phase and translation directions."""
     grid = base.grid
 
     def matvec(vec):
         phi = ComplexField(grid, from_real(vec, grid))
         return to_real(hessian_apply(base, phi, p).values)
 
-    if basis is None:
-        return matvec
-    return _deflate(matvec, basis, 4.0 + (2.0 * np.pi / grid.period) ** 2 * max(grid.sizes) ** 2)
+    shift = 4.0 + (2.0 * np.pi / grid.period) ** 2 * max(grid.sizes) ** 2
+    return _deflate(matvec, symmetry_basis(base), shift)
 
 
 def smallest_direction(base: ComplexField, p: Params, rng) -> ComplexField:
@@ -210,25 +230,26 @@ def smallest_direction(base: ComplexField, p: Params, rng) -> ComplexField:
     quotient matters, as for an index witness.
     """
     grid = base.grid
-    matvec = hessian_operator(base, p, symmetry_basis(base))
+    matvec = hessian_operator(base, p)
     _, vecs = lanczos_smallest(matvec, 2 * grid.node_count, 1, rng, tol=1e-3)
     return ComplexField(grid, from_real(vecs[:, 0], grid))
 
 
 def dense_hessian(base: ComplexField, p: Params) -> np.ndarray:
-    """Assemble the Hessian as a 2n x 2n real matrix from operator columns.
+    """Assemble the full Hessian, symmetry directions included, as a
+    2n x 2n real matrix from hessian_apply columns.
 
     Independent cross-check for the iterative path; limited to small grids.
     """
-    n = base.grid.node_count
+    grid = base.grid
+    n = grid.node_count
     if n > DENSE_NODE_LIMIT:
         raise ValueError(f"dense assembly limited to {DENSE_NODE_LIMIT} nodes, grid has {n}")
     A = np.zeros((2 * n, 2 * n))
-    matvec = hessian_operator(base, p)
     for j in range(2 * n):
         e = np.zeros(2 * n)
         e[j] = 1.0
-        A[:, j] = matvec(e)
+        A[:, j] = to_real(hessian_apply(base, ComplexField(grid, from_real(e, grid)), p).values)
     return 0.5 * (A + A.T)
 
 
@@ -258,8 +279,7 @@ def hessian_spectrum_at_constant(theta: float, p: Params, grid: TorusGrid,
     base = constant(theta, grid)
     hphase = hessian_apply(base, ComplexField(grid, 1j * base.values), p)
     degenerate_residual = l2_norm(hphase)
-    # At a constant the symmetry basis is the phase direction alone.
-    matvec = hessian_operator(base, p, symmetry_basis(base))
+    matvec = hessian_operator(base, p)
     rng = np.random.default_rng(seed)
     vals, vecs = lanczos_smallest(matvec, 2 * grid.node_count, count, rng)
     analytic = symbol_eigenvalues(grid, p.c)

@@ -1,11 +1,13 @@
 """Command-line surface: artifacts, exit codes, determinism, config handling."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from gptw.cli import load_config, main, write_pgm
 from gptw.field import TorusGrid, read_field, write_field
-from gptw.ansatz import plane_wave
+from gptw.ansatz import constant, plane_wave
 
 
 @pytest.fixture
@@ -31,6 +33,19 @@ class TestInfoAndCertify:
 
     def test_info_missing_file_exits_2(self, capsys):
         assert main(["info", "/nonexistent/field.gptw"]) == 2
+
+    @pytest.mark.parametrize("command", ["info", "certify"])
+    def test_nonfinite_period_exits_2(self, tmp_path, capsys, command):
+        # the header period is the f64 after magic, version, N and two sizes
+        bad = tmp_path / "inf.gptw"
+        write_field(bad, constant(0.0, TorusGrid((16, 16), 5.0)), c=1.0)
+        raw = bytearray(bad.read_bytes())
+        raw[20:28] = struct.pack("<d", np.inf)
+        bad.write_bytes(bytes(raw))
+        assert main([command, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert captured.out == ""
 
     def test_certify_plane_wave(self, pw_file, capsys):
         assert main(["certify", str(pw_file)]) == 0
@@ -90,6 +105,35 @@ class TestMinimizeCommand:
         code = main(["minimize", "--c", "1", "--T", "7", "--size", "16",
                      "--R", "2.0", "--out", str(tmp_path / "x")])
         assert code == 2
+
+    @pytest.mark.parametrize("c", ["nan", "inf"])
+    def test_nonfinite_speed_exits_2(self, tmp_path, capsys, c):
+        code = main(["minimize", "--c", c, "--T", "14", "--size", "32",
+                     "--R", "2.5", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+
+class TestMountainPassCommand:
+    ARGS = ["mp", "--c", "1", "--T", "29", "--size", "32", "--R", "3.5", "--nodes", "9"]
+
+    def test_run_and_artifacts(self, tmp_path):
+        out = tmp_path / "mp"
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        for name in ("saddle.csv", "path_actions.csv", "saddle_certificate.csv",
+                     "run_config.txt", "saddle.gptw"):
+            assert (out / name).exists()
+        rows = (out / "saddle.csv").read_text().splitlines()
+        assert rows[0] == "gamma,M,action,residual,witness_value,classification"
+        assert float(rows[1].split(",")[4]) < 0
+        assert len((out / "path_actions.csv").read_text().splitlines()) == 1 + 9
+
+    def test_witness_no_convergence_exits_3(self, tmp_path, capsys, arpack_fails):
+        out = tmp_path / "mp"
+        assert main(self.ARGS + ["--out", str(out)]) == 3
+        assert arpack_fails
+        assert "mp:" in capsys.readouterr().err
+        assert not (out / "saddle.csv").exists()
 
 
 class TestScanCommand:

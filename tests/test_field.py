@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gptw.field import (
     ComplexField,
@@ -59,6 +60,11 @@ class TestTorusGrid:
     def test_invalid(self, sizes, period):
         with pytest.raises(ValueError):
             TorusGrid(sizes, period)
+
+    @pytest.mark.parametrize("period", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_period(self, period):
+        with pytest.raises(ValueError, match="finite"):
+            TorusGrid((8, 8), period)
 
     def test_quad_weight(self, grid16):
         assert grid16.quad_weight == pytest.approx((2 * np.pi) ** 2 / 256)
@@ -303,3 +309,102 @@ class TestFieldFiles:
         path.write_bytes(bytes(raw))
         with pytest.raises(FieldFormatError):
             read_field(path)
+
+
+# ---------------------------------------------------------------------------
+# Property tests of the GPTW file format. derandomize makes every run draw the
+# same examples, so the suite stays reproducible.
+# ---------------------------------------------------------------------------
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_small_sizes = st.one_of(
+    st.tuples(st.sampled_from((8, 10, 12)), st.sampled_from((8, 10, 12))),
+    st.tuples(*[st.sampled_from((8, 10))] * 3),
+)
+
+
+@st.composite
+def _fields(draw):
+    """A field on a small 2-d or 3-d grid with an arbitrary finite speed.
+    Node values are seeded Gaussians with a few nodes overwritten by
+    arbitrary finite doubles (signed zeros and subnormals included)."""
+    sizes = draw(_small_sizes)
+    period = draw(st.floats(min_value=1e-300, max_value=1e300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.standard_normal(2 * int(np.prod(sizes)))
+    for _ in range(draw(st.integers(0, 6))):
+        parts[draw(st.integers(0, parts.size - 1))] = draw(_finite)
+    values = np.empty(parts.size // 2, dtype=complex)
+    values.real, values.imag = parts[0::2], parts[1::2]
+    return ComplexField(TorusGrid(sizes, period), values.reshape(sizes)), draw(_finite)
+
+
+@st.composite
+def _doubles(draw, count):
+    """count little-endian f64s: seeded Gaussians with a few overwritten by
+    arbitrary doubles, NaNs and infinities included."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.standard_normal(count)
+    for _ in range(draw(st.integers(0, 2)) if count else 0):
+        xs[draw(st.integers(0, count - 1))] = draw(
+            st.one_of(st.sampled_from((np.nan, np.inf, -np.inf)), st.floats()))
+    return xs.astype("<f8").tobytes()
+
+
+@st.composite
+def _after_magic(draw):
+    """Bytes to follow the magic: either arbitrary, or a header of the right
+    shape with arbitrary version, dimension, sizes, period and speed and a
+    payload whose length is right or off by one double."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=200))
+    version = draw(st.sampled_from((1,) * 6 + (0, 2)))
+    dim = draw(st.sampled_from((2, 2, 3, 3, 1, 4)))
+    sizes = draw(st.lists(st.sampled_from((8, 10) * 4 + (0, 7, 2**31, 2**32 - 2)),
+                          min_size=dim, max_size=dim))
+    head = np.array([version, dim] + sizes, dtype="<u4").tobytes() + draw(_doubles(2))
+    n = int(np.prod(sizes, dtype=object))
+    count = 2 * n if 0 < n <= 1000 else draw(st.integers(0, 16))
+    count += draw(st.sampled_from((0, 0, 0, -1, 1)))
+    return head + draw(_doubles(max(count, 0)))
+
+
+class TestFieldFileProperties:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("props") / "f.gptw"
+
+    @_PROPERTY
+    @given(_fields())
+    def test_round_trip_exact(self, path, field_and_c):
+        f, c = field_and_c
+        write_field(path, f, c=c)
+        g, c2 = read_field(path)
+        assert g.grid == f.grid
+        assert g.values.tobytes() == f.values.tobytes()
+        assert np.float64(c2).tobytes() == np.float64(c).tobytes()
+
+    @_PROPERTY
+    @given(_fields(), st.data())
+    def test_strict_prefix_rejected(self, path, field_and_c, data):
+        f, c = field_and_c
+        write_field(path, f, c=c)
+        raw = path.read_bytes()
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        path.write_bytes(raw[:cut])
+        with pytest.raises(FieldFormatError):
+            read_field(path)
+
+    @_PROPERTY
+    @given(_after_magic())
+    def test_arbitrary_bytes_rejected_or_reproduced(self, path, tail):
+        raw = b"GPTW" + tail
+        path.write_bytes(raw)
+        try:
+            f, c = read_field(path)
+        except FieldFormatError:
+            return
+        write_field(path, f, c=c)
+        assert path.read_bytes() == raw

@@ -49,6 +49,11 @@ class TestParams:
         with pytest.raises(ValueError):
             Params(c=1.0, cert_tol=0.0)
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_nonfinite_speed(self, c):
+        with pytest.raises(ValueError, match="finite"):
+            Params(c=c)
+
     def test_report_identity(self):
         rep = ActionReport.assemble(1.5, 0.25, 2.0, 1.0)
         assert rep.action == rep.kinetic + rep.potential - rep.speed * rep.momentum
@@ -278,6 +283,20 @@ class TestCertify:
         cert = certify(f, p1)
         assert not cert.lifted
         assert "vortexful" in cert.note
+
+    @pytest.mark.parametrize("base", ["constant", "plane_wave"])
+    def test_lift_identity_is_gradient_pairing(self, base, p1):
+        # the lifted identity equals <grad I(f), f> in the continuum; on a
+        # band-limited vortex-free field rho and theta are resolved, so the
+        # two agree to rounding
+        from gptw.ansatz import perturb
+        g = TorusGrid((32, 32), 4 * np.pi)
+        start = constant(0.3, g) if base == "constant" else plane_wave(-1, 1.0, g)
+        f = perturb(start, 0.05, 2, seed=1)
+        cert = certify(f, p1)
+        pairing = l2_product(gradient(f, p1), f)
+        assert cert.lifted
+        assert abs(cert.lift_identity - pairing) <= 1e-10 * abs(pairing)
 
     def test_csv_row(self, grid16, p1):
         f = constant(0.0, grid16)
