@@ -33,9 +33,8 @@ from .spectrum import (constancy_scan, hessian_spectrum_at_constant,
 
 # Built-in defaults per command. A command registers one flag per key of its
 # dict and nothing else, so every accepted flag acts and lands in
-# run_config.txt. A key's flag spec in _FLAGS also types its config-file
-# value; keys without a type (T, R, out) stay strings, which the handlers
-# convert.
+# run_config.txt. A key's value type (_key_type) types both its flag and its
+# config-file value.
 _VORTEX = dict(core_width=None, cutoff_inner=None, cutoff_outer=None)
 _DEFAULTS = {
     "minimize": dict(c=1.0, T=40.0, N=2, size=256, R=8.0, tol=None, max_iters=50000,
@@ -66,6 +65,13 @@ _FLAGS = {
 }
 
 
+def _key_type(command: str, key: str):
+    """The type in _FLAGS, else that of the command's default (so T and R are
+    floats, or str for comma lists), else str."""
+    default = _DEFAULTS[command][key]
+    return _FLAGS[key].get("type", str if default is None else type(default))
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
@@ -87,14 +93,22 @@ def load_config(path) -> dict:
     return values
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flags override config-file values override built-in defaults."""
+def _resolve(args: argparse.Namespace) -> dict:
+    """Flags override config-file values override built-in defaults. A
+    run_config.txt reads back as what it records: its `command` must be this
+    command, and `None` is an unset key whose default is None."""
+    defaults = _DEFAULTS[args.command]
     cfg = {}
     if getattr(args, "config", None):
         for key, raw in load_config(args.config).items():
+            if key == "command":
+                if raw != args.command:
+                    raise ValueError(f"configuration is for command {raw!r}, not {args.command!r}")
+                continue
             if key not in defaults:
                 raise ValueError(f"unknown configuration key {key!r}")
-            cfg[key] = _FLAGS[key].get("type", str)(raw)
+            unset = raw == "None" and defaults[key] is None
+            cfg[key] = None if unset else _key_type(args.command, key)(raw)
     resolved = dict(defaults)
     resolved.update(cfg)
     for key in defaults:
@@ -152,9 +166,7 @@ def _field_images(out: FsPath, stem: str, f: ComplexField):
 
 
 def _cmd_minimize(args) -> int:
-    resolved = _resolve(args, _DEFAULTS["minimize"])
-    resolved["T"] = float(resolved["T"])
-    resolved["R"] = float(resolved["R"])
+    resolved = _resolve(args)
     out = _prepare_out(resolved, "minimize")
     grid = TorusGrid((resolved["size"],) * resolved["N"], resolved["T"])
     init = vortex_test_function(
@@ -184,9 +196,7 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_mp(args) -> int:
-    resolved = _resolve(args, _DEFAULTS["mp"])
-    resolved["T"] = float(resolved["T"])
-    resolved["R"] = float(resolved["R"])
+    resolved = _resolve(args)
     out = _prepare_out(resolved, "mp")
     grid = TorusGrid((resolved["size"],) * resolved["N"], resolved["T"])
     sopts = SaddleOptions(max_iters=resolved["max_iters"], grad_tol=resolved["tol"],
@@ -226,8 +236,7 @@ def _cmd_mp(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    resolved = _resolve(args, _DEFAULTS["spectrum"])
-    resolved["T"] = float(resolved["T"])
+    resolved = _resolve(args)
     out = _prepare_out(resolved, "spectrum")
     grid = TorusGrid((resolved["size"],) * resolved["N"], resolved["T"])
     p = Params(c=resolved["c"])
@@ -260,7 +269,7 @@ def _parse_list(text: str) -> list[float]:
 
 
 def _cmd_scan(args) -> int:
-    resolved = _resolve(args, _DEFAULTS["scan"])
+    resolved = _resolve(args)
     out = _prepare_out(resolved, "scan")
     T_values = _parse_list(resolved["T"])
     if not T_values:
@@ -280,7 +289,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_testfn(args) -> int:
-    resolved = _resolve(args, _DEFAULTS["testfn"])
+    resolved = _resolve(args)
     out = _prepare_out(resolved, "testfn")
     R_values = _parse_list(resolved["R"])
     p = Params(c=resolved["c"])
@@ -355,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         for key in _DEFAULTS[name]:
             sp.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
-                            **_FLAGS[key])
+                            **{**_FLAGS[key], "type": _key_type(name, key)})
         sp.add_argument("--config", default=None, help="key = value configuration file")
         if images:
             sp.add_argument("--images", action="store_true", help="write PGM images")

@@ -23,9 +23,11 @@ from .field import (
     VortexPresent,
     fft_forward,
     fft_inverse,
+    from_real,
     l2_norm,
     lift,
     spectral_derivative,
+    to_real,
 )
 
 
@@ -138,6 +140,11 @@ class Kernel:
     def precondition(self, g: np.ndarray) -> np.ndarray:
         """Inverse Helmholtz operator (1 - Lap)^(-1)."""
         return fft_inverse(fft_forward(g) / self.grid.helmholtz_symbol)
+
+    def precondition_real(self, x: np.ndarray) -> np.ndarray:
+        """precondition on real coordinates (field.to_real layout): the
+        preconditioner of Newton's MINRES and of the eigensolver."""
+        return to_real(self.precondition(from_real(x, self.grid)))
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """Real L2 pairing int a.b."""

@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ansatz import VortexAnsatz, fitted_vortex_ansatz, vortex_test_function
-from .field import ComplexField, TorusGrid, l2_product
-from .functionals import Kernel, Params, action, hessian_apply
+from .field import ComplexField, TorusGrid
+from .functionals import Kernel, Params, action
 from .minimize import CriticalPoint, _finalize
 from .newton import certified_tol, newton_minres
 from .spectrum import smallest_direction
@@ -236,9 +236,8 @@ def find_saddle(path: Path, p: Params, opts: SaddleOptions | None = None,
 
     # Index witness: only its Rayleigh quotient matters, a negative value
     # certifies the index.
-    witness = smallest_direction(saddle_field, p, np.random.default_rng(opts.seed))
-    quad = l2_product(hessian_apply(saddle_field, witness, p), witness)
-    witness_value = quad / l2_product(witness, witness)
+    witness_value, witness = smallest_direction(saddle_field, p,
+                                                np.random.default_rng(opts.seed))
     if witness_value >= 0:
         raise NotASaddle(
             f"Hessian form nonnegative at the refined point "

@@ -72,12 +72,9 @@ def newton_minres(init: ComplexField, p: Params, tol: float,
         phi = ComplexField(grid, from_real(x, grid))
         return to_real(hessian_apply(f, phi, p).values)
 
-    def helm(x):
-        return to_real(kern.precondition(from_real(x, grid)))
-
     # both read the current iterate f, so they are built once per solve
     H = LinearOperator((dim, dim), matvec=hess, dtype=np.float64)
-    M = LinearOperator((dim, dim), matvec=helm, dtype=np.float64)
+    M = LinearOperator((dim, dim), matvec=kern.precondition_real, dtype=np.float64)
 
     g = kern.gradient(f.values)
     res = np.sqrt(kern.dot(g, g))

@@ -5,13 +5,14 @@ At a modulus-one constant the second variation diagonalizes per Fourier mode
 with eigenvalue branches |xi|^2 + 1 +- sqrt(1 + c^2 xi1^2); the k = 0 pair is
 {0, 2}, the zero belonging to the global phase direction i*e^{i theta}.
 
-One eigensolver serves both sign questions of the paper: ARPACK's implicitly
-restarted Lanczos (lanczos_smallest) on the matrix-free Hessian with the
-symmetry directions (symmetry_basis; no other module removes them) projected
-out and shifted up (hessian_operator). At a constant it gives the spectrum
-off the phase direction, cross-checked against the symbol formula and a
-dense eigensolve on small grids; at a saddle it gives the index witness
-(smallest_direction).
+One eigensolver serves both sign questions of the paper: a block LOBPCG
+solve (lanczos_smallest) of the matrix-free Hessian (hessian_operator),
+preconditioned by the inverse Helmholtz symbol and constrained off the
+symmetry directions (symmetry_basis; no other module removes them). At a
+constant it gives the spectrum off the phase direction, cross-checked
+against the symbol formula and a dense eigensolve on small grids; at a
+saddle it gives the index witness (smallest_direction) and, with a larger
+block, the Morse count.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ import scipy.linalg
 
 from .ansatz import SupportTooLarge, constant, fitted_vortex_ansatz, perturb, vortex_test_function
 from .field import ComplexField, TorusGrid, fft_forward, fft_inverse, from_real, l2_norm, to_real
-from .functionals import Params, hessian_apply
+from .functionals import Kernel, Params, hessian_apply
 from .minimize import CONSTANT_CLASSES, minimize_action
 
 DENSE_NODE_LIMIT = 4096
+# LOBPCG iterations before lanczos_smallest raises NoConvergence.
+MAX_BLOCK_ITERS = 1000
 
 
 class NoConvergence(RuntimeError):
@@ -128,56 +131,48 @@ def positivity_criterion(c: float, period: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def lanczos_smallest(matvec, dim: int, count: int, rng, tol: float = 1e-10):
-    """Smallest `count` eigenpairs of a symmetric operator on R^dim,
-    multiplicity included.
+def lanczos_smallest(matvec, precondition, basis: np.ndarray, count: int, rng,
+                     tol: float = 1e-6):
+    """Smallest `count` eigenpairs, multiplicity included, of a symmetric
+    operator on the complement of the orthonormal columns of `basis`
+    (dim x k, k may be 0). Returns (values, vectors) sorted ascending.
 
-    Implicitly restarted Lanczos (ARPACK, through scipy.sparse.linalg.eigsh)
-    from start vectors drawn from `rng`; tol is ARPACK's relative accuracy
-    of the Ritz values. In exact arithmetic a Krylov space holds one vector
-    per distinct eigenvalue, and ARPACK finds further copies of a multiple
-    eigenvalue only through rounding, so it can return a set that skips one.
-    For count > 1 the solve is therefore followed by one on the complement
-    of the pairs found (moved up the spectrum), and a value found there
-    below them joins the set until none does; for count == 1 a skipped copy
-    cannot change the result. Returns (values, vectors) sorted ascending.
-    Raises NoConvergence when ARPACK spends its iteration budget.
-    scipy.sparse.linalg is imported on first use, so importing the package
-    does not load it.
+    One block solve by LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001),
+    scipy.sparse.linalg.lobpcg, preconditioned by `precondition`, from a
+    start block drawn from `rng`; a block holds every copy of a multiple
+    eigenvalue. The iterates stay off `basis` (lobpcg's Y) and so does the
+    operator's output, which at a field that is not a critical point has
+    components along it that would keep the residuals up. Raises
+    NoConvergence when a residual ||A x - lambda x|| of a unit Ritz vector
+    is above tol after MAX_BLOCK_ITERS iterations, and ValueError unless
+    count >= 1 and the complement has 5 * count dimensions or more, below
+    which lobpcg does not iterate. scipy.sparse.linalg is imported on first
+    use. The name is older than LOBPCG; perfbench/tracer.py looks it up, so
+    it stays until the trace of ROADMAP item I replaces that tracer.
     """
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    from scipy.sparse.linalg import lobpcg
 
-    def smallest(op, k):
-        A = LinearOperator((dim, dim), matvec=op, dtype=np.float64)
-        try:
-            return eigsh(A, k=k, which="SA", tol=tol, v0=rng.standard_normal(dim))
-        except ArpackNoConvergence as exc:
-            raise NoConvergence(f"ARPACK: {exc}") from exc
+    dim, k = basis.shape
+    if not 1 <= count <= (dim - k) // 5:
+        raise ValueError(f"count {count} outside [1, {(dim - k) // 5}]: lobpcg needs 5 "
+                         f"dimensions per eigenpair and the complement has {dim - k}")
 
-    vals, vecs = smallest(matvec, count)
-    while count > 1:
-        order = np.argsort(vals)[:count]
-        vals, vecs = vals[order], vecs[:, order]
-        top = float(vals[-1])
-        extra_val, extra_vec = smallest(_deflate(matvec, vecs, top + 1.0), 1)
-        if extra_val[0] >= top - tol * (1.0 + abs(top)):
-            return vals, vecs
-        vals = np.append(vals, extra_val)
-        vecs = np.column_stack([vecs, extra_vec])
+    # lobpcg applies both operators to blocks of column vectors
+    def A(X):
+        out = np.column_stack([matvec(x) for x in X.T])
+        return out - basis @ (basis.T @ out)
+
+    def M(X):
+        return np.column_stack([precondition(x) for x in X.T])
+
+    vals, vecs, history = lobpcg(A, rng.standard_normal((dim, count)), M=M,
+                                 Y=basis if k else None, tol=tol, maxiter=MAX_BLOCK_ITERS,
+                                 largest=False, retResidualNormsHistory=True)
+    residual = float(np.max(history[-1]))
+    if not residual <= tol:
+        raise NoConvergence(f"LOBPCG: residual {residual:.3e} above {tol:.1e} "
+                            f"after {len(history) - 1} iterations")
     return vals, vecs
-
-
-def _deflate(matvec, V: np.ndarray, shift: float):
-    """matvec with the orthonormal columns of V projected out on both sides
-    and moved up to the eigenvalue `shift`."""
-
-    def op(vec):
-        coeff = V.T @ vec
-        out = matvec(vec - V @ coeff)
-        out -= V @ (V.T @ out)
-        return out + V @ (shift * coeff)
-
-    return op
 
 
 def symmetry_basis(f: ComplexField) -> np.ndarray:
@@ -205,51 +200,46 @@ def symmetry_basis(f: ComplexField) -> np.ndarray:
 
 
 def hessian_operator(base: ComplexField, p: Params):
-    """Matrix-free symmetric Hessian at `base` on flattened real coordinates
-    with symmetry_basis(base) projected out on both sides and moved up to
-    the eigenvalue 4 + (2*pi/T)^2 * max(M)^2, above the top of the spectrum
-    at a constant, so the bottom of its spectrum is that of the Hessian off
-    the phase and translation directions."""
+    """Matrix-free Hessian at `base` on flattened real coordinates
+    (field.to_real layout), as a function of one vector."""
     grid = base.grid
 
     def matvec(vec):
         phi = ComplexField(grid, from_real(vec, grid))
         return to_real(hessian_apply(base, phi, p).values)
 
-    shift = 4.0 + (2.0 * np.pi / grid.period) ** 2 * max(grid.sizes) ** 2
-    return _deflate(matvec, symmetry_basis(base), shift)
+    return matvec
 
 
-def smallest_direction(base: ComplexField, p: Params, rng) -> ComplexField:
-    """Smallest-eigenvalue Hessian direction at `base` on the complement of
-    the symmetry directions i*base and d_j base (symmetry_basis), which
-    carry the zero modes of every critical point.
+def smallest_direction(base: ComplexField, p: Params, rng) -> tuple[float, ComplexField]:
+    """Smallest Hessian eigenvalue at `base` and its direction, off the
+    symmetry directions i*base and d_j base (symmetry_basis), which carry
+    the zero modes of every critical point.
 
-    The Ritz values are resolved to a loose relative accuracy (1e-3), which
-    keeps this cheap on large grids when only the sign of the Rayleigh
-    quotient matters, as for an index witness.
+    The residual tolerance 1e-3 keeps this cheap on large grids, as an
+    index witness needs only the sign; the eigenvalue is still accurate to
+    about the square of that over the spectral gap.
     """
     grid = base.grid
     matvec = hessian_operator(base, p)
-    _, vecs = lanczos_smallest(matvec, 2 * grid.node_count, 1, rng, tol=1e-3)
-    return ComplexField(grid, from_real(vecs[:, 0], grid))
+    vals, vecs = lanczos_smallest(matvec, Kernel(grid, p).precondition_real,
+                                  symmetry_basis(base), 1, rng, tol=1e-3)
+    return float(vals[0]), ComplexField(grid, from_real(vecs[:, 0], grid))
 
 
 def dense_hessian(base: ComplexField, p: Params) -> np.ndarray:
     """Assemble the full Hessian, symmetry directions included, as a
-    2n x 2n real matrix from hessian_apply columns.
+    2n x 2n real matrix from the columns of hessian_operator.
 
     Independent cross-check for the iterative path; limited to small grids.
     """
-    grid = base.grid
-    n = grid.node_count
+    n = base.grid.node_count
     if n > DENSE_NODE_LIMIT:
         raise ValueError(f"dense assembly limited to {DENSE_NODE_LIMIT} nodes, grid has {n}")
+    matvec = hessian_operator(base, p)
     A = np.zeros((2 * n, 2 * n))
     for j in range(2 * n):
-        e = np.zeros(2 * n)
-        e[j] = 1.0
-        A[:, j] = to_real(hessian_apply(base, ComplexField(grid, from_real(e, grid)), p).values)
+        A[:, j] = matvec(np.eye(1, 2 * n, j)[0])
     return 0.5 * (A + A.T)
 
 
@@ -274,20 +264,15 @@ def hessian_spectrum_at_constant(theta: float, p: Params, grid: TorusGrid,
     """Iterative smallest Hessian eigenvalues at exp(i*theta) on the
     complement of the phase direction, labeled by Fourier mode and branch
     and compared with the analytic symbol."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
     base = constant(theta, grid)
     hphase = hessian_apply(base, ComplexField(grid, 1j * base.values), p)
     degenerate_residual = l2_norm(hphase)
     matvec = hessian_operator(base, p)
-    rng = np.random.default_rng(seed)
-    vals, vecs = lanczos_smallest(matvec, 2 * grid.node_count, count, rng)
-    analytic = symbol_eigenvalues(grid, p.c)
-    analytic_min = analytic[0][0]
+    vals, vecs = lanczos_smallest(matvec, Kernel(grid, p).precondition_real,
+                                  symmetry_basis(base), count, np.random.default_rng(seed))
     entries = []
-    for i in range(min(count, vals.size)):
-        value = float(vals[i])
-        mode = _dominant_mode(grid, from_real(vecs[:, i], grid))
+    for value, vec in zip(vals.tolist(), vecs.T):
+        mode = _dominant_mode(grid, from_real(vec, grid))
         xi2 = sum((2.0 * np.pi * m / grid.period) ** 2 for m in mode)
         xi1 = 2.0 * np.pi * mode[0] / grid.period
         if all(m == 0 for m in mode):
@@ -296,15 +281,13 @@ def hessian_spectrum_at_constant(theta: float, p: Params, grid: TorusGrid,
             root = math.sqrt(1.0 + (p.c * xi1) ** 2)
             branch = "-" if abs(value - (xi2 + 1.0 - root)) <= abs(value - (xi2 + 1.0 + root)) else "+"
         entries.append((value, mode, branch))
-    entries.sort(key=lambda e: e[0])
-    smallest = entries[0][0] if entries else float("nan")
     return SpectrumReport(
         speed=p.c,
         period=grid.period,
         eigenvalues=tuple(entries),
         degenerate_residual=degenerate_residual,
-        analytic_min=analytic_min,
-        positivity=smallest > 0.0,
+        analytic_min=symbol_eigenvalues(grid, p.c)[0][0],
+        positivity=entries[0][0] > 0.0,
     )
 
 

@@ -5,18 +5,19 @@ import pytest
 
 
 @pytest.fixture
-def arpack_fails(monkeypatch):
-    """Replace scipy's eigsh with one that raises ArpackNoConvergence; the
-    eigensolver imports eigsh at call time, so it sees the fake. Returns the
-    list of calls the fake received."""
+def lobpcg_fails(monkeypatch):
+    """Replace scipy's lobpcg with one that returns its start block with
+    residuals ten times the tolerance; the eigensolver imports lobpcg at
+    call time, so it sees the fake. Returns the list of calls the fake
+    received."""
     import scipy.sparse.linalg as sla
 
     calls = []
 
-    def eigsh(*args, **kwargs):
+    def lobpcg(A, X, **kwargs):
         calls.append(kwargs)
-        raise sla.ArpackNoConvergence("ARPACK error -1: No convergence",
-                                      np.zeros(0), np.zeros((0, 0)))
+        count = X.shape[1]
+        return np.zeros(count), X, [np.full(count, 10.0 * kwargs["tol"])]
 
-    monkeypatch.setattr(sla, "eigsh", eigsh)
+    monkeypatch.setattr(sla, "lobpcg", lobpcg)
     return calls

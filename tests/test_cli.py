@@ -1,10 +1,14 @@
 """Command-line surface: artifacts, exit codes, determinism, config handling."""
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gptw import cli
 from gptw.cli import load_config, main, write_pgm
 from gptw.field import TorusGrid, read_field, write_field
 from gptw.ansatz import constant, plane_wave
@@ -128,10 +132,10 @@ class TestMountainPassCommand:
         assert float(rows[1].split(",")[4]) < 0
         assert len((out / "path_actions.csv").read_text().splitlines()) == 1 + 9
 
-    def test_witness_no_convergence_exits_3(self, tmp_path, capsys, arpack_fails):
+    def test_witness_no_convergence_exits_3(self, tmp_path, capsys, lobpcg_fails):
         out = tmp_path / "mp"
         assert main(self.ARGS + ["--out", str(out)]) == 3
-        assert arpack_fails
+        assert lobpcg_fails
         assert "mp:" in capsys.readouterr().err
         assert not (out / "saddle.csv").exists()
 
@@ -161,11 +165,20 @@ class TestSpectrumCommand:
         first = float(rows[1].split(",")[2])
         assert first == pytest.approx(2 - np.sqrt(2), abs=1e-8)
 
-    def test_no_convergence_exits_3(self, tmp_path, capsys, arpack_fails):
+    def test_no_convergence_exits_3(self, tmp_path, capsys, lobpcg_fails):
         out = tmp_path / "spec"
         code = main(["spectrum", "--size", "16", "--count", "2", "--out", str(out)])
         assert code == 3
         assert "spectrum:" in capsys.readouterr().err
+        assert not (out / "spectrum.csv").exists()
+
+    def test_count_beyond_block_limit_exits_2(self, tmp_path, capsys):
+        # 8^2 nodes give 128 real coordinates, 127 off the phase direction,
+        # and 26 eigenpairs need 130
+        out = tmp_path / "spec"
+        code = main(["spectrum", "--size", "8", "--count", "26", "--out", str(out)])
+        assert code == 2
+        assert "complement" in capsys.readouterr().err
         assert not (out / "spectrum.csv").exists()
 
 
@@ -237,6 +250,64 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+    def test_run_config_feeds_back(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        argv = ["scan", "--T", "1.0,1.5", "--size", "16", "--starts", "1"]
+        assert main(argv + ["--out", str(first)]) == 0
+        config = first / "run_config.txt"
+        assert main(["scan", "--config", str(config), "--out", str(second)]) == 0
+        assert (first / "threshold.csv").read_bytes() == (second / "threshold.csv").read_bytes()
+
+    def test_run_config_of_another_command_exits_2(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert main(["scan", "--T", "1.0", "--size", "16", "--starts", "1",
+                     "--out", str(first)]) == 0
+        code = main(["minimize", "--config", str(first / "run_config.txt"),
+                     "--out", str(tmp_path / "second")])
+        assert code == 2
+        assert "scan" in capsys.readouterr().err
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _flag_sets(draw):
+    """A command and a random subset of its flags with values of their types."""
+    command = draw(st.sampled_from(sorted(cli._DEFAULTS)))
+    flags = {}
+    for key in cli._DEFAULTS[command]:
+        if key == "out" or not draw(st.booleans()):
+            continue
+        kind = cli._key_type(command, key)
+        if "choices" in cli._FLAGS[key]:
+            value = draw(st.sampled_from(cli._FLAGS[key]["choices"]))
+        elif kind is int:
+            value = draw(st.integers(-10**9, 10**9))
+        elif kind is float:
+            value = draw(_FINITE)
+        else:  # scan T, testfn R: comma lists
+            value = ",".join(repr(x) for x in draw(st.lists(_FINITE, min_size=1, max_size=3)))
+        flags[key] = value
+    return command, flags
+
+
+class TestRunConfigProperty:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(_flag_sets())
+    def test_resolved_config_reads_back(self, case):
+        # resolves and records the configuration as every command does,
+        # without running its solver
+        command, flags = case
+        parser = cli.build_parser()
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [command, f"--out={Path(tmp) / 'run'}"]
+            argv += [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
+            resolved = cli._resolve(parser.parse_args(argv))
+            written = cli._prepare_out(resolved, command) / "run_config.txt"
+            back = cli._resolve(parser.parse_args([command, "--config", str(written)]))
+        assert back == resolved
 
 
 # (command, flag, value, key in run_config.txt or None when argparse must

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gptw.field import ComplexField, TorusGrid, l2_product
-from gptw.functionals import Params, action, hessian_apply
+from gptw.functionals import Kernel, Params, action, hessian_apply
 from gptw.ansatz import VortexAnsatz, constant
 from gptw.mountainpass import (
     NotASaddle,
@@ -17,6 +17,7 @@ from gptw.mountainpass import (
     mountain_pass_pipeline,
     relax_path,
 )
+from gptw.spectrum import hessian_operator, lanczos_smallest, symmetry_basis
 
 
 P1 = Params(c=1.0)
@@ -154,6 +155,26 @@ class TestFindSaddle:
         quad = l2_product(hessian_apply(s.field, result.index_witness, P1),
                           result.index_witness)
         assert quad < 0.0
+        norm2 = l2_product(result.index_witness, result.index_witness)
+        assert quad / norm2 == pytest.approx(result.witness_value, rel=1e-9)
+
+    def test_morse_count_two(self, small_pipeline):
+        # a two-vector block at the saddle resolves its one negative
+        # direction and the bottom of the positive cluster above it
+        result, _, _ = small_pipeline
+        s = result.saddle.field
+        hess = hessian_operator(s, P1)
+        products = 0
+
+        def matvec(vec):
+            nonlocal products
+            products += 1
+            return hess(vec)
+
+        vals, _ = lanczos_smallest(matvec, Kernel(s.grid, P1).precondition_real,
+                                   symmetry_basis(s), 2, np.random.default_rng(0))
+        assert np.sum(vals < 0.0) == 1
+        assert products <= 1000
 
     def test_saddle_certificate(self, small_pipeline):
         result, _, _ = small_pipeline

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import gptw
-from gptw.field import ComplexField, TorusGrid
-from gptw.functionals import Params
-from gptw.ansatz import constant
+from gptw.field import ComplexField, TorusGrid, l2_product, to_real
+from gptw.functionals import Params, hessian_apply
+from gptw.ansatz import constant, perturb
 from gptw.spectrum import (
     NoConvergence,
     WeightOutOfRange,
@@ -23,7 +23,9 @@ from gptw.spectrum import (
     plane_wave_onset,
     poincare_constant,
     positivity_criterion,
+    smallest_direction,
     symbol_eigenvalues,
+    symmetry_basis,
     weighted_eigenvalue,
 )
 
@@ -62,20 +64,47 @@ class TestLanczos:
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         target = np.concatenate([[0.5, 0.5, 0.9], np.linspace(2, 30, n - 3)])
         A = Q @ np.diag(target) @ Q.T
-        vals, vecs = lanczos_smallest(lambda v: A @ v, n, 4, np.random.default_rng(1))
+        vals, vecs = lanczos_smallest(lambda v: A @ v, lambda v: v, np.zeros((n, 0)), 4,
+                                      np.random.default_rng(1))
         assert np.abs(vals - np.array([0.5, 0.5, 0.9, 2.0])).max() <= 1e-8
         for i in range(4):
             r = A @ vecs[:, i] - vals[i] * vecs[:, i]
             assert np.linalg.norm(r) <= 1e-4
 
-    def test_budget_error(self, arpack_fails):
+    def test_budget_error(self, lobpcg_fails):
         rng = np.random.default_rng(2)
         n = 400
         d = np.linspace(1.0, 1.001, n)  # hopelessly clustered spectrum
         A = np.diag(d)
         with pytest.raises(NoConvergence):
-            lanczos_smallest(lambda v: A @ v, n, 3, rng)
-        assert len(arpack_fails) == 1
+            lanczos_smallest(lambda v: A @ v, lambda v: v, np.zeros((n, 0)), 3, rng)
+        assert len(lobpcg_fails) == 1
+
+    def test_count_beyond_block_limit(self):
+        # lobpcg iterates only while the complement of the basis has at
+        # least 5 * count dimensions
+        n = 40
+        d = np.linspace(1.0, 2.0, n)
+        with pytest.raises(ValueError, match="complement"):
+            lanczos_smallest(lambda v: d * v, lambda v: v, np.eye(n)[:, :1], 8,
+                             np.random.default_rng(0))
+        vals, _ = lanczos_smallest(lambda v: d * v, lambda v: v, np.zeros((n, 0)), 8,
+                                   np.random.default_rng(0))
+        assert np.abs(vals - d[:8]).max() <= 1e-8
+        with pytest.raises(ValueError, match="complement"):
+            lanczos_smallest(lambda v: d * v, lambda v: v, np.zeros((n, 0)), 0,
+                             np.random.default_rng(0))
+
+    def test_projects_output_off_the_basis(self):
+        # a perturbed constant is no critical point: the Hessian maps the
+        # phase direction partly off itself, and only the projected output
+        # lets the residual fall below the tolerance
+        g = TorusGrid((16, 16), 2 * np.pi)
+        f = perturb(constant(0.0, g), 0.3, 3, 1)
+        value, witness = smallest_direction(f, Params(c=1.0), np.random.default_rng(0))
+        quad = l2_product(hessian_apply(f, witness, Params(c=1.0)), witness)
+        assert quad / l2_product(witness, witness) == pytest.approx(value, rel=1e-9)
+        assert np.all(np.abs(symmetry_basis(f).T @ to_real(witness.values)) <= 1e-10)
 
     def test_import_does_not_load_eigensolver(self):
         # scipy.sparse.linalg is imported on first use, not with the package
