@@ -57,7 +57,6 @@ from .mountainpass import (
     RelaxOptions,
     SaddleOptions,
     SaddleResult,
-    StalledPath,
     find_saddle,
     init_path,
     mountain_pass_pipeline,

@@ -163,7 +163,6 @@ def perturb(f: ComplexField, amplitude: float, band: int, seed: int) -> ComplexF
         raise ValueError("band must be >= 1")
     if amplitude == 0.0:
         return f
-    f._require("physical")
     grid = f.grid
     if any(band >= m // 2 for m in grid.sizes):
         raise ValueError(f"band {band} too wide for grid sizes {grid.sizes}")
@@ -174,7 +173,7 @@ def perturb(f: ComplexField, amplitude: float, band: int, seed: int) -> ComplexF
     offsets = np.arange(-band, band + 1)
     idx = np.ix_(*[offsets % m for m in grid.sizes])
     spec[idx] = block
-    bump = transform_inverse(ComplexField(grid, spec, "spectral"))
+    bump = transform_inverse(spec, grid)
     norm = l2_norm(bump)
     scale = amplitude * grid.period ** (grid.dim / 2.0) / norm
     return f.with_values(f.values + scale * bump.values)

@@ -134,8 +134,6 @@ def _ansatz_from(resolved: dict, R: float, T: float) -> VortexAnsatz:
     width = resolved.get("core_width")
     inner = resolved.get("cutoff_inner")
     outer = resolved.get("cutoff_outer")
-    if inner is None and outer is None and width is None:
-        return fitted_vortex_ansatz(R, T)
     base = fitted_vortex_ansatz(R, T)
     return VortexAnsatz(R,
                         core_width=width if width is not None else 1.0,
@@ -220,7 +218,7 @@ def _cmd_mp(args) -> int:
     write_field(out / "saddle.gptw", saddle.field, c=resolved["c"])
     (out / "saddle.csv").write_text(
         "gamma,M,action,residual,witness_value,classification\n"
-        + ",".join([_fmt(result.gamma), _fmt(result.upper_bound),
+        + ",".join([_fmt(result.gamma), _fmt(upper),
                     _fmt(saddle.report.action), _fmt(saddle.residual),
                     _fmt(result.witness_value), saddle.classification]) + "\n",
         encoding="utf-8")
@@ -230,7 +228,7 @@ def _cmd_mp(args) -> int:
         encoding="utf-8")
     if args.images:
         _field_images(out, "saddle", saddle.field)
-    print(f"mp: gamma={_fmt(result.gamma)} M={_fmt(result.upper_bound)} "
+    print(f"mp: gamma={_fmt(result.gamma)} M={_fmt(upper)} "
           f"saddle action={_fmt(saddle.report.action)} residual={_fmt(saddle.residual)} -> {out}")
     return 0 if saddle.converged else 3
 

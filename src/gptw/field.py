@@ -3,7 +3,8 @@
 The domain is the cube [0, T]^N with opposite faces identified, sampled on a
 uniform grid. Derivatives act as Fourier multipliers and integrals are
 rectangle-rule sums, which is spectrally accurate for smooth periodic
-integrands. Axis 0 is the traveling direction x1.
+integrands. Axis 0 is the traveling direction x1. A ComplexField holds node
+values; Fourier coefficients are plain arrays (transform_forward).
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ from functools import cached_property
 
 import numpy as np
 
-PHYSICAL = "physical"
-SPECTRAL = "spectral"
-
 GPTW_MAGIC = b"GPTW"
 GPTW_VERSION = 1
 
@@ -28,7 +26,7 @@ LIFT_FLOOR = 0.1
 
 
 class GridMismatch(ValueError):
-    """Operands live on different grids or representations."""
+    """Operands live on different grids."""
 
 
 class VortexPresent(RuntimeError):
@@ -141,50 +139,39 @@ class TorusGrid:
 
 @dataclass(frozen=True, eq=False)
 class ComplexField:
-    """Complex samples of a field on a TorusGrid, physical or spectral.
+    """Complex node values on a TorusGrid, one per node, row-major.
 
-    Values are stored row-major with one complex number per node; arrays are
-    frozen after construction so fields can be shared freely.
+    The array is frozen after construction so fields can be shared freely; a
+    complex128 C-contiguous array is frozen in place, not copied, so
+    ComplexField(g, a) makes the caller's `a` read-only.
     """
 
     grid: TorusGrid
     values: np.ndarray
-    representation: str = PHYSICAL
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
         if v.shape != self.grid.sizes:
             raise ValueError(f"value shape {v.shape} != grid sizes {self.grid.sizes}")
-        if self.representation not in (PHYSICAL, SPECTRAL):
-            raise ValueError(f"unknown representation {self.representation!r}")
         if not np.all(np.isfinite(v.view(np.float64))):
             raise ValueError("field contains non-finite values")
         v = np.ascontiguousarray(v)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def with_values(self, values: np.ndarray, representation: str | None = None) -> "ComplexField":
-        return ComplexField(self.grid, values, representation or self.representation)
+    def with_values(self, values: np.ndarray) -> "ComplexField":
+        return ComplexField(self.grid, values)
 
     def conjugate(self) -> "ComplexField":
-        self._require(PHYSICAL)
         return self.with_values(np.conj(self.values))
 
     def modulus(self) -> np.ndarray:
         return np.abs(self.values)
 
-    def _require(self, representation: str):
-        if self.representation != representation:
-            raise GridMismatch(
-                f"operation needs a {representation} field, got {self.representation}"
-            )
-
 
 def _same_grid(a: ComplexField, b: ComplexField):
     if a.grid != b.grid:
         raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
-    if a.representation != b.representation:
-        raise GridMismatch("representations differ")
 
 
 def fft_forward(values: np.ndarray) -> np.ndarray:
@@ -221,20 +208,16 @@ def from_real(vec: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return out.reshape(grid.sizes)
 
 
-def transform_forward(f: ComplexField) -> ComplexField:
-    """Fourier coefficients indexed by integer wave vectors.
-
-    Normalized so the mode-0 coefficient equals the mean of the field.
-    """
-    f._require(PHYSICAL)
-    coeffs = fft_forward(f.values) / f.grid.node_count
-    return ComplexField(f.grid, coeffs, SPECTRAL)
+def transform_forward(f: ComplexField) -> np.ndarray:
+    """Fourier coefficients of f as an array of shape grid.sizes, in FFT
+    storage order (grid.integer_modes), normalized so the mode-0
+    coefficient equals the mean of the field."""
+    return fft_forward(f.values) / f.grid.node_count
 
 
-def transform_inverse(f: ComplexField) -> ComplexField:
-    f._require(SPECTRAL)
-    values = fft_inverse(f.values * f.grid.node_count)
-    return ComplexField(f.grid, values, PHYSICAL)
+def transform_inverse(coeffs: np.ndarray, grid: TorusGrid) -> ComplexField:
+    """The field whose transform_forward coefficients are `coeffs`."""
+    return ComplexField(grid, fft_inverse(coeffs * grid.node_count))
 
 
 def spectral_derivative(f: ComplexField, axis: int) -> ComplexField:
@@ -246,20 +229,16 @@ def spectral_derivative(f: ComplexField, axis: int) -> ComplexField:
     if not 0 <= axis < f.grid.dim:
         raise ValueError(f"axis {axis} out of range for dimension {f.grid.dim}")
     sym = 1j * f.grid.deriv_symbols[axis]
-    if f.representation == SPECTRAL:
-        return f.with_values(f.values * sym)
     return f.with_values(fft_inverse(fft_forward(f.values) * sym))
 
 
 def l2_product(a: ComplexField, b: ComplexField) -> float:
     """Real L2 pairing int a.b with a.b = Re(a)Re(b) + Im(a)Im(b)."""
     _same_grid(a, b)
-    a._require(PHYSICAL)
     return float(np.vdot(a.values, b.values).real) * a.grid.quad_weight
 
 
 def l2_norm(f: ComplexField) -> float:
-    f._require(PHYSICAL)
     return float(np.linalg.norm(f.values)) * np.sqrt(f.grid.quad_weight)
 
 
@@ -281,7 +260,6 @@ def axis_windings(f: ComplexField) -> tuple[tuple[int, ...], float]:
     corresponding 2*pi*integer, in radians per node. Large worst_dev signals
     unresolved vortices (path-dependent unwrapping).
     """
-    f._require(PHYSICAL)
     v = f.values
     windings = []
     worst = 0.0
@@ -330,7 +308,6 @@ def lift(f: ComplexField) -> LiftResult:
     InconsistentWinding when circulation differs between parallel lines by
     more than UNWRAP_TOL.
     """
-    f._require(PHYSICAL)
     rho = np.abs(f.values)
     lo = float(rho.min())
     if lo < LIFT_FLOOR:
@@ -356,7 +333,6 @@ def lift(f: ComplexField) -> LiftResult:
 
 
 def write_field(path, f: ComplexField, c: float = 0.0):
-    f._require(PHYSICAL)
     grid = f.grid
     header = GPTW_MAGIC
     header += struct.pack("<II", GPTW_VERSION, grid.dim)

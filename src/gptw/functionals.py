@@ -15,7 +15,6 @@ from functools import cached_property
 import numpy as np
 
 from .field import (
-    PHYSICAL,
     ComplexField,
     GridMismatch,
     InconsistentWinding,
@@ -195,19 +194,16 @@ class Kernel:
 
 def energy(f: ComplexField) -> tuple[float, float]:
     """Kinetic and potential parts, (1/2)int|grad f|^2 and (1/4)int(1-|f|^2)^2."""
-    f._require(PHYSICAL)
     kinetic, potential, _ = Kernel(f.grid, Params(c=0.0)).parts(f.values)
     return kinetic, potential
 
 
 def momentum(f: ComplexField) -> float:
     """First momentum component P = (1/2) int (i d_x1 f) . f."""
-    f._require(PHYSICAL)
     return Kernel(f.grid, Params(c=0.0)).parts(f.values)[2]
 
 
 def action(f: ComplexField, p: Params) -> ActionReport:
-    f._require(PHYSICAL)
     return ActionReport.assemble(*Kernel(f.grid, p).parts(f.values), p.c)
 
 
@@ -217,7 +213,6 @@ def gradient(f: ComplexField, p: Params) -> ComplexField:
     This is the negative left-hand side of the traveling-wave equation, so
     l2_norm(gradient) is the equation residual.
     """
-    f._require(PHYSICAL)
     return f.with_values(Kernel(f.grid, p).gradient(f.values))
 
 
@@ -231,8 +226,6 @@ def hessian_apply(base: ComplexField, direction: ComplexField, p: Params) -> Com
     """
     if base.grid != direction.grid:
         raise GridMismatch("hessian_apply needs base and direction on one grid")
-    base._require(PHYSICAL)
-    direction._require(PHYSICAL)
     return base.with_values(Kernel(base.grid, p).hessian(base.values, direction.values))
 
 
@@ -251,7 +244,6 @@ def certify(f: ComplexField, p: Params) -> Certificate:
     <grad I(f), f> to rounding on band-limited vortex-free fields, but the
     64^2 saddle at T = 29 reads 0.0424 where <grad I(f), f> is 1.7e-8.
     """
-    f._require(PHYSICAL)
     grid = f.grid
     residual = l2_norm(gradient(f, p))
     v = f.values

@@ -68,7 +68,6 @@ class CriticalPoint:
     report: ActionReport
     residual: float
     classification: str
-    windings: tuple[int, ...] | None
     certificate: Certificate
     converged: bool
     iterations: int
@@ -166,7 +165,6 @@ def _finalize(field: ComplexField, p: Params, converged: bool, iters: int) -> Cr
         report=rep,
         residual=cert.residual,
         classification=cls,
-        windings=cert.windings,
         certificate=cert,
         converged=converged,
         iterations=iters,

@@ -5,16 +5,16 @@ The path functional gamma = inf over paths of the max action along the path
 is estimated by the simplified string method (E, Ren & Vanden-Eijnden,
 J. Chem. Phys. 126, 164103, 2007): interior nodes take fixed-size
 preconditioned descent steps, then the path is reparametrized to uniform L2
-arclength.
-Endpoints stay fixed. The max node is refined by Newton-MINRES on the
-action gradient (gptw.newton), whose stopping rule implies the integrated
-certificate, and a negative Hessian direction off the symmetry directions
+arclength; endpoints stay fixed. A stalled string returns like a spent sweep
+budget. The max node is refined by Newton-MINRES on the action gradient
+(gptw.newton), whose stopping rule implies the integrated certificate, and a
+negative Hessian direction off the symmetry directions
 (gptw.spectrum.smallest_direction) certifies the saddle index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,15 +24,6 @@ from .functionals import Kernel, Params, action
 from .minimize import CriticalPoint, _finalize
 from .newton import certified_tol, newton_minres
 from .spectrum import smallest_direction
-
-
-class StalledPath(RuntimeError):
-    """Relaxation stopped making progress; carries the current path and gamma."""
-
-    def __init__(self, message, path=None, gamma=None):
-        super().__init__(message)
-        self.path = path
-        self.gamma = gamma
 
 
 class NotASaddle(RuntimeError):
@@ -73,7 +64,7 @@ REL_TOL = 1e-4
 @dataclass
 class RelaxOptions:
     """String-method knobs: the sweep budget, and the stall test, which
-    gives up after `patience` sweeps in a row that do not improve gamma."""
+    ends relax_path after `patience` sweeps in a row that do not improve gamma."""
 
     sweeps: int = 60
     patience: int = 8
@@ -85,9 +76,11 @@ class RelaxOptions:
 
 @dataclass(frozen=True)
 class SaddleResult:
+    """A refined saddle; gamma is the max node action of the path handed to
+    find_saddle, and index_witness has Rayleigh quotient witness_value < 0."""
+
     saddle: CriticalPoint
     gamma: float
-    upper_bound: float
     index_witness: ComplexField
     witness_value: float
 
@@ -134,11 +127,11 @@ def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None) -> tuple
 
     Each sweep moves every interior node by NODE_STEPS fixed-size
     preconditioned descent steps v -> v - step * (1 - Lap)^(-1) grad I(v),
-    starting at step STEP0, then reparametrizes the path. Returns (relaxed
-    path, gamma estimate). gamma never increases across accepted sweeps; a
-    sweep that would raise it is rejected and the step halved. Raises
-    StalledPath (with the current state attached) when gamma stops improving
-    by REL_TOL over `patience` sweeps before the sweep budget runs out.
+    starting at step STEP0, then reparametrizes the path. gamma never
+    increases across accepted sweeps; a sweep that would raise it is
+    rejected and the step halved. Returns (relaxed path, gamma estimate)
+    after opts.sweeps sweeps, or earlier once gamma has not improved by
+    REL_TOL in opts.patience sweeps in a row (the string has stalled).
     """
     opts = opts or RelaxOptions()
     grid = path.grid
@@ -148,10 +141,6 @@ def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None) -> tuple
 
     def gamma_of(vals):
         return max(eng.action(v) for v in vals)
-
-    def current_path():
-        interior = tuple(ComplexField(grid, v) for v in nodes[1:-1])
-        return Path((endpoints[0],) + interior + (endpoints[1],))
 
     gamma = gamma_of(nodes)
     step_scale = STEP0
@@ -177,11 +166,9 @@ def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None) -> tuple
             step_scale *= 0.5
             stall += 1
         if stall >= opts.patience:
-            raise StalledPath(
-                f"gamma stalled at {gamma:.6g} after {opts.patience} flat sweeps",
-                path=current_path(), gamma=gamma,
-            )
-    return current_path(), gamma
+            break
+    interior = tuple(ComplexField(grid, v) for v in nodes[1:-1])
+    return Path((endpoints[0],) + interior + (endpoints[1],)), gamma
 
 
 @dataclass
@@ -204,15 +191,11 @@ class SaddleOptions:
 
 
 def _pick_max_node(acts: np.ndarray) -> int:
-    top = float(acts.max())
-    for i, a in enumerate(acts):
-        if a >= top - 1e-12:
-            return i
-    return int(np.argmax(acts))
+    """The first node within 1e-12 of the max action."""
+    return int(np.argmax(acts >= acts.max() - 1e-12))
 
 
-def find_saddle(path: Path, p: Params, opts: SaddleOptions | None = None,
-                upper_bound: float | None = None) -> SaddleResult:
+def find_saddle(path: Path, p: Params, opts: SaddleOptions | None = None) -> SaddleResult:
     """Refine the max-action node of a relaxed path to a critical point and
     certify its index.
 
@@ -223,7 +206,8 @@ def find_saddle(path: Path, p: Params, opts: SaddleOptions | None = None,
     direction off the phase and translation directions, which carry the
     zero modes of every critical point; when the quadratic form is
     nonnegative there, the Hessian has no negative direction and NotASaddle
-    is raised (the path collapsed to a minimizer).
+    is raised (the path collapsed to a minimizer). gamma is the max node
+    action of `path`.
     """
     opts = opts or SaddleOptions()
     tol = certified_tol(path.grid, p, opts.grad_tol)
@@ -243,11 +227,9 @@ def find_saddle(path: Path, p: Params, opts: SaddleOptions | None = None,
             f"Hessian form nonnegative at the refined point "
             f"(smallest eigenvalue {witness_value:.3e})"
         )
-    bound = upper_bound if upper_bound is not None else gamma
     return SaddleResult(
         saddle=point,
         gamma=gamma,
-        upper_bound=bound,
         index_witness=witness,
         witness_value=witness_value,
     )
@@ -261,14 +243,10 @@ def mountain_pass_pipeline(c: float, grid: TorusGrid, R: float,
     """init -> relax -> refine. Returns (SaddleResult, relaxed path, M).
 
     M is the max action over the straight initial path, the T-independent
-    upper bound for gamma; relaxation stalls are treated as convergence.
+    upper bound for gamma, the max node action of the relaxed path.
     """
     p = Params(c=c)
     path = init_path(grid, R, node_count, ansatz)
     upper = float(path.actions(p).max())
-    try:
-        relaxed, gamma = relax_path(path, p, relax_opts)
-    except StalledPath as stall:
-        relaxed, gamma = stall.path, stall.gamma
-    result = find_saddle(relaxed, p, saddle_opts, upper_bound=upper)
-    return replace(result, gamma=gamma), relaxed, upper
+    relaxed, _ = relax_path(path, p, relax_opts)
+    return find_saddle(relaxed, p, saddle_opts), relaxed, upper

@@ -186,7 +186,7 @@ class TestPerturb:
         band = 2
         out = perturb(f, 1.0, band, 9)
         bump = ComplexField(grid16, out.values - f.values)
-        spec = transform_forward(bump).values
+        spec = transform_forward(bump)
         for idx in np.ndindex(*grid16.sizes):
             mode = tuple(int(grid16.integer_modes(ax)[idx[ax]]) for ax in range(2))
             if any(abs(m) > band for m in mode):

@@ -11,7 +11,6 @@ from gptw.mountainpass import (
     Path,
     RelaxOptions,
     SaddleOptions,
-    StalledPath,
     find_saddle,
     init_path,
     mountain_pass_pipeline,
@@ -37,7 +36,7 @@ def small_pipeline(small_grid):
     return mountain_pass_pipeline(
         1.0, small_grid, SMALL["R"], node_count=17,
         relax_opts=RelaxOptions(sweeps=40, patience=6),
-        saddle_opts=SaddleOptions(max_iters=20000, grad_tol=1e-8 * SMALL["T"]),
+        saddle_opts=SaddleOptions(grad_tol=1e-8 * SMALL["T"]),
     )
 
 
@@ -79,10 +78,8 @@ class TestRelaxPath:
         g = TorusGrid((16, 16), 2 * np.pi)
         nodes = tuple(constant(th, g) for th in np.linspace(0, 2 * np.pi, 9))
         path = Path(nodes)
-        with pytest.raises(StalledPath) as err:
-            relax_path(path, P1, RelaxOptions(sweeps=30, patience=3))
-        assert err.value.gamma == pytest.approx(0.0, abs=1e-12)
-        relaxed = err.value.path
+        relaxed, gamma = relax_path(path, P1, RelaxOptions(sweeps=30, patience=3))
+        assert gamma == pytest.approx(0.0, abs=1e-12)
         assert np.array_equal(relaxed.nodes[0].values, nodes[0].values)
         assert np.array_equal(relaxed.nodes[-1].values, nodes[-1].values)
         # every node is a critical point, so nothing moves beyond rounding
@@ -94,10 +91,7 @@ class TestRelaxPath:
         gammas = [float(path.actions(P1).max())]
         current = path
         for _ in range(6):
-            try:
-                current, gamma = relax_path(current, P1, RelaxOptions(sweeps=1, patience=10))
-            except StalledPath as stall:
-                current, gamma = stall.path, stall.gamma
+            current, gamma = relax_path(current, P1, RelaxOptions(sweeps=1, patience=10))
             gammas.append(gamma)
         assert all(b <= a + 1e-10 for a, b in zip(gammas, gammas[1:]))
         assert gammas[-1] < gammas[0]
@@ -199,4 +193,3 @@ class TestFindSaddle:
     def test_gamma_bounded_by_initial_max(self, small_pipeline):
         result, _, upper = small_pipeline
         assert result.gamma <= upper + 1e-12
-        assert result.upper_bound == upper

@@ -170,6 +170,16 @@ class TestSpectrumAtConstant:
         got = np.array([e[0] for e in rep.eigenvalues])
         assert np.abs(got - sym).max() <= 1e-8 * np.abs(sym).max()
 
+    @pytest.mark.parametrize("seed", [15, 25, 49])
+    def test_final_rayleigh_ritz_stays_within_tol(self, grid16, seed):
+        # the `gptw spectrum` defaults: with these start seeds LOBPCG stopped
+        # on in-loop residuals at tol and its final Rayleigh-Ritz pass
+        # reported 1.01-1.18x tol
+        rep = hessian_spectrum_at_constant(0.0, Params(c=1.0), grid16, count=6, seed=seed)
+        sym = np.array([e[0] for e in symbol_eigenvalues(grid16, 1.0)[:6]])
+        got = np.array([e[0] for e in rep.eigenvalues])
+        assert np.abs(got - sym).max() <= 1e-8 * np.abs(sym).max()
+
     def test_subsonic_decrease(self):
         p = Params(c=1.3)
         values = []
