@@ -91,6 +91,14 @@ class Kernel:
     transform. The cubic term is evaluated pointwise on the nodes, with no
     2/3-rule filter: solutions are smooth, and at the recommended
     resolutions aliasing sits below the solver tolerances.
+
+    action, gradient and ray_coefficients also take the normalized spectrum
+    (spectrum(v)) of their arguments when the caller holds it, and then skip
+    its forward transform: the descent carries the spectra of its iterate
+    and direction by linearity and recomputes them every RESTART_EVERY
+    iterations, so action and ray quartic cost no transform and a gradient
+    one inverse transform, 3 per descent iteration with the preconditioner
+    (see gptw.minimize).
     """
 
     def __init__(self, grid: TorusGrid, p: Params):
@@ -106,10 +114,19 @@ class Kernel:
         """|xi|^2 + c*xi1, the symbol of -Lap - c*i*d_x1."""
         return self.lap + self.c * self.xi1
 
-    def parts(self, v: np.ndarray) -> tuple[float, float, float]:
+    @staticmethod
+    def spectrum(v: np.ndarray) -> np.ndarray:
+        """Normalized Fourier coefficients fft(v) / n, linear in v."""
+        spec = fft_forward(v)
+        spec /= v.size
+        return spec
+
+    def parts(self, v: np.ndarray, spec: np.ndarray | None = None) -> tuple[float, float, float]:
         """Kinetic (1/2)int|grad v|^2, potential (1/4)int(1-|v|^2)^2 and
-        momentum (1/2)int (i d_x1 v).v, from one forward transform."""
-        spec = fft_forward(v) / v.size
+        momentum (1/2)int (i d_x1 v).v, from one forward transform, or none
+        when spec = spectrum(v) is given."""
+        if spec is None:
+            spec = self.spectrum(v)
         p2 = spec.real**2 + spec.imag**2
         kinetic = 0.5 * self.volume * float(np.sum(self.lap * p2))
         mom = -0.5 * self.volume * float(np.sum(self.xi1 * p2))
@@ -117,16 +134,19 @@ class Kernel:
         potential = 0.25 * self.weight * float(np.sum(dens**2))
         return kinetic, potential, mom
 
-    def action(self, v: np.ndarray) -> float:
+    def action(self, v: np.ndarray, spec: np.ndarray | None = None) -> float:
         # overflow deliberately saturates to inf; callers treat a non-finite
         # value as a rejected trial or raise NonFiniteValue
         with np.errstate(over="ignore", invalid="ignore"):
-            kinetic, potential, mom = self.parts(v)
+            kinetic, potential, mom = self.parts(v, spec)
             return kinetic + potential - self.c * mom
 
-    def gradient(self, v: np.ndarray) -> np.ndarray:
-        """-Lap v - c*i*d_x1 v - (1-|v|^2) v."""
-        out = fft_inverse(self.linear * fft_forward(v))
+    def gradient(self, v: np.ndarray, spec: np.ndarray | None = None) -> np.ndarray:
+        """-Lap v - c*i*d_x1 v - (1-|v|^2) v; one inverse transform when
+        spec = spectrum(v) is given."""
+        vhat = fft_forward(v) if spec is None else spec * v.size
+        vhat *= self.linear
+        out = fft_inverse(vhat)
         return out - (1.0 - (v.real**2 + v.imag**2)) * v
 
     def hessian(self, psi: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -138,7 +158,15 @@ class Kernel:
 
     def precondition(self, g: np.ndarray) -> np.ndarray:
         """Inverse Helmholtz operator (1 - Lap)^(-1)."""
-        return fft_inverse(fft_forward(g) / self.grid.helmholtz_symbol)
+        return self.precondition_spectral(g)[0]
+
+    def precondition_spectral(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(z, spectrum(z)) for z = precondition(g), from two transforms."""
+        zs = fft_forward(g)
+        zs /= self.grid.helmholtz_symbol
+        z = fft_inverse(zs)
+        zs *= 1.0 / g.size
+        return z, zs
 
     def precondition_real(self, x: np.ndarray) -> np.ndarray:
         """precondition on real coordinates (field.to_real layout): the
@@ -149,16 +177,21 @@ class Kernel:
         """Real L2 pairing int a.b."""
         return float(np.vdot(a, b).real) * self.weight
 
-    def ray_coefficients(self, f: np.ndarray, d: np.ndarray) -> np.ndarray:
+    def ray_coefficients(self, f: np.ndarray, d: np.ndarray,
+                         fs: np.ndarray | None = None,
+                         ds: np.ndarray | None = None) -> np.ndarray:
         """Coefficients p (degree 0..4) of the quartic alpha -> I(f + alpha d).
 
         The quadratic part comes from the kinetic/momentum symbols, the
         quartic part from the pointwise Ginzburg-Landau density, so the
-        polynomial agrees with action() along the whole ray.
+        polynomial agrees with action() along the whole ray. fs and ds, when
+        given, are spectrum(f) and spectrum(d), and no transform is made.
         """
-        fs = fft_forward(f) / f.size
-        ds = fft_forward(d) / d.size
-        quad_sym = 0.5 * self.lap + 0.5 * self.c * self.xi1
+        if fs is None:
+            fs = self.spectrum(f)
+        if ds is None:
+            ds = self.spectrum(d)
+        quad_sym = 0.5 * self.linear
         k0 = self.volume * float(np.sum(quad_sym * (fs.real**2 + fs.imag**2)))
         k1 = 2.0 * self.volume * float(np.sum(quad_sym * (fs.real * ds.real + fs.imag * ds.imag)))
         k2 = self.volume * float(np.sum(quad_sym * (ds.real**2 + ds.imag**2)))

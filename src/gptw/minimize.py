@@ -8,6 +8,13 @@ A step is accepted when it raises the action by at most 1e-14 * (1 + |I|),
 an allowance for rounding in the flat steps near convergence, so descent
 started clearly below the zero action level of the modulus-one constants can
 only end at a nonconstant critical point.
+
+An iteration costs 3 transforms: the descent carries the normalized spectra
+of its iterate and direction next to them and updates them by linearity, so
+the ray quartic and the action at the trial point need none, the gradient
+one inverse transform and the preconditioner one forward and one inverse.
+The iterate's spectrum is recomputed from its nodes at every RESTART_EVERY
+restart, which bounds the drift of the carried copy.
 """
 
 from __future__ import annotations
@@ -96,48 +103,59 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
     eng = Kernel(grid, p)
     log = opts.log_stream
 
+    # fs, ds and zs are the spectra (Kernel.spectrum) of f, d and z
     f = init.values.copy()
-    val = eng.action(f)
+    fs = eng.spectrum(f)
+    val = eng.action(f, fs)
     if not np.isfinite(val):
         raise NonFiniteValue(f"action not finite at the initial field ({val})")
-    g = eng.gradient(f)
+    g = eng.gradient(f, fs)
     res = np.sqrt(eng.dot(g, g))
-    z = eng.precondition(g)
+    z, zs = eng.precondition_spectral(g)
     gz = eng.dot(g, z)
-    d = -z
+    d, ds = -z, -zs
     iters = 0
     converged = res <= tol
     steepest = True
 
-    def search(direction):
+    def search(direction, direction_spec):
         """Exact minimum of the quartic ray restriction along `direction`;
-        returns (alpha, value), or None when it does not lower the action."""
-        alpha = eng.ray_minimum(eng.ray_coefficients(f, direction))
+        returns (alpha, value), or None when the action evaluated at the
+        trial point does not lower it."""
+        alpha = eng.ray_minimum(eng.ray_coefficients(f, direction, fs, direction_spec))
         if alpha is None:
             return None
-        tv = eng.action(f + alpha * direction)
+        tv = eng.action(f + alpha * direction, fs + alpha * direction_spec)
         if np.isfinite(tv) and tv <= val + 1e-14 * (1.0 + abs(val)):
             return alpha, tv
         return None
 
     while not converged and iters < opts.max_iters:
         if eng.dot(g, d) >= 0:
-            d, steepest = -z, True
-        hit = search(d)
+            d, ds, steepest = -z, -zs, True
+        hit = search(d, ds)
         if hit is None and not steepest:
-            d, steepest = -z, True
-            hit = search(d)
+            d, ds, steepest = -z, -zs, True
+            hit = search(d, ds)
         if hit is None:
             break  # no descent possible at rounding level
         alpha, val = hit
-        f = f + alpha * d
+        f += alpha * d
         if not np.all(np.isfinite(f.view(np.float64))):
             raise NonFiniteValue("iterate left the finite range")
-        g_new = eng.gradient(f)
-        res = np.sqrt(eng.dot(g_new, g_new))
-        z_new = eng.precondition(g_new)
-        gz_new = eng.dot(g_new, z_new)
         iters += 1
+        restart = iters % RESTART_EVERY == 0
+        if restart:
+            # recompute the carried spectrum, and the action from it, so that
+            # rounding drift cannot build up over the run
+            fs = eng.spectrum(f)
+            val = eng.action(f, fs)
+        else:
+            fs += alpha * ds
+        g_new = eng.gradient(f, fs)
+        res = np.sqrt(eng.dot(g_new, g_new))
+        z_new, zs = eng.precondition_spectral(g_new)
+        gz_new = eng.dot(g_new, z_new)
         if log is not None:
             log.write(f"{iters} {val:.17g} {res:.17g}\n")
         if res <= tol:
@@ -146,9 +164,12 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
         # Preconditioned Polak-Ribiere with nonnegativity restart.
         beta = eng.dot(g_new - g, z_new) / gz if gz > 0 else 0.0
         beta = max(beta, 0.0)
-        if iters % RESTART_EVERY == 0:
+        if restart:
             beta = 0.0
-        d = -z_new + beta * d
+        d *= beta
+        d -= z_new
+        ds *= beta
+        ds -= zs
         steepest = beta == 0.0
         g, z, gz = g_new, z_new, gz_new
 

@@ -139,8 +139,11 @@ def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None) -> tuple
     nodes = [n.values.copy() for n in path.nodes]
     endpoints = (path.nodes[0], path.nodes[-1])
 
+    # the endpoints stay fixed, so their actions are evaluated once
+    ends = max(eng.action(nodes[0]), eng.action(nodes[-1]))
+
     def gamma_of(vals):
-        return max(eng.action(v) for v in vals)
+        return max(ends, max(eng.action(v) for v in vals[1:-1]))
 
     gamma = gamma_of(nodes)
     step_scale = STEP0

@@ -8,6 +8,7 @@ import numpy as np
 import numpy.fft
 import pytest
 import scipy.fft
+from hypothesis import given, settings, strategies as st
 
 from gptw.field import ComplexField, TorusGrid, l2_norm, l2_product
 from gptw.functionals import (
@@ -340,3 +341,36 @@ class TestRay:
         # the root is exact to rounding, so a sample may tie it to an ulp
         assert best <= np.polyval(p[::-1], samples).min() + 1e-14 * abs(best)
         assert best < p[0]
+
+
+_SPECTRUM_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+class TestSuppliedSpectrum:
+    """action, gradient and ray_coefficients given the spectra the descent
+    carries agree with their from-scratch versions and with the ray quartic."""
+
+    @pytest.mark.parametrize("sizes,period", _RAY_GRIDS)
+    @_SPECTRUM_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.1, 3.0),
+           alpha=st.floats(-1.5, 1.5))
+    def test_matches_from_scratch(self, sizes, period, seed, scale, alpha):
+        grid = TorusGrid(sizes, period)
+        kernel = Kernel(grid, Params(c=1.0))
+        f = random_field(grid, (seed, 0), scale).values
+        d = random_field(grid, (seed, 1), scale).values
+        fs, ds = kernel.spectrum(f), kernel.spectrum(d)
+
+        exact = kernel.action(f)
+        assert abs(kernel.action(f, fs) - exact) <= 1e-13 * abs(exact)
+        g = kernel.gradient(f)
+        assert np.linalg.norm(kernel.gradient(f, fs) - g) <= 1e-13 * np.linalg.norm(g)
+        p = kernel.ray_coefficients(f, d)
+        supplied = kernel.ray_coefficients(f, d, fs, ds)
+        assert np.linalg.norm(supplied - p) <= 1e-13 * np.linalg.norm(p)
+
+        # the acceptance test of the descent: the action at a trial point,
+        # from the trial spectrum updated by linearity
+        trial = kernel.action(f + alpha * d, fs + alpha * ds)
+        quartic = np.polyval(p[::-1], alpha)
+        assert abs(trial - quartic) <= 1e-13 * abs(quartic)

@@ -4,10 +4,14 @@ import io
 
 import numpy as np
 import pytest
+import scipy.fft
 
+from gptw import minimize
 from gptw.field import ComplexField, TorusGrid, l2_norm
 from gptw.functionals import Kernel, Params, action, gradient
-from gptw.ansatz import constant, perturb, plane_wave, vortex_test_function, VortexAnsatz
+from gptw.ansatz import (
+    constant, fitted_vortex_ansatz, perturb, plane_wave, vortex_test_function, VortexAnsatz,
+)
 from gptw.minimize import (
     CONSTANT_CLASSES,
     MinimizeOptions,
@@ -166,6 +170,58 @@ class TestMinimize:
         assert not point.converged
         assert point.iterations == 0
         assert np.array_equal(point.field.values, init.values)
+
+
+class TestCarriedSpectra:
+    """The descent carries the spectra of its iterate and direction by
+    linearity and refreshes the iterate's at every RESTART_EVERY restart."""
+
+    @pytest.mark.parametrize("restart_every", [None, 10])
+    def test_three_transforms_per_iteration(self, restart_every, monkeypatch):
+        if restart_every is not None:
+            monkeypatch.setattr(minimize, "RESTART_EVERY", restart_every)
+        every = minimize.RESTART_EVERY
+        calls = []
+        for name in ("fftn", "ifftn"):
+            transform = getattr(scipy.fft, name)
+
+            def counting(*args, _transform=transform, **kwargs):
+                calls.append(1)
+                return _transform(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.fft, name, counting)
+        # count up to the finalizing certificates only
+        finalize = minimize._finalize
+        counted = []
+
+        def stop_counting(field, p, converged, iters):
+            counted.append(len(calls))
+            return finalize(field, p, converged, iters)
+
+        monkeypatch.setattr(minimize, "_finalize", stop_counting)
+        g = TorusGrid((32, 32), 21.0)
+        init = vortex_test_function(fitted_vortex_ansatz(5.0, 21.0), g)
+        point = minimize_action(init, Params(c=1.0))
+        assert point.converged
+        iters = point.iterations
+        if restart_every is not None:
+            assert iters >= 2 * every  # the refresh is counted
+        assert counted[0] <= 3 * iters + 4 + iters // every
+
+    def test_no_drift_across_restarts(self, grid16, p1, monkeypatch):
+        monkeypatch.setattr(minimize, "RESTART_EVERY", 3)
+        log = io.StringIO()
+        init = perturb(constant(0.0, grid16), 0.5, 3, 11)
+        point = minimize_action(init, p1, MinimizeOptions(log_stream=log))
+        assert point.converged
+        assert point.iterations > 3
+        rows = [line.split() for line in log.getvalue().strip().splitlines()]
+        actions = [float(r[1]) for r in rows]
+        assert all(b <= a + 1e-12 for a, b in zip(actions, actions[1:]))
+        final = point.report.action
+        assert abs(actions[-1] - final) <= 1e-12 * (1 + abs(final))
+        fresh = l2_norm(gradient(point.field, p1))
+        assert abs(point.residual - fresh) <= 1e-12 * (1 + fresh)
 
 
 class TestMinimizerExperiment:
