@@ -132,9 +132,9 @@ class TorusGrid:
         return acc
 
     @cached_property
-    def helmholtz_symbol(self) -> np.ndarray:
-        """1 + |xi|^2, the inverse-Helmholtz preconditioner denominator."""
-        return 1.0 + self.laplacian_symbol
+    def inverse_helmholtz_symbol(self) -> np.ndarray:
+        """1 / (1 + |xi|^2), the symbol of the preconditioner (1 - Lap)^(-1)."""
+        return 1.0 / (1.0 + self.laplacian_symbol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,23 +175,25 @@ def _same_grid(a: ComplexField, b: ComplexField):
 
 
 def fft_forward(values: np.ndarray) -> np.ndarray:
-    """Unnormalized forward DFT over every axis of a raw node array.
+    """Normalized forward DFT fft(values) / node_count over every axis of a
+    raw node array, so the mode-0 coefficient is the mean.
 
-    With fft_inverse, the only transforms of the package. scipy.fft is
-    imported on first use, since it loads scipy.special (about 0.1 s and
-    5 MB), and looked up at call time, so wrappers installed on it see
-    every call.
+    With fft_inverse, the only transforms of the package. The 1/node_count
+    factor is applied inside the transform (norm="forward"), which costs
+    nothing next to a separate pass over the array. scipy.fft is imported
+    on first use, since it loads scipy.special (about 0.1 s and 5 MB), and
+    looked up at call time, so wrappers installed on it see every call.
     """
     import scipy.fft
 
-    return scipy.fft.fftn(values)
+    return scipy.fft.fftn(values, norm="forward")
 
 
 def fft_inverse(spec: np.ndarray) -> np.ndarray:
-    """Inverse of fft_forward; it carries the 1/node_count factor."""
+    """Inverse of fft_forward: the plain sum over the modes."""
     import scipy.fft
 
-    return scipy.fft.ifftn(spec)
+    return scipy.fft.ifftn(spec, norm="forward")
 
 
 def to_real(values: np.ndarray) -> np.ndarray:
@@ -212,12 +214,12 @@ def transform_forward(f: ComplexField) -> np.ndarray:
     """Fourier coefficients of f as an array of shape grid.sizes, in FFT
     storage order (grid.integer_modes), normalized so the mode-0
     coefficient equals the mean of the field."""
-    return fft_forward(f.values) / f.grid.node_count
+    return fft_forward(f.values)
 
 
 def transform_inverse(coeffs: np.ndarray, grid: TorusGrid) -> ComplexField:
     """The field whose transform_forward coefficients are `coeffs`."""
-    return ComplexField(grid, fft_inverse(coeffs * grid.node_count))
+    return ComplexField(grid, fft_inverse(coeffs))
 
 
 def spectral_derivative(f: ComplexField, axis: int) -> ComplexField:

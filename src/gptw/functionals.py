@@ -92,13 +92,16 @@ class Kernel:
     2/3-rule filter: solutions are smooth, and at the recommended
     resolutions aliasing sits below the solver tolerances.
 
-    action, gradient and ray_coefficients also take the normalized spectrum
+    action and ray_coefficients also take the normalized spectrum
     (spectrum(v)) of their arguments when the caller holds it, and then skip
-    its forward transform: the descent carries the spectra of its iterate
-    and direction by linearity and recomputes them every RESTART_EVERY
-    iterations, so action and ray quartic cost no transform and a gradient
-    one inverse transform, 3 per descent iteration with the preconditioner
-    (see gptw.minimize).
+    its forward transform. preconditioned_gradient forms grad I and
+    (1 - Lap)^(-1) grad I in Fourier space from spectrum(v): one forward
+    transform of the pointwise cubic term and one inverse transform, where
+    precondition(gradient(v)) costs four. The descent carries the spectra
+    of its iterate and direction by linearity, so an iteration costs these
+    2 transforms (see gptw.minimize), and a string-relaxation node step
+    costs them too (gptw.mountainpass.relax_path). spectral_dot pairs
+    spectra by Parseval, so the descent never forms grad I on the nodes.
     """
 
     def __init__(self, grid: TorusGrid, p: Params):
@@ -117,9 +120,7 @@ class Kernel:
     @staticmethod
     def spectrum(v: np.ndarray) -> np.ndarray:
         """Normalized Fourier coefficients fft(v) / n, linear in v."""
-        spec = fft_forward(v)
-        spec /= v.size
-        return spec
+        return fft_forward(v)
 
     def parts(self, v: np.ndarray, spec: np.ndarray | None = None) -> tuple[float, float, float]:
         """Kinetic (1/2)int|grad v|^2, potential (1/4)int(1-|v|^2)^2 and
@@ -141,13 +142,24 @@ class Kernel:
             kinetic, potential, mom = self.parts(v, spec)
             return kinetic + potential - self.c * mom
 
-    def gradient(self, v: np.ndarray, spec: np.ndarray | None = None) -> np.ndarray:
-        """-Lap v - c*i*d_x1 v - (1-|v|^2) v; one inverse transform when
-        spec = spectrum(v) is given."""
-        vhat = fft_forward(v) if spec is None else spec * v.size
+    def gradient(self, v: np.ndarray) -> np.ndarray:
+        """-Lap v - c*i*d_x1 v - (1-|v|^2) v, from two transforms."""
+        vhat = fft_forward(v)
         vhat *= self.linear
-        out = fft_inverse(vhat)
-        return out - (1.0 - (v.real**2 + v.imag**2)) * v
+        return fft_inverse(vhat) - (1.0 - (v.real**2 + v.imag**2)) * v
+
+    def preconditioned_gradient(self, v: np.ndarray, spec: np.ndarray
+                                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(G, z, Z) at v from spec = spectrum(v): G = spectrum(gradient(v)),
+        z = precondition(gradient(v)) and Z = spectrum(z).
+
+        G = linear*spec - spectrum((1-|v|^2) v) takes one forward transform
+        and z one inverse transform of Z = G / (1 + |xi|^2).
+        """
+        gs = self.linear * spec
+        gs -= fft_forward((1.0 - (v.real**2 + v.imag**2)) * v)
+        zs = gs * self.grid.inverse_helmholtz_symbol
+        return gs, fft_inverse(zs), zs
 
     def hessian(self, psi: np.ndarray, u: np.ndarray) -> np.ndarray:
         """-Lap u - c*i*d_x1 u - (1-|psi|^2) u + 2 (psi.u) psi."""
@@ -157,16 +169,10 @@ class Kernel:
         return out + nl
 
     def precondition(self, g: np.ndarray) -> np.ndarray:
-        """Inverse Helmholtz operator (1 - Lap)^(-1)."""
-        return self.precondition_spectral(g)[0]
-
-    def precondition_spectral(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(z, spectrum(z)) for z = precondition(g), from two transforms."""
+        """Inverse Helmholtz operator (1 - Lap)^(-1), from two transforms."""
         zs = fft_forward(g)
-        zs /= self.grid.helmholtz_symbol
-        z = fft_inverse(zs)
-        zs *= 1.0 / g.size
-        return z, zs
+        zs *= self.grid.inverse_helmholtz_symbol
+        return fft_inverse(zs)
 
     def precondition_real(self, x: np.ndarray) -> np.ndarray:
         """precondition on real coordinates (field.to_real layout): the
@@ -176,6 +182,11 @@ class Kernel:
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """Real L2 pairing int a.b."""
         return float(np.vdot(a, b).real) * self.weight
+
+    def spectral_dot(self, a: np.ndarray, b: np.ndarray) -> float:
+        """dot of the fields whose spectra are a and b, by Parseval:
+        volume * Re<a, b>."""
+        return float(np.vdot(a, b).real) * self.volume
 
     def ray_coefficients(self, f: np.ndarray, d: np.ndarray,
                          fs: np.ndarray | None = None,

@@ -9,12 +9,15 @@ an allowance for rounding in the flat steps near convergence, so descent
 started clearly below the zero action level of the modulus-one constants can
 only end at a nonconstant critical point.
 
-An iteration costs 3 transforms: the descent carries the normalized spectra
+An iteration costs 2 transforms: the descent carries the normalized spectra
 of its iterate and direction next to them and updates them by linearity, so
-the ray quartic and the action at the trial point need none, the gradient
-one inverse transform and the preconditioner one forward and one inverse.
-The iterate's spectrum is recomputed from its nodes at every RESTART_EVERY
-restart, which bounds the drift of the carried copy.
+the ray quartic and the action at the trial point need none, and the
+gradient and its preconditioned image come from Kernel.preconditioned_gradient,
+one forward transform of the cubic term and one inverse transform. The
+residual, the descent test and the Polak-Ribiere coefficient pair spectra by
+Parseval, so the gradient is never formed on the nodes. The iterate's
+spectrum is recomputed from its nodes at every RESTART_EVERY restart, which
+bounds the drift of the carried copy.
 """
 
 from __future__ import annotations
@@ -103,16 +106,16 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
     eng = Kernel(grid, p)
     log = opts.log_stream
 
-    # fs, ds and zs are the spectra (Kernel.spectrum) of f, d and z
+    # fs, gs, zs and ds are the spectra (Kernel.spectrum) of f, of its
+    # gradient g, of z = (1 - Lap)^(-1) g and of d
     f = init.values.copy()
     fs = eng.spectrum(f)
     val = eng.action(f, fs)
     if not np.isfinite(val):
         raise NonFiniteValue(f"action not finite at the initial field ({val})")
-    g = eng.gradient(f, fs)
-    res = np.sqrt(eng.dot(g, g))
-    z, zs = eng.precondition_spectral(g)
-    gz = eng.dot(g, z)
+    gs, z, zs = eng.preconditioned_gradient(f, fs)
+    res = np.sqrt(eng.spectral_dot(gs, gs))
+    gz = eng.spectral_dot(gs, zs)
     d, ds = -z, -zs
     iters = 0
     converged = res <= tol
@@ -131,7 +134,7 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
         return None
 
     while not converged and iters < opts.max_iters:
-        if eng.dot(g, d) >= 0:
+        if eng.spectral_dot(gs, ds) >= 0:
             d, ds, steepest = -z, -zs, True
         hit = search(d, ds)
         if hit is None and not steepest:
@@ -152,26 +155,25 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
             val = eng.action(f, fs)
         else:
             fs += alpha * ds
-        g_new = eng.gradient(f, fs)
-        res = np.sqrt(eng.dot(g_new, g_new))
-        z_new, zs = eng.precondition_spectral(g_new)
-        gz_new = eng.dot(g_new, z_new)
+        gs_new, z, zs = eng.preconditioned_gradient(f, fs)
+        res = np.sqrt(eng.spectral_dot(gs_new, gs_new))
+        gz_new = eng.spectral_dot(gs_new, zs)
         if log is not None:
             log.write(f"{iters} {val:.17g} {res:.17g}\n")
         if res <= tol:
             converged = True
             break
         # Preconditioned Polak-Ribiere with nonnegativity restart.
-        beta = eng.dot(g_new - g, z_new) / gz if gz > 0 else 0.0
+        beta = eng.spectral_dot(gs_new - gs, zs) / gz if gz > 0 else 0.0
         beta = max(beta, 0.0)
         if restart:
             beta = 0.0
         d *= beta
-        d -= z_new
+        d -= z
         ds *= beta
         ds -= zs
         steepest = beta == 0.0
-        g, z, gz = g_new, z_new, gz_new
+        gs, gz = gs_new, gz_new
 
     final = ComplexField(grid, f)
     return _finalize(final, p, converged, iters)

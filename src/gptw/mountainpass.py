@@ -132,11 +132,19 @@ def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None) -> tuple
     rejected and the step halved. Returns (relaxed path, gamma estimate)
     after opts.sweeps sweeps, or earlier once gamma has not improved by
     REL_TOL in opts.patience sweeps in a row (the string has stalled).
+
+    A node takes its spectrum once per sweep and carries it through its
+    steps by linearity, so a step costs the 2 transforms of
+    Kernel.preconditioned_gradient, and a node 2 * NODE_STEPS + 2 per sweep
+    with its action after the reparametrization. No spectrum outlives its
+    node's steps, so memory stays at one path and its trial copy.
     """
     opts = opts or RelaxOptions()
     grid = path.grid
     eng = Kernel(grid, p)
-    nodes = [n.values.copy() for n in path.nodes]
+    # nothing below writes a node array in place, so the path's frozen
+    # arrays are shared, not copied
+    nodes = [n.values for n in path.nodes]
     endpoints = (path.nodes[0], path.nodes[-1])
 
     # the endpoints stay fixed, so their actions are evaluated once
@@ -149,14 +157,17 @@ def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None) -> tuple
     step_scale = STEP0
     stall = 0
     for _ in range(opts.sweeps):
-        trial = [v.copy() for v in nodes]
+        trial = list(nodes)
         for i in range(1, len(trial) - 1):
             v = trial[i]
+            spec = eng.spectrum(v)
             for _ in range(NODE_STEPS):
-                z = eng.precondition(eng.gradient(v))
+                _, z, zs = eng.preconditioned_gradient(v, spec)
                 if eng.dot(z, z) == 0.0:
                     break
                 v = v - step_scale * z
+                zs *= step_scale
+                spec -= zs
             trial[i] = v
         trial = _reparametrize(trial, grid.quad_weight)
         new_gamma = gamma_of(trial)

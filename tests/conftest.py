@@ -21,3 +21,25 @@ def lobpcg_fails(monkeypatch):
 
     monkeypatch.setattr(sla, "lobpcg", lobpcg)
     return calls
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Count every call into a numpy.fft / scipy.fft transform entry point;
+    returns the list the calls are appended to."""
+    import numpy.fft
+    import scipy.fft
+
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (numpy.fft, scipy.fft):
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+                     "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn"):
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    return calls

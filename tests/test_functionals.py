@@ -5,9 +5,7 @@ differences of the action, the classical independent oracle.
 """
 
 import numpy as np
-import numpy.fft
 import pytest
-import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from gptw.field import ComplexField, TorusGrid, l2_norm, l2_product
@@ -231,27 +229,22 @@ class TestHessian:
 
 
 class TestTransformCount:
-    def test_gradient_and_hessian_cost_two_transforms(self, grid16, p1, monkeypatch):
-        # count calls into every numpy.fft / scipy.fft transform entry point
-        calls = []
-
-        def counting(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(fn)
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for module in (numpy.fft, scipy.fft):
-            for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
-                         "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn"):
-                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    def test_gradient_and_hessian_cost_two_transforms(self, grid16, p1, fft_calls):
         f = random_field(grid16, 1)
         phi = random_field(grid16, 2)
         gradient(f, p1)
-        assert len(calls) == 2
-        calls.clear()
+        assert len(fft_calls) == 2
+        fft_calls.clear()
         hessian_apply(f, phi, p1)
-        assert len(calls) == 2
+        assert len(fft_calls) == 2
+
+    def test_preconditioned_gradient_costs_two_transforms(self, grid16, p1, fft_calls):
+        kernel = Kernel(grid16, p1)
+        v = random_field(grid16, 3).values
+        spec = kernel.spectrum(v)
+        fft_calls.clear()
+        kernel.preconditioned_gradient(v, spec)
+        assert len(fft_calls) == 2
 
 
 class TestCertify:
@@ -347,8 +340,9 @@ _SPECTRUM_PROPERTY = settings(derandomize=True, database=None, deadline=None, ma
 
 
 class TestSuppliedSpectrum:
-    """action, gradient and ray_coefficients given the spectra the descent
-    carries agree with their from-scratch versions and with the ray quartic."""
+    """action, ray_coefficients and preconditioned_gradient given the spectra
+    the descent carries agree with their from-scratch versions and with the
+    ray quartic, and spectral_dot with dot."""
 
     @pytest.mark.parametrize("sizes,period", _RAY_GRIDS)
     @_SPECTRUM_PROPERTY
@@ -364,7 +358,12 @@ class TestSuppliedSpectrum:
         exact = kernel.action(f)
         assert abs(kernel.action(f, fs) - exact) <= 1e-13 * abs(exact)
         g = kernel.gradient(f)
-        assert np.linalg.norm(kernel.gradient(f, fs) - g) <= 1e-13 * np.linalg.norm(g)
+        z = kernel.precondition(g)
+        gs, zz, zs = kernel.preconditioned_gradient(f, fs)
+        for got, want in ((gs, kernel.spectrum(g)), (zz, z), (zs, kernel.spectrum(z))):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        bound = 1e-13 * np.sqrt(kernel.dot(g, g) * kernel.dot(d, d))
+        assert abs(kernel.spectral_dot(kernel.spectrum(g), ds) - kernel.dot(g, d)) <= bound
         p = kernel.ray_coefficients(f, d)
         supplied = kernel.ray_coefficients(f, d, fs, ds)
         assert np.linalg.norm(supplied - p) <= 1e-13 * np.linalg.norm(p)

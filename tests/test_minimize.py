@@ -4,7 +4,6 @@ import io
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from gptw import minimize
 from gptw.field import ComplexField, TorusGrid, l2_norm
@@ -172,41 +171,44 @@ class TestMinimize:
         assert np.array_equal(point.field.values, init.values)
 
 
+def _descent_transforms(monkeypatch, calls, restart_every):
+    """(transforms counted in `calls` before the finalizing certificates,
+    iterations, RESTART_EVERY) of a converged 32^2 descent from a vortex
+    test function."""
+    if restart_every is not None:
+        monkeypatch.setattr(minimize, "RESTART_EVERY", restart_every)
+    # count up to the finalizing certificates only
+    finalize = minimize._finalize
+    counted = []
+
+    def stop_counting(field, p, converged, iters):
+        counted.append(len(calls))
+        return finalize(field, p, converged, iters)
+
+    monkeypatch.setattr(minimize, "_finalize", stop_counting)
+    g = TorusGrid((32, 32), 21.0)
+    init = vortex_test_function(fitted_vortex_ansatz(5.0, 21.0), g)
+    point = minimize_action(init, Params(c=1.0))
+    assert point.converged
+    return counted[0], point.iterations, minimize.RESTART_EVERY
+
+
 class TestCarriedSpectra:
     """The descent carries the spectra of its iterate and direction by
     linearity and refreshes the iterate's at every RESTART_EVERY restart."""
 
     @pytest.mark.parametrize("restart_every", [None, 10])
-    def test_three_transforms_per_iteration(self, restart_every, monkeypatch):
-        if restart_every is not None:
-            monkeypatch.setattr(minimize, "RESTART_EVERY", restart_every)
-        every = minimize.RESTART_EVERY
-        calls = []
-        for name in ("fftn", "ifftn"):
-            transform = getattr(scipy.fft, name)
-
-            def counting(*args, _transform=transform, **kwargs):
-                calls.append(1)
-                return _transform(*args, **kwargs)
-
-            monkeypatch.setattr(scipy.fft, name, counting)
-        # count up to the finalizing certificates only
-        finalize = minimize._finalize
-        counted = []
-
-        def stop_counting(field, p, converged, iters):
-            counted.append(len(calls))
-            return finalize(field, p, converged, iters)
-
-        monkeypatch.setattr(minimize, "_finalize", stop_counting)
-        g = TorusGrid((32, 32), 21.0)
-        init = vortex_test_function(fitted_vortex_ansatz(5.0, 21.0), g)
-        point = minimize_action(init, Params(c=1.0))
-        assert point.converged
-        iters = point.iterations
+    def test_three_transforms_per_iteration(self, restart_every, monkeypatch, fft_calls):
+        count, iters, every = _descent_transforms(monkeypatch, fft_calls, restart_every)
         if restart_every is not None:
             assert iters >= 2 * every  # the refresh is counted
-        assert counted[0] <= 3 * iters + 4 + iters // every
+        assert count <= 3 * iters + 4 + iters // every
+
+    @pytest.mark.parametrize("restart_every", [None, 10])
+    def test_two_transforms_per_iteration(self, restart_every, monkeypatch, fft_calls):
+        # set-up: the initial spectrum and one preconditioned gradient
+        count, iters, every = _descent_transforms(monkeypatch, fft_calls, restart_every)
+        assert count <= 2 * iters + 3 + iters // every
 
     def test_no_drift_across_restarts(self, grid16, p1, monkeypatch):
         monkeypatch.setattr(minimize, "RESTART_EVERY", 3)

@@ -7,10 +7,13 @@ from gptw.field import ComplexField, TorusGrid, l2_product
 from gptw.functionals import Kernel, Params, action, hessian_apply
 from gptw.ansatz import VortexAnsatz, constant
 from gptw.mountainpass import (
+    NODE_STEPS,
+    STEP0,
     NotASaddle,
     Path,
     RelaxOptions,
     SaddleOptions,
+    _reparametrize,
     find_saddle,
     init_path,
     mountain_pass_pipeline,
@@ -95,6 +98,31 @@ class TestRelaxPath:
             gammas.append(gamma)
         assert all(b <= a + 1e-10 for a, b in zip(gammas, gammas[1:]))
         assert gammas[-1] < gammas[0]
+
+    def test_transform_budget(self, fft_calls):
+        # one spectrum per node and sweep, carried through its steps: the
+        # endpoint and initial interior actions, then per interior node
+        # 2 transforms a step plus its spectrum and its action
+        g = TorusGrid((32, 32), SMALL["T"])
+        path = init_path(g, SMALL["R"], node_count=5)
+        fft_calls.clear()
+        relax_path(path, P1, RelaxOptions(sweeps=1))
+        assert len(fft_calls) == 2 + 3 + 3 * (2 * NODE_STEPS + 2)
+
+    def test_sweep_matches_steps_from_scratch(self):
+        # the spectrum a node carries through its steps gives the steps
+        # v -> v - STEP0 * precondition(gradient(v)) made from scratch
+        g = TorusGrid((32, 32), SMALL["T"])
+        path = init_path(g, SMALL["R"], node_count=5)
+        relaxed, gamma = relax_path(path, P1, RelaxOptions(sweeps=1))
+        assert gamma < path.actions(P1).max()  # the sweep was accepted
+        kern = Kernel(g, P1)
+        moved = [n.values for n in path.nodes]
+        for i in range(1, len(moved) - 1):
+            for _ in range(NODE_STEPS):
+                moved[i] = moved[i] - STEP0 * kern.precondition(kern.gradient(moved[i]))
+        for got, want in zip(relaxed.nodes, _reparametrize(moved, g.quad_weight)):
+            assert np.abs(got.values - want).max() <= 1e-12
 
     def test_endpoints_bit_for_bit(self, small_pipeline):
         _, relaxed, _ = small_pipeline
