@@ -49,6 +49,11 @@ class Params:
             raise ValueError("tolerances must be positive")
 
 
+def default_grad_tol(grid: TorusGrid) -> float:
+    """Residual target 1e-8 * T^(N/2); the L2 residual scales like sqrt(volume)."""
+    return 1e-8 * grid.period ** (grid.dim / 2.0)
+
+
 @dataclass(frozen=True)
 class ActionReport:
     """Energy split, momentum and action of one field at one speed."""
@@ -82,6 +87,32 @@ class Certificate:
         return self.lift_identity is not None
 
 
+def _abs2(v: np.ndarray) -> np.ndarray:
+    """|v|^2 as a new real array."""
+    out = np.square(v.real)
+    out += np.square(v.imag)
+    return out
+
+
+def density(v: np.ndarray) -> np.ndarray:
+    """The Ginzburg-Landau density 1 - |v|^2 as a new real array."""
+    out = _abs2(v)
+    np.subtract(1.0, out, out=out)
+    return out
+
+
+def _pairing(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Pointwise real pairing u.v = Re(u)Re(v) + Im(u)Im(v)."""
+    out = u.real * v.real
+    out += u.imag * v.imag
+    return out
+
+
+def _sum_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) of two real arrays of one shape, as one BLAS pairing."""
+    return float(np.dot(a.ravel(), b.ravel()))
+
+
 class Kernel:
     """Action, L2 gradient and Hessian of I = E - c*P on raw node arrays.
 
@@ -92,16 +123,25 @@ class Kernel:
     2/3-rule filter: solutions are smooth, and at the recommended
     resolutions aliasing sits below the solver tolerances.
 
-    action and ray_coefficients also take the normalized spectrum
-    (spectrum(v)) of their arguments when the caller holds it, and then skip
-    its forward transform. preconditioned_gradient forms grad I and
-    (1 - Lap)^(-1) grad I in Fourier space from spectrum(v): one forward
-    transform of the pointwise cubic term and one inverse transform, where
-    precondition(gradient(v)) costs four. The descent carries the spectra
-    of its iterate and direction by linearity, so an iteration costs these
-    2 transforms (see gptw.minimize), and a string-relaxation node step
-    costs them too (gptw.mountainpass.relax_path). spectral_dot pairs
-    spectra by Parseval, so the descent never forms grad I on the nodes.
+    action and preconditioned_gradient also take what the caller holds, and
+    then skip its computation: the normalized spectrum (spectrum(v)) of
+    their argument, which saves a forward transform, and the density
+    1 - |v|^2, which action returns on request; ray_coefficients always
+    takes them, with the value and slope of its quartic. Sums are BLAS
+    pairings (np.dot, np.vdot) of contiguous arrays. preconditioned_gradient
+    forms grad I and (1 - Lap)^(-1) grad I in Fourier space from
+    spectrum(v): one forward transform of the pointwise cubic term and one
+    inverse transform, where precondition(gradient(v)) costs four. A
+    string-relaxation node step costs these 2 transforms
+    (gptw.mountainpass.relax_path), and so does a descent iteration
+    (gptw.minimize), which carries the spectra F and D of its iterate f and
+    direction d by linearity and the action and density of f, and computes:
+    the slope spectral_dot(G, D), the p2..p4 of ray_coefficients (five
+    contiguous sums), ray_minimum in Python floats, the trial action at
+    f + alpha d from F + alpha D with its density, and the
+    preconditioned_gradient of the accepted trial from that density.
+    spectral_dot pairs spectra by Parseval, so the descent never forms
+    grad I on the nodes.
     """
 
     def __init__(self, grid: TorusGrid, p: Params):
@@ -122,50 +162,63 @@ class Kernel:
         """Normalized Fourier coefficients fft(v) / n, linear in v."""
         return fft_forward(v)
 
+    def _terms(self, v: np.ndarray, spec: np.ndarray | None
+               ) -> tuple[float, float, float, np.ndarray]:
+        """Kinetic, potential and momentum parts with the density 1 - |v|^2."""
+        if spec is None:
+            spec = self.spectrum(v)
+        p2 = _abs2(spec)
+        kinetic = 0.5 * self.volume * _sum_dot(self.lap, p2)
+        # xi1 varies along the first axis only: one matrix-vector product
+        # sums |spec|^2 against it
+        xi1 = self.xi1.ravel()
+        mom = -0.5 * self.volume * float(np.dot(xi1, p2.reshape(xi1.size, -1)).sum())
+        dens = density(v)
+        potential = 0.25 * self.weight * _sum_dot(dens, dens)
+        return kinetic, potential, mom, dens
+
     def parts(self, v: np.ndarray, spec: np.ndarray | None = None) -> tuple[float, float, float]:
         """Kinetic (1/2)int|grad v|^2, potential (1/4)int(1-|v|^2)^2 and
         momentum (1/2)int (i d_x1 v).v, from one forward transform, or none
         when spec = spectrum(v) is given."""
-        if spec is None:
-            spec = self.spectrum(v)
-        p2 = spec.real**2 + spec.imag**2
-        kinetic = 0.5 * self.volume * float(np.sum(self.lap * p2))
-        mom = -0.5 * self.volume * float(np.sum(self.xi1 * p2))
-        dens = 1.0 - (v.real**2 + v.imag**2)
-        potential = 0.25 * self.weight * float(np.sum(dens**2))
-        return kinetic, potential, mom
+        return self._terms(v, spec)[:3]
 
-    def action(self, v: np.ndarray, spec: np.ndarray | None = None) -> float:
+    def action(self, v: np.ndarray, spec: np.ndarray | None = None,
+               with_density: bool = False) -> float | tuple[float, np.ndarray]:
+        """kinetic + potential - c * momentum (see parts); with_density
+        returns (action, 1 - |v|^2)."""
         # overflow deliberately saturates to inf; callers treat a non-finite
         # value as a rejected trial or raise NonFiniteValue
         with np.errstate(over="ignore", invalid="ignore"):
-            kinetic, potential, mom = self.parts(v, spec)
-            return kinetic + potential - self.c * mom
+            kinetic, potential, mom, dens = self._terms(v, spec)
+            value = kinetic + potential - self.c * mom
+        return (value, dens) if with_density else value
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
         """-Lap v - c*i*d_x1 v - (1-|v|^2) v, from two transforms."""
         vhat = fft_forward(v)
         vhat *= self.linear
-        return fft_inverse(vhat) - (1.0 - (v.real**2 + v.imag**2)) * v
+        return fft_inverse(vhat) - density(v) * v
 
-    def preconditioned_gradient(self, v: np.ndarray, spec: np.ndarray
+    def preconditioned_gradient(self, v: np.ndarray, spec: np.ndarray,
+                                dens: np.ndarray | None = None
                                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(G, z, Z) at v from spec = spectrum(v): G = spectrum(gradient(v)),
-        z = precondition(gradient(v)) and Z = spectrum(z).
+        """(G, z, Z) at v from spec = spectrum(v) and, when given, dens =
+        1 - |v|^2: G = spectrum(gradient(v)), z = precondition(gradient(v))
+        and Z = spectrum(z).
 
         G = linear*spec - spectrum((1-|v|^2) v) takes one forward transform
         and z one inverse transform of Z = G / (1 + |xi|^2).
         """
         gs = self.linear * spec
-        gs -= fft_forward((1.0 - (v.real**2 + v.imag**2)) * v)
+        gs -= fft_forward((density(v) if dens is None else dens) * v)
         zs = gs * self.grid.inverse_helmholtz_symbol
         return gs, fft_inverse(zs), zs
 
     def hessian(self, psi: np.ndarray, u: np.ndarray) -> np.ndarray:
         """-Lap u - c*i*d_x1 u - (1-|psi|^2) u + 2 (psi.u) psi."""
         out = fft_inverse(self.linear * fft_forward(u))
-        pairing = psi.real * u.real + psi.imag * u.imag
-        nl = -(1.0 - (psi.real**2 + psi.imag**2)) * u + 2.0 * pairing * psi
+        nl = -density(psi) * u + 2.0 * _pairing(psi, u) * psi
         return out + nl
 
     def precondition(self, g: np.ndarray) -> np.ndarray:
@@ -188,49 +241,76 @@ class Kernel:
         volume * Re<a, b>."""
         return float(np.vdot(a, b).real) * self.volume
 
-    def ray_coefficients(self, f: np.ndarray, d: np.ndarray,
-                         fs: np.ndarray | None = None,
-                         ds: np.ndarray | None = None) -> np.ndarray:
+    def ray_coefficients(self, f: np.ndarray, d: np.ndarray, value: float,
+                         slope: float, dens: np.ndarray, ds: np.ndarray) -> np.ndarray:
         """Coefficients p (degree 0..4) of the quartic alpha -> I(f + alpha d).
 
-        The quadratic part comes from the kinetic/momentum symbols, the
-        quartic part from the pointwise Ginzburg-Landau density, so the
-        polynomial agrees with action() along the whole ray. fs and ds, when
-        given, are spectrum(f) and spectrum(d), and no transform is made.
+        p0 = value = I(f) and p1 = slope = <grad I(f), d> are what the
+        caller holds already (the descent's carried action and its descent
+        test), and dens = 1 - |f|^2. p2..p4 come from the quadratic form
+        of d, the sum of (1/2)*linear*|ds|^2, and from four pointwise
+        sums of dens, b = f.d and cc = |d|^2, since
+        1 - |f + alpha d|^2 = dens - 2 alpha b - alpha^2 cc; the polynomial
+        therefore agrees with action() along the whole ray. ds is
+        spectrum(d), so no transform is made.
         """
-        if fs is None:
-            fs = self.spectrum(f)
-        if ds is None:
-            ds = self.spectrum(d)
-        quad_sym = 0.5 * self.linear
-        k0 = self.volume * float(np.sum(quad_sym * (fs.real**2 + fs.imag**2)))
-        k1 = 2.0 * self.volume * float(np.sum(quad_sym * (fs.real * ds.real + fs.imag * ds.imag)))
-        k2 = self.volume * float(np.sum(quad_sym * (ds.real**2 + ds.imag**2)))
-        a = 1.0 - (f.real**2 + f.imag**2)
-        b = 2.0 * (f.real * d.real + f.imag * d.imag)
-        cc = d.real**2 + d.imag**2
-        w4 = 0.25 * self.weight
+        quad = 0.5 * self.volume * _sum_dot(self.linear, _abs2(ds))
+        b = _pairing(f, d)
+        cc = _abs2(d)
+        w = self.weight
         return np.array([
-            k0 + w4 * float(np.sum(a * a)),
-            k1 - w4 * 2.0 * float(np.sum(a * b)),
-            k2 + w4 * float(np.sum(b * b - 2.0 * a * cc)),
-            w4 * 2.0 * float(np.sum(b * cc)),
-            w4 * float(np.sum(cc * cc)),
+            value,
+            slope,
+            quad + w * (_sum_dot(b, b) - 0.5 * _sum_dot(dens, cc)),
+            w * _sum_dot(b, cc),
+            0.25 * w * _sum_dot(cc, cc),
         ])
 
     @staticmethod
-    def ray_minimum(p: np.ndarray) -> float | None:
-        """argmin over alpha > 0 of the quartic with coefficients p, or None."""
-        dp = np.array([p[1], 2.0 * p[2], 3.0 * p[3], 4.0 * p[4]])
-        if abs(dp[-1]) < 1e-300:
+    def ray_minimum(p) -> float | None:
+        """argmin over alpha > 0 of the quartic with coefficients p, or None.
+
+        The critical points are the real roots of the cubic p'(alpha),
+        found in closed form (the trigonometric formula for three real
+        roots, Cardano's for one) and polished by two Newton steps, all in
+        Python floats. The best positive root whose quartic value lies
+        below p0 is returned; None when there is none, or when |4 p4| <
+        1e-300 leaves no cubic.
+        """
+        p0, p1, p2, p3, p4 = (float(x) for x in p)
+        lead = 4.0 * p4
+        if abs(lead) < 1e-300:
             return None
-        roots = np.roots(dp[::-1])
-        best, best_val = None, p[0]
-        for r in roots:
-            if abs(r.imag) > 1e-10 * (1.0 + abs(r.real)) or r.real <= 0:
+        # p'(alpha) / lead = alpha^3 + a2 alpha^2 + a1 alpha + a0; with
+        # alpha = t - a2/3 it is the depressed cubic t^3 + s t + r
+        a2, a1, a0 = 3.0 * p3 / lead, 2.0 * p2 / lead, p1 / lead
+        s = a1 - a2 * a2 / 3.0
+        r = a2 * (2.0 * a2 * a2 - 9.0 * a1) / 27.0 + a0
+        if not math.isfinite(s + r):
+            return None
+        disc = 0.25 * r * r + s * s * s / 27.0
+        if disc > 0.0 or s == 0.0:
+            # one real root t = u - s/(3u), u^3 chosen against cancellation
+            u3 = -0.5 * r - math.copysign(math.sqrt(max(disc, 0.0)), r)
+            u = math.copysign(abs(u3) ** (1.0 / 3.0), u3)
+            ts = (u - s / (3.0 * u) if u != 0.0 else 0.0,)
+        else:
+            # three real roots, by the trigonometric formula
+            m = 2.0 * math.sqrt(-s / 3.0)
+            phi = math.acos(max(-1.0, min(1.0, 3.0 * r / (s * m)))) / 3.0
+            ts = tuple(m * math.cos(phi - 2.0 * math.pi * k / 3.0) for k in range(3))
+        best, best_val = None, p0
+        for t in ts:
+            alpha = t - a2 / 3.0
+            for _ in range(2):
+                dp = ((lead * alpha + 3.0 * p3) * alpha + 2.0 * p2) * alpha + p1
+                ddp = (3.0 * lead * alpha + 6.0 * p3) * alpha + 2.0 * p2
+                if ddp == 0.0:
+                    break
+                alpha -= dp / ddp
+            if not alpha > 0.0:
                 continue
-            alpha = float(r.real)
-            val = float(np.polyval(p[::-1], alpha))
+            val = (((p4 * alpha + p3) * alpha + p2) * alpha + p1) * alpha + p0
             if val < best_val:
                 best, best_val = alpha, val
         return best
@@ -291,8 +371,7 @@ def certify(f: ComplexField, p: Params) -> Certificate:
     grid = f.grid
     residual = l2_norm(gradient(f, p))
     v = f.values
-    mod2 = v.real**2 + v.imag**2
-    integral = complex(np.sum((1.0 - mod2) * v)) * grid.quad_weight
+    integral = complex(np.sum(density(v) * v)) * grid.quad_weight
     try:
         lifted = lift(f)
     except (VortexPresent, InconsistentWinding) as exc:

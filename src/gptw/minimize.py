@@ -9,15 +9,28 @@ an allowance for rounding in the flat steps near convergence, so descent
 started clearly below the zero action level of the modulus-one constants can
 only end at a nonconstant critical point.
 
-An iteration costs 2 transforms: the descent carries the normalized spectra
-of its iterate and direction next to them and updates them by linearity, so
-the ray quartic and the action at the trial point need none, and the
-gradient and its preconditioned image come from Kernel.preconditioned_gradient,
-one forward transform of the cubic term and one inverse transform. The
-residual, the descent test and the Polak-Ribiere coefficient pair spectra by
+An iteration costs 2 transforms and a few contiguous array passes. The
+descent carries the normalized spectra of its iterate and direction next to
+them and updates them by linearity, and it carries the action and the
+density 1 - |f|^2 of its iterate. The ray quartic takes its value (the
+carried action) and its slope (the pairing <G, D> of the descent test, or
+-<G, Z> along steepest descent) as given and sums only its degree-2 to 4
+coefficients; ray_minimum solves the cubic p' = 0 in closed form. The
+action at the trial point f + alpha*d needs no transform, and an accepted
+step takes over the trial iterate, spectrum, action and density. The
+gradient and its preconditioned image come from
+Kernel.preconditioned_gradient, one forward transform of the cubic term
+(the carried density times f) and one inverse transform. The residual,
+the descent test and the Polak-Ribiere coefficient pair spectra by
 Parseval, so the gradient is never formed on the nodes. The iterate's
-spectrum is recomputed from its nodes at every RESTART_EVERY restart, which
-bounds the drift of the carried copy.
+spectrum, action and density are recomputed from its nodes at every
+RESTART_EVERY restart, which bounds the drift of the carried copies.
+
+A descent that stalls above its target with no descent left at rounding
+level, as on small grids where the default target sits near the floor the
+exact-step descent reaches, hands its iterate to at most POLISH_STEPS
+Newton-MINRES steps (gptw.newton) and keeps their result only when it
+converges with an admitted action and the same classification.
 """
 
 from __future__ import annotations
@@ -30,7 +43,9 @@ import numpy as np
 from .ansatz import fitted_vortex_ansatz, vortex_test_function
 from .field import ComplexField, TorusGrid, axis_windings, lift
 from .field import VortexPresent, InconsistentWinding
-from .functionals import ActionReport, Certificate, Kernel, Params, action, certify
+from .functionals import (ActionReport, Certificate, Kernel, Params, action, certify,
+                          default_grad_tol)
+from .newton import newton_minres
 
 ZERO_CONSTANT = "ZeroConstant"
 UNIT_CONSTANT = "UnitConstant"
@@ -44,6 +59,8 @@ CONSTANT_CLASSES = (ZERO_CONSTANT, UNIT_CONSTANT)
 CLASS_TOL = 1e-6
 # The conjugate-gradient direction restarts from steepest descent this often.
 RESTART_EVERY = 100
+# Newton-MINRES steps allowed to a descent that stalls above its target.
+POLISH_STEPS = 3
 
 
 class NonFiniteValue(RuntimeError):
@@ -83,9 +100,10 @@ class CriticalPoint:
     iterations: int
 
 
-def default_grad_tol(grid: TorusGrid) -> float:
-    """Residual target 1e-8 * T^(N/2); the L2 residual scales like sqrt(volume)."""
-    return 1e-8 * grid.period ** (grid.dim / 2.0)
+def _admits(trial: float, value: float) -> bool:
+    """The acceptance test of a step from action `value` to `trial`: a
+    rise of at most 1e-14 * (1 + |value|), the rounding allowance."""
+    return trial <= value + 1e-14 * (1.0 + abs(value))
 
 
 def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None = None) -> CriticalPoint:
@@ -99,6 +117,9 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
     accepted step never raises the action by more than 1e-14 * (1 + |I|),
     the rounding allowance of the acceptance test. Raises NonFiniteValue if
     the action or gradient overflows at an accepted iterate.
+
+    A stall above grad_tol is polished by Newton-MINRES (see the module
+    docstring); `iterations` counts descent steps only.
     """
     opts = opts or MinimizeOptions()
     grid = init.grid
@@ -107,64 +128,71 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
     log = opts.log_stream
 
     # fs, gs, zs and ds are the spectra (Kernel.spectrum) of f, of its
-    # gradient g, of z = (1 - Lap)^(-1) g and of d
-    f = init.values.copy()
+    # gradient g, of z = (1 - Lap)^(-1) g and of d; dens is 1 - |f|^2 and
+    # val the action at f. f is never written in place: each accepted step
+    # takes over the trial arrays.
+    f = init.values
     fs = eng.spectrum(f)
-    val = eng.action(f, fs)
+    val, dens = eng.action(f, fs, with_density=True)
     if not np.isfinite(val):
         raise NonFiniteValue(f"action not finite at the initial field ({val})")
-    gs, z, zs = eng.preconditioned_gradient(f, fs)
+    gs, z, zs = eng.preconditioned_gradient(f, fs, dens)
     res = np.sqrt(eng.spectral_dot(gs, gs))
     gz = eng.spectral_dot(gs, zs)
     d, ds = -z, -zs
     iters = 0
     converged = res <= tol
+    stalled = False
     steepest = True
 
-    def search(direction, direction_spec):
-        """Exact minimum of the quartic ray restriction along `direction`;
-        returns (alpha, value), or None when the action evaluated at the
-        trial point does not lower it."""
-        alpha = eng.ray_minimum(eng.ray_coefficients(f, direction, fs, direction_spec))
+    def search(direction, direction_spec, slope):
+        """Exact minimum of the quartic ray restriction along `direction`,
+        whose slope at f is `slope`; returns the trial (value, f, fs, dens),
+        or None when the action evaluated at the trial point does not lower
+        it."""
+        alpha = eng.ray_minimum(
+            eng.ray_coefficients(f, direction, val, slope, dens, direction_spec))
         if alpha is None:
             return None
-        tv = eng.action(f + alpha * direction, fs + alpha * direction_spec)
-        if np.isfinite(tv) and tv <= val + 1e-14 * (1.0 + abs(val)):
-            return alpha, tv
+        tf = f + alpha * direction
+        tfs = fs + alpha * direction_spec
+        tv, tdens = eng.action(tf, tfs, with_density=True)
+        if np.isfinite(tv) and _admits(tv, val):
+            return tv, tf, tfs, tdens
         return None
 
     while not converged and iters < opts.max_iters:
-        if eng.spectral_dot(gs, ds) >= 0:
-            d, ds, steepest = -z, -zs, True
-        hit = search(d, ds)
+        slope = eng.spectral_dot(gs, ds)
+        if slope >= 0:
+            d, ds, steepest, slope = -z, -zs, True, -gz
+        hit = search(d, ds, slope)
         if hit is None and not steepest:
             d, ds, steepest = -z, -zs, True
-            hit = search(d, ds)
+            hit = search(d, ds, -gz)
         if hit is None:
-            break  # no descent possible at rounding level
-        alpha, val = hit
-        f += alpha * d
+            stalled = True  # no descent possible at rounding level
+            break
+        val, f, fs, dens = hit
         if not np.all(np.isfinite(f.view(np.float64))):
             raise NonFiniteValue("iterate left the finite range")
         iters += 1
         restart = iters % RESTART_EVERY == 0
         if restart:
-            # recompute the carried spectrum, and the action from it, so that
-            # rounding drift cannot build up over the run
+            # recompute the carried spectrum, and the action and density with
+            # it, so that rounding drift cannot build up over the run
             fs = eng.spectrum(f)
-            val = eng.action(f, fs)
-        else:
-            fs += alpha * ds
-        gs_new, z, zs = eng.preconditioned_gradient(f, fs)
-        res = np.sqrt(eng.spectral_dot(gs_new, gs_new))
-        gz_new = eng.spectral_dot(gs_new, zs)
+            val, dens = eng.action(f, fs, with_density=True)
+        gs_old = gs
+        gs, z, zs = eng.preconditioned_gradient(f, fs, dens)
+        res = np.sqrt(eng.spectral_dot(gs, gs))
+        gz_new = eng.spectral_dot(gs, zs)
         if log is not None:
             log.write(f"{iters} {val:.17g} {res:.17g}\n")
         if res <= tol:
             converged = True
             break
         # Preconditioned Polak-Ribiere with nonnegativity restart.
-        beta = eng.spectral_dot(gs_new - gs, zs) / gz if gz > 0 else 0.0
+        beta = (gz_new - eng.spectral_dot(gs_old, zs)) / gz if gz > 0 else 0.0
         beta = max(beta, 0.0)
         if restart:
             beta = 0.0
@@ -173,10 +201,24 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
         ds *= beta
         ds -= zs
         steepest = beta == 0.0
-        gs, gz = gs_new, gz_new
+        gz = gz_new
 
     final = ComplexField(grid, f)
+    if stalled:
+        final, converged = _polish(final, p, val, tol)
     return _finalize(final, p, converged, iters)
+
+
+def _polish(field: ComplexField, p: Params, value: float, tol: float) -> tuple[ComplexField, bool]:
+    """Newton-MINRES from a descent stalled above tol at action `value`:
+    (Newton's field, True) when it converges with an admitted action and
+    the same classification, else (field, False)."""
+    polished = newton_minres(field, p, tol, max_steps=POLISH_STEPS)
+    if (polished.converged
+            and _admits(Kernel(field.grid, p).action(polished.field.values), value)
+            and classify(polished.field) == classify(field)):
+        return polished.field, True
+    return field, False
 
 
 def _finalize(field: ComplexField, p: Params, converged: bool, iters: int) -> CriticalPoint:

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import ComplexField, TorusGrid, from_real, to_real
-from .functionals import Kernel, Params, hessian_apply
-from .minimize import default_grad_tol
+from .functionals import Kernel, Params, default_grad_tol, hessian_apply
 
 # MINRES iterations allowed per Newton step.
 KRYLOV_MAX = 300

@@ -6,7 +6,7 @@ differences of the action, the classical independent oracle.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gptw.field import ComplexField, TorusGrid, l2_norm, l2_product
 from gptw.functionals import (
@@ -306,6 +306,13 @@ class TestCertify:
 _RAY_GRIDS = [((16, 16), 2 * np.pi), ((8, 8, 8), 3.0)]
 
 
+def _ray_inputs(kernel, f, d):
+    """What the descent supplies to the ray quartic at f along d: the
+    action, the slope <grad I(f), d>, the density 1 - |f|^2 and spectrum(d)."""
+    value, dens = kernel.action(f, with_density=True)
+    return value, kernel.dot(kernel.gradient(f), d), dens, kernel.spectrum(d)
+
+
 class TestRay:
     """Kernel.ray_coefficients and ray_minimum are the descent's only step rule."""
 
@@ -315,7 +322,7 @@ class TestRay:
         kernel = Kernel(grid, Params(c=1.0))
         f = random_field(grid, 31).values
         d = random_field(grid, 32).values
-        p = kernel.ray_coefficients(f, d)
+        p = kernel.ray_coefficients(f, d, *_ray_inputs(kernel, f, d))
         for a in (-1.0, -0.3, 0.25, 0.7, 1.5):
             exact = kernel.action(f + a * d)
             assert abs(np.polyval(p[::-1], a) - exact) <= 1e-12 * abs(exact)
@@ -326,7 +333,7 @@ class TestRay:
         kernel = Kernel(grid, Params(c=1.0))
         f = random_field(grid, 33).values
         d = -kernel.gradient(f)
-        p = kernel.ray_coefficients(f, d)
+        p = kernel.ray_coefficients(f, d, *_ray_inputs(kernel, f, d))
         alpha = kernel.ray_minimum(p)
         assert alpha is not None and alpha > 0
         samples = np.linspace(0.0, 2.0 * alpha, 4001)[1:]
@@ -336,13 +343,129 @@ class TestRay:
         assert best < p[0]
 
 
+def _reference_ray_minimum(p):
+    """ray_minimum by numpy's companion-matrix roots of p' and polyval."""
+    dp = np.array([p[1], 2.0 * p[2], 3.0 * p[3], 4.0 * p[4]])
+    if abs(dp[-1]) < 1e-300:
+        return None
+    best, best_val = None, p[0]
+    for r in np.roots(dp[::-1]):
+        if abs(r.imag) > 1e-10 * (1.0 + abs(r.real)) or r.real <= 0:
+            continue
+        val = np.polyval(p[::-1], r.real)
+        if val < best_val:
+            best, best_val = float(r.real), val
+    return best
+
+
+def _quartic(p0, p4, derivative_roots):
+    """Coefficients p0..p4 of the quartic with leading coefficient p4 whose
+    derivative is 4 p4 prod(alpha - r) over derivative_roots."""
+    dp = (4.0 * p4 * np.poly(derivative_roots)).real  # highest degree first
+    return np.array([p0, dp[3], dp[2] / 2.0, dp[1] / 3.0, dp[0] / 4.0])
+
+
+_ROOT = st.floats(0.1, 4.0).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@st.composite
+def _ray_quartics(draw):
+    """Quartics with p4 > 0 and one or three real critical points, or a
+    double one, all at least 0.1 from 0 and from each other."""
+    kind = draw(st.sampled_from(["three", "one", "double"]))
+    p0 = draw(st.floats(-10.0, 10.0))
+    p4 = draw(st.floats(1e-3, 1e3))
+    r1, r2 = draw(_ROOT), draw(_ROOT)
+    if kind == "three":
+        roots = [r1, r2, draw(_ROOT)]
+    elif kind == "one":
+        y = draw(st.floats(0.1, 4.0))
+        roots = [r1, complex(r2, y), complex(r2, -y)]
+    else:
+        roots = [r1, r2, r2]
+    real = sorted(r for r in roots if not isinstance(r, complex))
+    assume(all(b - a >= 0.1 for a, b in zip(real, real[1:])) or kind == "double")
+    assume(abs(r1 - r2) >= 0.1)
+    p = _quartic(p0, p4, roots)
+    # no two candidates within rounding of each other or of p0
+    values = [p0] + [np.polyval(p[::-1], r) for r in real if r > 0]
+    scale = 1.0 + np.abs(p).max() * 4.0**4
+    assume(all(abs(a - b) > 1e-9 * scale
+               for i, a in enumerate(values) for b in values[i + 1:]))
+    return p
+
+
+class TestRayMinimum:
+    """The closed-form cubic of ray_minimum against numpy's roots."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(p=_ray_quartics())
+    def test_matches_companion_roots(self, p):
+        got, want = Kernel.ray_minimum(p), _reference_ray_minimum(p)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("roots,argmin", [
+        ([0.5, 1.0, 3.0], 3.0),                # three positive, the larger minimum wins
+        ([0.5, 2.5, 3.0], 0.5),                # three positive, the smaller wins
+        ([-1.0, 0.5, 2.0], 2.0),
+        ([1.0, 2.0, 2.0], 1.0),                # a double root above the minimum
+        ([2.0, 1.0, 1.0], 2.0),                # a double root below it
+        ([1.5, complex(-1.0, 1.0), complex(-1.0, -1.0)], 1.5),
+    ])
+    def test_known_minimum(self, roots, argmin):
+        p = _quartic(0.0, 1.0, roots)
+        for got in (Kernel.ray_minimum(p), _reference_ray_minimum(p)):
+            assert got is not None and abs(got - argmin) <= 1e-12 * argmin
+
+    @pytest.mark.parametrize("roots", [
+        [-3.0, -1.0, -0.5],                    # every critical point negative
+        [-1.0, 1.0, 1.2],                      # the positive minimum lies above p0
+        [-2.0, complex(1.0, 2.0), complex(1.0, -2.0)],
+        [-0.5, 1.0, 1.0],                      # a double root above the only minimum
+    ])
+    def test_no_minimum_below_p0(self, roots):
+        p = _quartic(0.5, 2.0, roots)
+        assert _reference_ray_minimum(p) is None
+        assert Kernel.ray_minimum(p) is None
+
+    def test_no_cubic(self):
+        p = np.array([1.0, -1.0, 0.5, 0.25, 1e-301])
+        assert _reference_ray_minimum(p) is None
+        assert Kernel.ray_minimum(p) is None
+
+
 _SPECTRUM_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+def _scratch_quartic(kernel, f, d):
+    """Coefficients of alpha -> I(f + alpha d) from f and d alone: the
+    quadratic form of the linear symbol on their spectra and the pointwise
+    expansion of the potential (1/4)(a - alpha b - alpha^2 cc)^2."""
+    fs, ds = np.fft.fftn(f) / f.size, np.fft.fftn(d) / d.size
+    half = 0.5 * kernel.linear
+    k0 = kernel.volume * np.sum(half * np.abs(fs) ** 2)
+    k1 = 2.0 * kernel.volume * np.sum(half * (fs.conj() * ds).real)
+    k2 = kernel.volume * np.sum(half * np.abs(ds) ** 2)
+    a = 1.0 - np.abs(f) ** 2
+    b = 2.0 * (f.conj() * d).real
+    cc = np.abs(d) ** 2
+    w4 = 0.25 * kernel.weight
+    return np.array([
+        k0 + w4 * np.sum(a * a),
+        k1 - 2.0 * w4 * np.sum(a * b),
+        k2 + w4 * np.sum(b * b - 2.0 * a * cc),
+        2.0 * w4 * np.sum(b * cc),
+        w4 * np.sum(cc * cc),
+    ])
 
 
 class TestSuppliedSpectrum:
     """action, ray_coefficients and preconditioned_gradient given the spectra
-    the descent carries agree with their from-scratch versions and with the
-    ray quartic, and spectral_dot with dot."""
+    and the density the descent carries agree with from-scratch versions and
+    with the ray quartic, and spectral_dot with dot."""
 
     @pytest.mark.parametrize("sizes,period", _RAY_GRIDS)
     @_SPECTRUM_PROPERTY
@@ -356,20 +479,24 @@ class TestSuppliedSpectrum:
         fs, ds = kernel.spectrum(f), kernel.spectrum(d)
 
         exact = kernel.action(f)
-        assert abs(kernel.action(f, fs) - exact) <= 1e-13 * abs(exact)
+        value, dens = kernel.action(f, fs, with_density=True)
+        assert abs(value - exact) <= 1e-13 * abs(exact)
+        assert np.abs(dens - (1.0 - np.abs(f) ** 2)).max() <= 1e-13 * (1.0 + np.abs(f).max() ** 2)
         g = kernel.gradient(f)
         z = kernel.precondition(g)
-        gs, zz, zs = kernel.preconditioned_gradient(f, fs)
+        gs, zz, zs = kernel.preconditioned_gradient(f, fs, dens)
         for got, want in ((gs, kernel.spectrum(g)), (zz, z), (zs, kernel.spectrum(z))):
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         bound = 1e-13 * np.sqrt(kernel.dot(g, g) * kernel.dot(d, d))
         assert abs(kernel.spectral_dot(kernel.spectrum(g), ds) - kernel.dot(g, d)) <= bound
-        p = kernel.ray_coefficients(f, d)
-        supplied = kernel.ray_coefficients(f, d, fs, ds)
-        assert np.linalg.norm(supplied - p) <= 1e-13 * np.linalg.norm(p)
+        # the quartic from the values the descent holds: its carried action
+        # and density, and the slope of its descent test
+        lean = kernel.ray_coefficients(f, d, value, kernel.spectral_dot(gs, ds), dens, ds)
+        p = _scratch_quartic(kernel, f, d)
+        assert np.linalg.norm(lean - p) <= 1e-13 * np.linalg.norm(p)
 
         # the acceptance test of the descent: the action at a trial point,
         # from the trial spectrum updated by linearity
         trial = kernel.action(f + alpha * d, fs + alpha * ds)
-        quartic = np.polyval(p[::-1], alpha)
+        quartic = np.polyval(lean[::-1], alpha)
         assert abs(trial - quartic) <= 1e-13 * abs(quartic)

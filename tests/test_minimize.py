@@ -11,6 +11,7 @@ from gptw.functionals import Kernel, Params, action, gradient
 from gptw.ansatz import (
     constant, fitted_vortex_ansatz, perturb, plane_wave, vortex_test_function, VortexAnsatz,
 )
+from gptw.newton import NewtonResult
 from gptw.minimize import (
     CONSTANT_CLASSES,
     MinimizeOptions,
@@ -160,6 +161,18 @@ class TestMinimize:
         assert point.converged
         assert point.classification in CONSTANT_CLASSES
 
+    def test_no_companion_matrix_roots(self, monkeypatch):
+        # ray_minimum solves its cubic in closed form
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the descent called a numpy root finder")
+
+        monkeypatch.setattr(np, "roots", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+        g = TorusGrid((32, 32), 21.0)
+        point = minimize_action(vortex_test_function(fitted_vortex_ansatz(5.0, 21.0), g),
+                                Params(c=1.0))
+        assert point.converged
+
     def test_no_exact_step_stops_unconverged(self, grid16, p1, monkeypatch):
         # the exact ray minimum is the only step rule: when it finds no step
         # along either direction, the descent stops unconverged where it began
@@ -169,6 +182,43 @@ class TestMinimize:
         assert not point.converged
         assert point.iterations == 0
         assert np.array_equal(point.field.values, init.values)
+
+
+class TestStallPolish:
+    """A descent that stalls above its target at rounding level is handed to
+    a few Newton steps, whose result it keeps only with an admitted action
+    and the same class."""
+
+    @pytest.mark.parametrize("T,R", [(13.0, 3.0), (17.0, 4.0)])
+    def test_stalled_plane_wave_converges(self, T, R, monkeypatch):
+        # at 32^2 the descent alone stops just above the default target
+        stalled_actions = []
+        polish = minimize._polish
+
+        def spy(field, p, value, tol):
+            stalled_actions.append(value)
+            return polish(field, p, value, tol)
+
+        monkeypatch.setattr(minimize, "_polish", spy)
+        g = TorusGrid((32, 32), T)
+        point = minimize_action(vortex_test_function(fitted_vortex_ansatz(R, T), g), Params(c=1.0))
+        assert len(stalled_actions) == 1
+        assert point.converged
+        assert point.residual <= default_grad_tol(g)
+        assert point.classification == "PlaneWave"
+        stalled = stalled_actions[0]
+        assert point.report.action <= stalled + 1e-14 * (1.0 + abs(stalled))
+
+    def test_rejected_polish_keeps_the_stalled_iterate(self, monkeypatch):
+        # a Newton result of another class and higher action is not taken
+        T, R = 13.0, 3.0
+        g = TorusGrid((32, 32), T)
+        fake = NewtonResult(constant(0.0, g), 0.0, True, 1, 0)
+        monkeypatch.setattr(minimize, "newton_minres", lambda *args, **kwargs: fake)
+        point = minimize_action(vortex_test_function(fitted_vortex_ansatz(R, T), g), Params(c=1.0))
+        assert not point.converged
+        assert point.classification == "PlaneWave"
+        assert point.residual > default_grad_tol(g)
 
 
 def _descent_transforms(monkeypatch, calls, restart_every):
