@@ -28,6 +28,7 @@ from .functionals import (
     action,
     certify,
     energy,
+    equation_integral,
     gradient,
     hessian_apply,
     momentum,

@@ -151,6 +151,14 @@ def write_pgm(path, data: np.ndarray):
         fh.write(img.tobytes())
 
 
+def _certificate_csv(f: ComplexField, p: Params) -> str:
+    """certificate.csv of a field, from its nodes: the action report and
+    certify's certificates, the lifted identity included. The CSVs of
+    minimize and mp therefore read as `gptw certify` of the stored field."""
+    return (certificate_csv_header() + "\n"
+            + certificate_csv_row(f.grid, p, action(f, p), certify(f, p)) + "\n")
+
+
 def _field_images(out: FsPath, stem: str, f: ComplexField):
     if f.grid.dim != 2:
         return
@@ -182,10 +190,7 @@ def _cmd_minimize(args) -> int:
                     _fmt(row["residual"]), row["classification"]]) + "\n",
         encoding="utf-8")
     p = Params(c=resolved["c"])
-    (out / "certificate.csv").write_text(
-        certificate_csv_header() + "\n"
-        + certificate_csv_row(point.field.grid, p, point.report, point.certificate) + "\n",
-        encoding="utf-8")
+    (out / "certificate.csv").write_text(_certificate_csv(point.field, p), encoding="utf-8")
     if args.images:
         _field_images(out, "minimizer", point.field)
     print(f"minimize: action={_fmt(point.report.action)} residual={_fmt(point.residual)} "
@@ -208,7 +213,7 @@ def _cmd_mp(args) -> int:
         print(f"mp: {exc}", file=sys.stderr)
         return 3
     p = Params(c=resolved["c"])
-    acts = relaxed.actions(p)
+    acts = result.path_actions
     lines = ["node,t,action"]
     for i, (node, a) in enumerate(zip(relaxed.nodes, acts)):
         write_field(out / f"path_{i:03d}.gptw", node, c=resolved["c"])
@@ -222,10 +227,8 @@ def _cmd_mp(args) -> int:
                     _fmt(saddle.report.action), _fmt(saddle.residual),
                     _fmt(result.witness_value), saddle.classification]) + "\n",
         encoding="utf-8")
-    (out / "saddle_certificate.csv").write_text(
-        certificate_csv_header() + "\n"
-        + certificate_csv_row(grid, p, saddle.report, saddle.certificate) + "\n",
-        encoding="utf-8")
+    (out / "saddle_certificate.csv").write_text(_certificate_csv(saddle.field, p),
+                                                 encoding="utf-8")
     if args.images:
         _field_images(out, "saddle", saddle.field)
     print(f"mp: gamma={_fmt(result.gamma)} M={_fmt(upper)} "
@@ -317,10 +320,7 @@ def _cmd_testfn(args) -> int:
 def _cmd_certify(args) -> int:
     f, c_stored = read_field(args.file)
     c = args.c if args.c is not None else c_stored
-    p = Params(c=c)
-    rep = action(f, p)
-    cert = certify(f, p)
-    text = certificate_csv_header() + "\n" + certificate_csv_row(f.grid, p, rep, cert) + "\n"
+    text = _certificate_csv(f, Params(c=c))
     if args.out:
         out = FsPath(args.out)
         out.mkdir(parents=True, exist_ok=True)

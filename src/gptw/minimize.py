@@ -26,6 +26,15 @@ Parseval, so the gradient is never formed on the nodes. The iterate's
 spectrum, action and density are recomputed from its nodes at every
 RESTART_EVERY restart, which bounds the drift of the carried copies.
 
+The critical point is built from what the descent holds when it stops, at
+no transform: the action report from the carried spectrum
+(Kernel.parts), the residual that the stopping rule tested, so converged
+implies residual <= grad_tol exactly, and int (1-|f|^2) f = -volume * G_0,
+where G_0 is the k = 0 entry of the gradient's spectrum (the linear symbol
+vanishes there). Only classify runs on the final field. The lifted
+identity is not computed: functionals.certify does that, for `gptw certify`
+and the certificate CSVs.
+
 A descent that stalls above its target with no descent left at rounding
 level, as on small grids where the default target sits near the floor the
 exact-step descent reaches, hands its iterate to at most POLISH_STEPS
@@ -43,9 +52,9 @@ import numpy as np
 from .ansatz import fitted_vortex_ansatz, vortex_test_function
 from .field import ComplexField, TorusGrid, axis_windings, lift
 from .field import VortexPresent, InconsistentWinding
-from .functionals import (ActionReport, Certificate, Kernel, Params, action, certify,
-                          default_grad_tol)
-from .newton import newton_minres
+from .functionals import (ActionReport, Kernel, Params, action, default_grad_tol,
+                          equation_integral)
+from .newton import NewtonResult, newton_minres
 
 ZERO_CONSTANT = "ZeroConstant"
 UNIT_CONSTANT = "UnitConstant"
@@ -89,15 +98,34 @@ class MinimizeOptions:
 
 @dataclass(frozen=True)
 class CriticalPoint:
-    """A converged (or best-so-far) field with its diagnostics."""
+    """A converged (or best-so-far) field with its diagnostics, built from
+    the values its solver holds when it stops.
+
+    residual is the L2 residual ||grad I|| that the solver's stopping rule
+    tested, so converged implies residual <= the solver's target with no
+    rounding slack; integral is int (1-|f|^2) f. A descent's point costs no
+    transform (see the module docstring), a Newton result's one
+    (from_newton). The lifted identity is not part of a point: it is
+    computed by functionals.certify where it is written, in `gptw certify`
+    and the certificate CSVs.
+    """
 
     field: ComplexField
     report: ActionReport
     residual: float
     classification: str
-    certificate: Certificate
+    integral: complex
     converged: bool
     iterations: int
+
+    @classmethod
+    def from_newton(cls, result: NewtonResult, p: Params, iterations: int) -> "CriticalPoint":
+        """The point at a Newton-MINRES result: its residual, the action
+        from one transform, the integral pointwise and the classification."""
+        f = result.field
+        return cls(field=f, report=action(f, p), residual=result.residual,
+                   classification=classify(f), integral=equation_integral(f),
+                   converged=result.converged, iterations=iterations)
 
 
 def _admits(trial: float, value: float) -> bool:
@@ -205,35 +233,30 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
 
     final = ComplexField(grid, f)
     if stalled:
-        final, converged = _polish(final, p, val, tol)
-    return _finalize(final, p, converged, iters)
+        polished = _polish(final, p, val, tol)
+        if polished is not None:
+            return CriticalPoint.from_newton(polished, p, iters)
+    return CriticalPoint(
+        field=final,
+        report=ActionReport.assemble(*eng.parts(f, fs), p.c),
+        residual=res,
+        classification=classify(final),
+        integral=complex(-eng.volume * gs.flat[0]),
+        converged=converged,
+        iterations=iters,
+    )
 
 
-def _polish(field: ComplexField, p: Params, value: float, tol: float) -> tuple[ComplexField, bool]:
+def _polish(field: ComplexField, p: Params, value: float, tol: float) -> NewtonResult | None:
     """Newton-MINRES from a descent stalled above tol at action `value`:
-    (Newton's field, True) when it converges with an admitted action and
-    the same classification, else (field, False)."""
+    its result when it converges with an admitted action and the same
+    classification, else None."""
     polished = newton_minres(field, p, tol, max_steps=POLISH_STEPS)
     if (polished.converged
             and _admits(Kernel(field.grid, p).action(polished.field.values), value)
             and classify(polished.field) == classify(field)):
-        return polished.field, True
-    return field, False
-
-
-def _finalize(field: ComplexField, p: Params, converged: bool, iters: int) -> CriticalPoint:
-    rep = action(field, p)
-    cert = certify(field, p)
-    cls = classify(field)
-    return CriticalPoint(
-        field=field,
-        report=rep,
-        residual=cert.residual,
-        classification=cls,
-        certificate=cert,
-        converged=converged,
-        iterations=iters,
-    )
+        return polished
+    return None
 
 
 def classify(f: ComplexField) -> str:

@@ -10,6 +10,12 @@ budget. The max node is refined by Newton-MINRES on the action gradient
 (gptw.newton), whose stopping rule implies the integrated certificate, and a
 negative Hessian direction off the symmetry directions
 (gptw.spectrum.smallest_direction) certifies the saddle index.
+
+Each field's action is evaluated once: relax_path returns the node actions
+of its path and takes those of the path it is given when the caller holds
+them, and find_saddle takes them too. The pipeline evaluates the initial
+path once, for M and as relax_path's first gamma. The saddle's
+CriticalPoint comes from the Newton result at one transform, its action.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 from .ansatz import VortexAnsatz, fitted_vortex_ansatz, vortex_test_function
 from .field import ComplexField, TorusGrid
 from .functionals import Kernel, Params, action
-from .minimize import CriticalPoint, _finalize
+from .minimize import CriticalPoint
 from .newton import certified_tol, newton_minres
 from .spectrum import smallest_direction
 
@@ -76,13 +82,18 @@ class RelaxOptions:
 
 @dataclass(frozen=True)
 class SaddleResult:
-    """A refined saddle; gamma is the max node action of the path handed to
-    find_saddle, and index_witness has Rayleigh quotient witness_value < 0."""
+    """A refined saddle; path_actions are the node actions of the path
+    handed to find_saddle, gamma their max, and index_witness has Rayleigh
+    quotient witness_value < 0."""
 
     saddle: CriticalPoint
-    gamma: float
+    path_actions: np.ndarray
     index_witness: ComplexField
     witness_value: float
+
+    @property
+    def gamma(self) -> float:
+        return float(self.path_actions.max())
 
 
 def init_path(grid: TorusGrid, R: float, node_count: int = 33,
@@ -122,16 +133,30 @@ def _reparametrize(values: list[np.ndarray], weight: float) -> list[np.ndarray]:
     return out
 
 
-def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None) -> tuple[Path, float]:
+def _node_actions(path: Path, p: Params, actions: np.ndarray | None) -> np.ndarray:
+    """The node actions of `path`: `actions`, the ones its caller holds,
+    checked to have one entry per node, or path.actions(p) when None."""
+    if actions is None:
+        return path.actions(p)
+    actions = np.asarray(actions, dtype=float)
+    if actions.shape != (len(path.nodes),):
+        raise ValueError(f"{actions.shape} node actions for a path of {len(path.nodes)} nodes")
+    return actions
+
+
+def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None,
+               actions: np.ndarray | None = None) -> tuple[Path, float, np.ndarray]:
     """String-method relaxation of the interior nodes.
 
     Each sweep moves every interior node by NODE_STEPS fixed-size
     preconditioned descent steps v -> v - step * (1 - Lap)^(-1) grad I(v),
     starting at step STEP0, then reparametrizes the path. gamma never
     increases across accepted sweeps; a sweep that would raise it is
-    rejected and the step halved. Returns (relaxed path, gamma estimate)
-    after opts.sweeps sweeps, or earlier once gamma has not improved by
-    REL_TOL in opts.patience sweeps in a row (the string has stalled).
+    rejected and the step halved. Returns (relaxed path, gamma estimate,
+    node actions of the relaxed path) after opts.sweeps sweeps, or earlier
+    once gamma has not improved by REL_TOL in opts.patience sweeps in a row
+    (the string has stalled). `actions`, when given, are the node actions
+    of `path` (path.actions(p)), which are then not evaluated again.
 
     A node takes its spectrum once per sweep and carries it through its
     steps by linearity, so a step costs the 2 transforms of
@@ -146,14 +171,15 @@ def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None) -> tuple
     # arrays are shared, not copied
     nodes = [n.values for n in path.nodes]
     endpoints = (path.nodes[0], path.nodes[-1])
+    acts = _node_actions(path, p, actions)
 
-    # the endpoints stay fixed, so their actions are evaluated once
-    ends = max(eng.action(nodes[0]), eng.action(nodes[-1]))
+    # the endpoints stay fixed, so their actions carry over to every sweep
+    ends = acts[0], acts[-1]
 
-    def gamma_of(vals):
-        return max(ends, max(eng.action(v) for v in vals[1:-1]))
+    def actions_of(vals):
+        return np.array([ends[0], *(eng.action(v) for v in vals[1:-1]), ends[1]])
 
-    gamma = gamma_of(nodes)
+    gamma = float(acts.max())
     step_scale = STEP0
     stall = 0
     for _ in range(opts.sweeps):
@@ -170,10 +196,11 @@ def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None) -> tuple
                 spec -= zs
             trial[i] = v
         trial = _reparametrize(trial, grid.quad_weight)
-        new_gamma = gamma_of(trial)
+        trial_acts = actions_of(trial)
+        new_gamma = float(trial_acts.max())
         if new_gamma <= gamma + 1e-14 * (1.0 + abs(gamma)):
             improved = gamma - new_gamma > REL_TOL * (1.0 + abs(gamma))
-            nodes = trial
+            nodes, acts = trial, trial_acts
             gamma = min(gamma, new_gamma)
             stall = 0 if improved else stall + 1
         else:
@@ -182,7 +209,7 @@ def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None) -> tuple
         if stall >= opts.patience:
             break
     interior = tuple(ComplexField(grid, v) for v in nodes[1:-1])
-    return Path((endpoints[0],) + interior + (endpoints[1],)), gamma
+    return Path((endpoints[0],) + interior + (endpoints[1],)), gamma, acts
 
 
 @dataclass
@@ -209,7 +236,8 @@ def _pick_max_node(acts: np.ndarray) -> int:
     return int(np.argmax(acts >= acts.max() - 1e-12))
 
 
-def find_saddle(path: Path, p: Params, opts: SaddleOptions | None = None) -> SaddleResult:
+def find_saddle(path: Path, p: Params, opts: SaddleOptions | None = None,
+                actions: np.ndarray | None = None) -> SaddleResult:
     """Refine the max-action node of a relaxed path to a critical point and
     certify its index.
 
@@ -221,16 +249,20 @@ def find_saddle(path: Path, p: Params, opts: SaddleOptions | None = None) -> Sad
     zero modes of every critical point; when the quadratic form is
     nonnegative there, the Hessian has no negative direction and NotASaddle
     is raised (the path collapsed to a minimizer). gamma is the max node
-    action of `path`.
+    action of `path`; `actions`, when given, are its node actions as
+    relax_path returns them, which are then not evaluated again.
+
+    The saddle's CriticalPoint comes from the Newton result
+    (CriticalPoint.from_newton): the residual Newton's stopping rule
+    tested and the action from one transform.
     """
     opts = opts or SaddleOptions()
     tol = certified_tol(path.grid, p, opts.grad_tol)
-    acts = path.actions(p)
+    acts = _node_actions(path, p, actions)
     idx = _pick_max_node(acts)
-    gamma = float(acts.max())
     refined = newton_minres(path.nodes[idx], p, tol, max_steps=opts.max_iters)
     saddle_field = refined.field
-    point = _finalize(saddle_field, p, refined.converged, refined.steps)
+    point = CriticalPoint.from_newton(refined, p, refined.steps)
 
     # Index witness: only its Rayleigh quotient matters, a negative value
     # certifies the index.
@@ -243,7 +275,7 @@ def find_saddle(path: Path, p: Params, opts: SaddleOptions | None = None) -> Sad
         )
     return SaddleResult(
         saddle=point,
-        gamma=gamma,
+        path_actions=acts,
         index_witness=witness,
         witness_value=witness_value,
     )
@@ -257,10 +289,13 @@ def mountain_pass_pipeline(c: float, grid: TorusGrid, R: float,
     """init -> relax -> refine. Returns (SaddleResult, relaxed path, M).
 
     M is the max action over the straight initial path, the T-independent
-    upper bound for gamma, the max node action of the relaxed path.
+    upper bound for gamma, the max node action of the relaxed path. Each
+    path's node actions are evaluated once and handed on: the initial
+    path's give M and relax_path's first gamma, the relaxed path's the
+    saddle's start and SaddleResult.path_actions.
     """
     p = Params(c=c)
     path = init_path(grid, R, node_count, ansatz)
-    upper = float(path.actions(p).max())
-    relaxed, _ = relax_path(path, p, relax_opts)
-    return find_saddle(relaxed, p, saddle_opts), relaxed, upper
+    acts = path.actions(p)
+    relaxed, _, relaxed_acts = relax_path(path, p, relax_opts, acts)
+    return find_saddle(relaxed, p, saddle_opts, relaxed_acts), relaxed, float(acts.max())

@@ -142,7 +142,7 @@ def test_criterion_5_global_minimizer_desk_scale():
         assert point.residual <= 1e-6 * T
         assert row["classification"] not in CONSTANT_CLASSES
         assert row["action"] < 0
-        assert abs(point.certificate.integral) <= 1e-6
+        assert abs(point.integral) <= 1e-6
         # frozen regression value (k=-1 winding branch on this grid)
         assert row["action"] == pytest.approx(-112.93699680205742, rel=1e-9)
 
@@ -179,7 +179,7 @@ def test_criterion_6_mountain_pass_desk_scale():
             m_here = float(path.actions(p).max())
             if single_M is None:
                 single_M = m_here
-            _, gamma = relax_path(path, p, RelaxOptions(sweeps=50, patience=8))
+            _, gamma, _ = relax_path(path, p, RelaxOptions(sweeps=50, patience=8))
             gammas[T_i] = gamma
             assert 0.0 < gamma <= single_M + 1e-6, (T_i, gamma, single_M)
         print(f"  gammas={ {k: round(v, 6) for k, v in gammas.items()} } M={single_M:.6f}")

@@ -11,7 +11,28 @@ from hypothesis import given, settings, strategies as st
 from gptw import cli
 from gptw.cli import load_config, main, write_pgm
 from gptw.field import TorusGrid, read_field, write_field
+from gptw.functionals import Params, action, certify
 from gptw.ansatz import constant, plane_wave
+
+
+def _csv_row(path):
+    header, row = path.read_text().splitlines()[:2]
+    return dict(zip(header.split(","), row.split(",")))
+
+
+def _assert_certificates_written(csv_path, field_path):
+    # the certificate CSV holds the certificates of the stored field, its
+    # lifted identity included, or NaN when the field has no lifting
+    f, c = read_field(field_path)
+    p = Params(c=c)
+    cert = certify(f, p)
+    row = _csv_row(csv_path)
+    if cert.lifted:
+        assert float(row["cert_lift"]) == cert.lift_identity
+    else:
+        assert np.isnan(float(row["cert_lift"]))
+    assert float(row["residual"]) == cert.residual
+    assert float(row["action"]) == action(f, p).action
 
 
 @pytest.fixture
@@ -84,6 +105,7 @@ class TestMinimizeCommand:
         assert [int(r[0]) for r in rows] == list(range(1, len(rows) + 1))
         actions = [float(r[1]) for r in rows]
         assert all(b <= a + 1e-14 * (1 + abs(a)) for a, b in zip(actions, actions[1:]))
+        _assert_certificates_written(out / "certificate.csv", out / "minimizer.gptw")
 
     def test_determinism(self, tmp_path):
         args = ["minimize", "--c", "1", "--T", "14", "--size", "32", "--R", "2.5"]
@@ -130,7 +152,13 @@ class TestMountainPassCommand:
         rows = (out / "saddle.csv").read_text().splitlines()
         assert rows[0] == "gamma,M,action,residual,witness_value,classification"
         assert float(rows[1].split(",")[4]) < 0
-        assert len((out / "path_actions.csv").read_text().splitlines()) == 1 + 9
+        _assert_certificates_written(out / "saddle_certificate.csv", out / "saddle.gptw")
+        # the node actions relax_path returned are those of the stored path
+        lines = (out / "path_actions.csv").read_text().splitlines()
+        assert len(lines) == 1 + 9
+        for i, line in enumerate(lines[1:]):
+            f, c = read_field(out / f"path_{i:03d}.gptw")
+            assert float(line.split(",")[2]) == action(f, Params(c=c)).action
 
     def test_witness_no_convergence_exits_3(self, tmp_path, capsys, lobpcg_fails):
         out = tmp_path / "mp"

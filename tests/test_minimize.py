@@ -7,7 +7,7 @@ import pytest
 
 from gptw import minimize
 from gptw.field import ComplexField, TorusGrid, l2_norm
-from gptw.functionals import Kernel, Params, action, gradient
+from gptw.functionals import Kernel, Params, action, certify, gradient
 from gptw.ansatz import (
     constant, fitted_vortex_ansatz, perturb, plane_wave, vortex_test_function, VortexAnsatz,
 )
@@ -222,25 +222,17 @@ class TestStallPolish:
 
 
 def _descent_transforms(monkeypatch, calls, restart_every):
-    """(transforms counted in `calls` before the finalizing certificates,
-    iterations, RESTART_EVERY) of a converged 32^2 descent from a vortex
-    test function."""
+    """(transforms counted in `calls` over the whole minimize_action call,
+    the critical point it returns included, iterations, RESTART_EVERY) of a
+    converged 32^2 descent from a vortex test function."""
     if restart_every is not None:
         monkeypatch.setattr(minimize, "RESTART_EVERY", restart_every)
-    # count up to the finalizing certificates only
-    finalize = minimize._finalize
-    counted = []
-
-    def stop_counting(field, p, converged, iters):
-        counted.append(len(calls))
-        return finalize(field, p, converged, iters)
-
-    monkeypatch.setattr(minimize, "_finalize", stop_counting)
     g = TorusGrid((32, 32), 21.0)
     init = vortex_test_function(fitted_vortex_ansatz(5.0, 21.0), g)
+    calls.clear()
     point = minimize_action(init, Params(c=1.0))
     assert point.converged
-    return counted[0], point.iterations, minimize.RESTART_EVERY
+    return len(calls), point.iterations, minimize.RESTART_EVERY
 
 
 class TestCarriedSpectra:
@@ -274,6 +266,35 @@ class TestCarriedSpectra:
         assert abs(actions[-1] - final) <= 1e-12 * (1 + abs(final))
         fresh = l2_norm(gradient(point.field, p1))
         assert abs(point.residual - fresh) <= 1e-12 * (1 + fresh)
+
+
+def _vortex_start(g):
+    return vortex_test_function(fitted_vortex_ansatz(5.0, g.period), g)
+
+
+def _plane_wave_start(g):
+    return perturb(plane_wave(-1, 1.0, g), 1e-3, 3, 42)
+
+
+class TestHeldValues:
+    """The critical point is built from what the descent holds when it
+    stops; its values are those computed from scratch at its field."""
+
+    @pytest.mark.parametrize("start,T", [(_vortex_start, 21.0),
+                                         (_plane_wave_start, 2 * np.pi)])
+    def test_match_from_scratch(self, start, T):
+        g = TorusGrid((32, 32), T)
+        p = Params(c=1.0)
+        point = minimize_action(start(g), p)
+        assert point.converged
+        # the residual the stopping rule tested: no rounding slack
+        assert point.residual <= default_grad_tol(g)
+        fresh, cert = action(point.field, p), certify(point.field, p)
+        for name in ("kinetic", "potential", "momentum", "action"):
+            want = getattr(fresh, name)
+            assert abs(getattr(point.report, name) - want) <= 1e-12 * (1 + abs(want))
+        assert abs(point.residual - cert.residual) <= 1e-12 * (1 + cert.residual)
+        assert abs(point.integral - cert.integral) <= 1e-12 * (1 + abs(cert.integral))
 
 
 class TestMinimizerExperiment:

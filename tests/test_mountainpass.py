@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gptw.field import ComplexField, TorusGrid, l2_product
-from gptw.functionals import Kernel, Params, action, hessian_apply
+from gptw.functionals import Kernel, Params, action, certify, hessian_apply
 from gptw.ansatz import VortexAnsatz, constant
 from gptw.mountainpass import (
     NODE_STEPS,
@@ -19,6 +19,7 @@ from gptw.mountainpass import (
     mountain_pass_pipeline,
     relax_path,
 )
+from gptw.newton import certified_tol
 from gptw.spectrum import hessian_operator, lanczos_smallest, symmetry_basis
 
 
@@ -81,7 +82,7 @@ class TestRelaxPath:
         g = TorusGrid((16, 16), 2 * np.pi)
         nodes = tuple(constant(th, g) for th in np.linspace(0, 2 * np.pi, 9))
         path = Path(nodes)
-        relaxed, gamma = relax_path(path, P1, RelaxOptions(sweeps=30, patience=3))
+        relaxed, gamma, _ = relax_path(path, P1, RelaxOptions(sweeps=30, patience=3))
         assert gamma == pytest.approx(0.0, abs=1e-12)
         assert np.array_equal(relaxed.nodes[0].values, nodes[0].values)
         assert np.array_equal(relaxed.nodes[-1].values, nodes[-1].values)
@@ -94,7 +95,7 @@ class TestRelaxPath:
         gammas = [float(path.actions(P1).max())]
         current = path
         for _ in range(6):
-            current, gamma = relax_path(current, P1, RelaxOptions(sweeps=1, patience=10))
+            current, gamma, _ = relax_path(current, P1, RelaxOptions(sweeps=1, patience=10))
             gammas.append(gamma)
         assert all(b <= a + 1e-10 for a, b in zip(gammas, gammas[1:]))
         assert gammas[-1] < gammas[0]
@@ -108,13 +109,34 @@ class TestRelaxPath:
         fft_calls.clear()
         relax_path(path, P1, RelaxOptions(sweeps=1))
         assert len(fft_calls) == 2 + 3 + 3 * (2 * NODE_STEPS + 2)
+        # node actions the caller holds are not evaluated again
+        acts = path.actions(P1)
+        fft_calls.clear()
+        relax_path(path, P1, RelaxOptions(sweeps=1), acts)
+        assert len(fft_calls) == 3 * (2 * NODE_STEPS + 2)
+
+    def test_node_actions_evaluated_once(self):
+        # the returned actions are those of the returned path, and handing
+        # relax_path the actions of its path changes nothing but the work
+        g = TorusGrid((32, 32), SMALL["T"])
+        path = init_path(g, SMALL["R"], node_count=5)
+        opts = RelaxOptions(sweeps=3)
+        relaxed, gamma, acts = relax_path(path, P1, opts)
+        assert np.array_equal(acts, relaxed.actions(P1))
+        again, gamma_again, acts_again = relax_path(path, P1, opts, path.actions(P1))
+        assert gamma_again == gamma
+        assert np.array_equal(acts_again, acts)
+        for a, b in zip(again.nodes, relaxed.nodes):
+            assert np.array_equal(a.values, b.values)
+        with pytest.raises(ValueError):
+            relax_path(path, P1, opts, acts[:-1])
 
     def test_sweep_matches_steps_from_scratch(self):
         # the spectrum a node carries through its steps gives the steps
         # v -> v - STEP0 * precondition(gradient(v)) made from scratch
         g = TorusGrid((32, 32), SMALL["T"])
         path = init_path(g, SMALL["R"], node_count=5)
-        relaxed, gamma = relax_path(path, P1, RelaxOptions(sweeps=1))
+        relaxed, gamma, _ = relax_path(path, P1, RelaxOptions(sweeps=1))
         assert gamma < path.actions(P1).max()  # the sweep was accepted
         kern = Kernel(g, P1)
         moved = [n.values for n in path.nodes]
@@ -200,8 +222,23 @@ class TestFindSaddle:
 
     def test_saddle_certificate(self, small_pipeline):
         result, _, _ = small_pipeline
-        cert = result.saddle.certificate
-        assert abs(cert.integral) <= 1e-6
+        assert abs(result.saddle.integral) <= 1e-6
+
+    def test_held_values_match_from_scratch(self, small_grid, small_pipeline):
+        # the saddle's point comes from the Newton result, and gamma from
+        # the node actions relax_path returned
+        result, relaxed, _ = small_pipeline
+        s = result.saddle
+        fresh, cert = action(s.field, P1), certify(s.field, P1)
+        for name in ("kinetic", "potential", "momentum", "action"):
+            want = getattr(fresh, name)
+            assert abs(getattr(s.report, name) - want) <= 1e-12 * (1 + abs(want))
+        assert abs(s.residual - cert.residual) <= 1e-12 * (1 + cert.residual)
+        assert abs(s.integral - cert.integral) <= 1e-12 * (1 + abs(cert.integral))
+        assert s.converged
+        assert s.residual <= certified_tol(small_grid, P1, 1e-8 * SMALL["T"])
+        assert np.array_equal(result.path_actions, relaxed.actions(P1))
+        assert result.gamma == float(relaxed.actions(P1).max())
 
     def test_stopping_rule_reads_cert_tol(self, small_pipeline):
         # converged implies |int (1-|f|^2) f| <= Params.cert_tol, whatever
@@ -210,7 +247,7 @@ class TestFindSaddle:
         p = Params(c=1.0, cert_tol=1e-9)
         result = find_saddle(relaxed, p, SaddleOptions(grad_tol=1e-8 * SMALL["T"]))
         assert result.saddle.converged
-        assert abs(result.saddle.certificate.integral) <= 1e-9
+        assert abs(result.saddle.integral) <= 1e-9
 
     def test_near_z_raises_not_a_saddle(self):
         g = TorusGrid((16, 16), 2 * np.pi)
