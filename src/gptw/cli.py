@@ -24,8 +24,7 @@ from .ansatz import (NoSuchSolution, SupportTooLarge, VortexAnsatz,
                      fitted_vortex_ansatz, vortex_test_function)
 from .field import (GPTW_VERSION, ComplexField, FieldFormatError, TorusGrid,
                     read_field, write_field)
-from .functionals import (Params, action, certificate_csv_header,
-                          certificate_csv_row, certify)
+from .functionals import ActionReport, Certificate, Params, action, certify
 from .minimize import MinimizeOptions, minimizer_experiment
 from .mountainpass import NotASaddle, SaddleOptions, mountain_pass_pipeline
 from .spectrum import (constancy_scan, hessian_spectrum_at_constant,
@@ -149,6 +148,23 @@ def write_pgm(path, data: np.ndarray):
     with open(path, "wb") as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
         fh.write(img.tobytes())
+
+
+CSV_COLUMNS = (
+    "T", "c", "kinetic", "potential", "momentum", "action",
+    "residual", "cert_integral_re", "cert_integral_im", "cert_lift",
+)
+
+
+def certificate_csv_header() -> str:
+    return ",".join(CSV_COLUMNS)
+
+
+def certificate_csv_row(grid, p: Params, report: ActionReport, cert: Certificate) -> str:
+    lift_val = cert.lift_identity if cert.lifted else float("nan")
+    fields = (grid.period, p.c, report.kinetic, report.potential, report.momentum,
+              report.action, cert.residual, cert.integral.real, cert.integral.imag, lift_val)
+    return ",".join(f"{x:.17g}" for x in fields)
 
 
 def _certificate_csv(f: ComplexField, p: Params) -> str:

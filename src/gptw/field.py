@@ -131,11 +131,6 @@ class TorusGrid:
             acc = acc + self.frequency(ax, zero_nyquist=False) ** 2
         return acc
 
-    @cached_property
-    def inverse_helmholtz_symbol(self) -> np.ndarray:
-        """1 / (1 + |xi|^2), the symbol of the preconditioner (1 - Lap)^(-1)."""
-        return 1.0 / (1.0 + self.laplacian_symbol)
-
 
 @dataclass(frozen=True, eq=False)
 class ComplexField:

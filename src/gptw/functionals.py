@@ -87,6 +87,12 @@ class Certificate:
         return self.lift_identity is not None
 
 
+def admits(trial: float, value: float) -> bool:
+    """The acceptance test of a step from action `value` to `trial` in the
+    descent, its polish and the string: a rise of at most 1e-14 * (1 + |value|)."""
+    return trial <= value + 1e-14 * (1.0 + abs(value))
+
+
 def _abs2(v: np.ndarray) -> np.ndarray:
     """|v|^2 as a new real array."""
     out = np.square(v.real)
@@ -130,18 +136,9 @@ class Kernel:
     takes them, with the value and slope of its quartic. Sums are BLAS
     pairings (np.dot, np.vdot) of contiguous arrays. preconditioned_gradient
     forms grad I and (1 - Lap)^(-1) grad I in Fourier space from
-    spectrum(v): one forward transform of the pointwise cubic term and one
-    inverse transform, where precondition(gradient(v)) costs four. A
-    string-relaxation node step costs these 2 transforms
-    (gptw.mountainpass.relax_path), and so does a descent iteration
-    (gptw.minimize), which carries the spectra F and D of its iterate f and
-    direction d by linearity and the action and density of f, and computes:
-    the slope spectral_dot(G, D), the p2..p4 of ray_coefficients (five
-    contiguous sums), ray_minimum in Python floats, the trial action at
-    f + alpha d from F + alpha D with its density, and the
-    preconditioned_gradient of the accepted trial from that density.
-    spectral_dot pairs spectra by Parseval, so the descent never forms
-    grad I on the nodes.
+    spectrum(v) in 2 transforms, where precondition(gradient(v)) costs four;
+    a string node step and a descent iteration cost these 2 (gptw.minimize
+    says what the descent carries).
     """
 
     def __init__(self, grid: TorusGrid, p: Params):
@@ -156,6 +153,11 @@ class Kernel:
     def linear(self) -> np.ndarray:
         """|xi|^2 + c*xi1, the symbol of -Lap - c*i*d_x1."""
         return self.lap + self.c * self.xi1
+
+    @cached_property
+    def preconditioner(self) -> np.ndarray:
+        """1 / (1 + |xi|^2), the symbol of (1 - Lap)^(-1)."""
+        return 1.0 / (1.0 + self.lap)
 
     @staticmethod
     def spectrum(v: np.ndarray) -> np.ndarray:
@@ -212,25 +214,35 @@ class Kernel:
         """
         gs = self.linear * spec
         gs -= fft_forward((density(v) if dens is None else dens) * v)
-        zs = gs * self.grid.inverse_helmholtz_symbol
+        zs = gs * self.preconditioner
         return gs, fft_inverse(zs), zs
 
-    def hessian(self, psi: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """-Lap u - c*i*d_x1 u - (1-|psi|^2) u + 2 (psi.u) psi."""
-        out = fft_inverse(self.linear * fft_forward(u))
-        nl = -density(psi) * u + 2.0 * _pairing(psi, u) * psi
-        return out + nl
+    def hessian(self, psi: np.ndarray):
+        """u -> -Lap u - c*i*d_x1 u - (1-|psi|^2) u + 2 (psi.u) psi, the
+        Hessian at psi, whose density is evaluated once, here. A product
+        costs 2 transforms and checks no finiteness: its callers do."""
+        neg_dens = -density(psi)
+
+        def apply(u: np.ndarray) -> np.ndarray:
+            out = fft_inverse(self.linear * fft_forward(u))
+            out += neg_dens * u + 2.0 * _pairing(psi, u) * psi
+            return out
+        return apply
 
     def precondition(self, g: np.ndarray) -> np.ndarray:
         """Inverse Helmholtz operator (1 - Lap)^(-1), from two transforms."""
         zs = fft_forward(g)
-        zs *= self.grid.inverse_helmholtz_symbol
+        zs *= self.preconditioner
         return fft_inverse(zs)
 
     def precondition_real(self, x: np.ndarray) -> np.ndarray:
-        """precondition on real coordinates (field.to_real layout): the
-        preconditioner of Newton's MINRES and of the eigensolver."""
+        """precondition on real coordinates (field.to_real), for MINRES and LOBPCG."""
         return to_real(self.precondition(from_real(x, self.grid)))
+
+    def hessian_real(self, psi: np.ndarray):
+        """hessian(psi) on real coordinates, for MINRES, LOBPCG and dense_hessian."""
+        apply = self.hessian(psi)
+        return lambda x: to_real(apply(from_real(x, self.grid)))
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """Real L2 pairing int a.b."""
@@ -350,7 +362,7 @@ def hessian_apply(base: ComplexField, direction: ComplexField, p: Params) -> Com
     """
     if base.grid != direction.grid:
         raise GridMismatch("hessian_apply needs base and direction on one grid")
-    return base.with_values(Kernel(base.grid, p).hessian(base.values, direction.values))
+    return base.with_values(Kernel(base.grid, p).hessian(base.values)(direction.values))
 
 
 def equation_integral(f: ComplexField) -> complex:
@@ -406,22 +418,3 @@ def certify(f: ComplexField, p: Params) -> Certificate:
     value = float(np.sum(integrand)) * grid.quad_weight
     return Certificate(residual, integral, value, lifted.windings)
 
-
-CSV_COLUMNS = (
-    "T", "c", "kinetic", "potential", "momentum", "action",
-    "residual", "cert_integral_re", "cert_integral_im", "cert_lift",
-)
-
-
-def certificate_csv_header() -> str:
-    return ",".join(CSV_COLUMNS)
-
-
-def certificate_csv_row(grid, p: Params, report: ActionReport, cert: Certificate) -> str:
-    lift_val = cert.lift_identity if cert.lifted else float("nan")
-    fields = (
-        grid.period, p.c, report.kinetic, report.potential, report.momentum,
-        report.action, cert.residual, cert.integral.real, cert.integral.imag,
-        lift_val,
-    )
-    return ",".join(f"{x:.17g}" for x in fields)

@@ -4,10 +4,10 @@ The optimizer is nonlinear conjugate gradient (Polak-Ribiere with restarts)
 preconditioned by the inverse Helmholtz operator (1 - Lap)^(-1) in spectral
 space. The action restricted to a ray is a quartic polynomial, so each line
 search steps to its exact minimum (Kernel.ray_coefficients, ray_minimum).
-A step is accepted when it raises the action by at most 1e-14 * (1 + |I|),
-an allowance for rounding in the flat steps near convergence, so descent
-started clearly below the zero action level of the modulus-one constants can
-only end at a nonconstant critical point.
+A step is accepted when it raises the action by at most 1e-14 * (1 + |I|)
+(functionals.admits), an allowance for rounding in the flat steps near
+convergence, so descent started clearly below the zero action level of the
+modulus-one constants can only end at a nonconstant critical point.
 
 An iteration costs 2 transforms and a few contiguous array passes. The
 descent carries the normalized spectra of its iterate and direction next to
@@ -52,8 +52,8 @@ import numpy as np
 from .ansatz import fitted_vortex_ansatz, vortex_test_function
 from .field import ComplexField, TorusGrid, axis_windings, lift
 from .field import VortexPresent, InconsistentWinding
-from .functionals import (ActionReport, Kernel, Params, action, default_grad_tol,
-                          equation_integral)
+from .functionals import (ActionReport, Kernel, Params, action, admits,
+                          default_grad_tol, equation_integral)
 from .newton import NewtonResult, newton_minres
 
 ZERO_CONSTANT = "ZeroConstant"
@@ -128,12 +128,6 @@ class CriticalPoint:
                    converged=result.converged, iterations=iterations)
 
 
-def _admits(trial: float, value: float) -> bool:
-    """The acceptance test of a step from action `value` to `trial`: a
-    rise of at most 1e-14 * (1 + |value|), the rounding allowance."""
-    return trial <= value + 1e-14 * (1.0 + abs(value))
-
-
 def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None = None) -> CriticalPoint:
     """Descend the action from `init` until the L2 residual meets grad_tol.
 
@@ -141,10 +135,9 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
     the action, along the conjugate direction or, when that is no descent,
     along steepest descent. Returns the converged critical point, or the
     last iterate with converged=False after max_iters or when neither
-    direction lowers the action (no descent at rounding level). An
-    accepted step never raises the action by more than 1e-14 * (1 + |I|),
-    the rounding allowance of the acceptance test. Raises NonFiniteValue if
-    the action or gradient overflows at an accepted iterate.
+    direction lowers the action (no descent at rounding level). Steps are
+    accepted by functionals.admits. Raises NonFiniteValue if the action or
+    gradient overflows at an accepted iterate.
 
     A stall above grad_tol is polished by Newton-MINRES (see the module
     docstring); `iterations` counts descent steps only.
@@ -185,7 +178,7 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
         tf = f + alpha * direction
         tfs = fs + alpha * direction_spec
         tv, tdens = eng.action(tf, tfs, with_density=True)
-        if np.isfinite(tv) and _admits(tv, val):
+        if np.isfinite(tv) and admits(tv, val):
             return tv, tf, tfs, tdens
         return None
 
@@ -253,7 +246,7 @@ def _polish(field: ComplexField, p: Params, value: float, tol: float) -> NewtonR
     classification, else None."""
     polished = newton_minres(field, p, tol, max_steps=POLISH_STEPS)
     if (polished.converged
-            and _admits(Kernel(field.grid, p).action(polished.field.values), value)
+            and admits(Kernel(field.grid, p).action(polished.field.values), value)
             and classify(polished.field) == classify(field)):
         return polished
     return None

@@ -26,7 +26,7 @@ import numpy as np
 
 from .ansatz import VortexAnsatz, fitted_vortex_ansatz, vortex_test_function
 from .field import ComplexField, TorusGrid
-from .functionals import Kernel, Params, action
+from .functionals import Kernel, Params, action, admits
 from .minimize import CriticalPoint
 from .newton import certified_tol, newton_minres
 from .spectrum import smallest_direction
@@ -151,8 +151,8 @@ def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None,
     Each sweep moves every interior node by NODE_STEPS fixed-size
     preconditioned descent steps v -> v - step * (1 - Lap)^(-1) grad I(v),
     starting at step STEP0, then reparametrizes the path. gamma never
-    increases across accepted sweeps; a sweep that would raise it is
-    rejected and the step halved. Returns (relaxed path, gamma estimate,
+    increases across accepted sweeps; a sweep whose gamma functionals.admits
+    refuses is rejected and the step halved. Returns (relaxed path, gamma estimate,
     node actions of the relaxed path) after opts.sweeps sweeps, or earlier
     once gamma has not improved by REL_TOL in opts.patience sweeps in a row
     (the string has stalled). `actions`, when given, are the node actions
@@ -198,7 +198,7 @@ def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None,
         trial = _reparametrize(trial, grid.quad_weight)
         trial_acts = actions_of(trial)
         new_gamma = float(trial_acts.max())
-        if new_gamma <= gamma + 1e-14 * (1.0 + abs(gamma)):
+        if admits(new_gamma, gamma):
             improved = gamma - new_gamma > REL_TOL * (1.0 + abs(gamma))
             nodes, acts = trial, trial_acts
             gamma = min(gamma, new_gamma)

@@ -2,7 +2,8 @@
 
 Each Newton step solves H[s] = -grad I by MINRES on the symmetric,
 indefinite Hessian, preconditioned by the inverse Helmholtz symbol
-(1 + |xi|^2)^(-1). The Hessian is singular along the symmetry directions
+(1 + |xi|^2)^(-1), on the Kernel's Hessian held at the step's iterate
+(Kernel.hessian_real). The Hessian is singular along the symmetry directions
 i*psi (global phase) and d_j psi (translations) at every nonconstant
 critical point, but the gradient is orthogonal to them at every field, so
 the system stays consistent and MINRES solves it without projecting them out
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import ComplexField, TorusGrid, from_real, to_real
-from .functionals import Kernel, Params, default_grad_tol, hessian_apply
+from .functionals import Kernel, Params, default_grad_tol
 
 # MINRES iterations allowed per Newton step.
 KRYLOV_MAX = 300
@@ -54,8 +55,9 @@ def newton_minres(init: ComplexField, p: Params, tol: float,
     """Newton iteration from `init` until ||grad I|| <= tol.
 
     Returns the last iterate with converged=False when max_steps is spent,
-    when no step length along the Newton direction decreases the residual,
-    or when the iterate leaves the finite range.
+    when a MINRES solution is not finite, when no step length along the
+    Newton direction decreases the residual, or when the iterate leaves the
+    finite range.
     """
     from scipy.sparse.linalg import LinearOperator, minres
 
@@ -63,19 +65,17 @@ def newton_minres(init: ComplexField, p: Params, tol: float,
     kern = Kernel(grid, p)
     dim = 2 * grid.node_count
     products = 0
-    f = init
+    f = init.values
 
-    def hess(x):
+    def matvec(x):
         nonlocal products
         products += 1
-        phi = ComplexField(grid, from_real(x, grid))
-        return to_real(hessian_apply(f, phi, p).values)
+        return hess(x)
 
-    # both read the current iterate f, so they are built once per solve
-    H = LinearOperator((dim, dim), matvec=hess, dtype=np.float64)
+    H = LinearOperator((dim, dim), matvec=matvec, dtype=np.float64)
     M = LinearOperator((dim, dim), matvec=kern.precondition_real, dtype=np.float64)
 
-    g = kern.gradient(f.values)
+    g = kern.gradient(f)
     res = np.sqrt(kern.dot(g, g))
     res0 = max(res, tol)
     steps = 0
@@ -84,21 +84,24 @@ def newton_minres(init: ComplexField, p: Params, tol: float,
         # its residual against ||H|| ||s||, which can exceed ||grad I|| by
         # the condition number, hence the small prefactor.
         eta = 1e-3 * np.sqrt(min(1.0, res / res0))
+        hess = kern.hessian_real(f)  # the Hessian held at this iterate, read by matvec
         x, _ = minres(H, to_real(-g), rtol=eta, maxiter=KRYLOV_MAX, M=M)
+        if not np.all(np.isfinite(x)):
+            break
         s = from_real(x, grid)
         alpha = 1.0
         hit = None
         for _ in range(MAX_BACKTRACKS):
-            values = f.values + alpha * s
+            values = f + alpha * s
             if np.all(np.isfinite(values)):
                 tg = kern.gradient(values)
                 tres = np.sqrt(kern.dot(tg, tg))
                 if tres <= (1.0 - 1e-4 * alpha) * res:
-                    hit = (ComplexField(grid, values), tg, tres)
+                    hit = (values, tg, tres)
                     break
             alpha *= 0.5
         if hit is None:
             break
         f, g, res = hit
         steps += 1
-    return NewtonResult(f, res, res <= tol, steps, products)
+    return NewtonResult(init.with_values(f), res, res <= tol, steps, products)

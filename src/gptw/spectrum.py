@@ -12,7 +12,7 @@ symmetry directions (symmetry_basis; no other module removes them). At a
 constant it gives the spectrum off the phase direction, cross-checked
 against the symbol formula and a dense eigensolve on small grids; at a
 saddle it gives the index witness (smallest_direction) and, with a larger
-block, the Morse count.
+block, the Morse count. The Hessian is Newton-MINRES's (Kernel.hessian_real).
 """
 
 from __future__ import annotations
@@ -151,7 +151,8 @@ def lanczos_smallest(matvec, precondition, basis: np.ndarray, count: int, rng,
     components along it that would keep the residuals up. LOBPCG iterates
     to ITERATE_TOL_FRACTION * tol for at most MAX_BLOCK_ITERS iterations.
     Raises NoConvergence when a residual ||A x - lambda x|| of a returned
-    unit Ritz vector is above tol, and ValueError unless count >= 1 and the
+    unit Ritz vector is above tol or a block product is not finite, and
+    ValueError unless count >= 1 and the
     complement has 5 * count dimensions or more, below which lobpcg does not
     iterate. scipy.sparse.linalg is imported on first use. The name is older
     than LOBPCG; perfbench/tracer.py looks it up, so it stays until the trace
@@ -167,6 +168,8 @@ def lanczos_smallest(matvec, precondition, basis: np.ndarray, count: int, rng,
     # lobpcg applies both operators to blocks of column vectors
     def A(X):
         out = np.column_stack([matvec(x) for x in X.T])
+        if not np.all(np.isfinite(out)):
+            raise NoConvergence("LOBPCG: the operator returned non-finite values")
         return out - basis @ (basis.T @ out)
 
     def M(X):
@@ -213,15 +216,15 @@ def symmetry_basis(f: ComplexField) -> np.ndarray:
 
 
 def hessian_operator(base: ComplexField, p: Params):
-    """Matrix-free Hessian at `base` on flattened real coordinates
-    (field.to_real layout), as a function of one vector."""
-    grid = base.grid
+    """Matrix-free Hessian held at `base` on flattened real coordinates
+    (field.to_real layout), as a function of one vector (Kernel.hessian_real)."""
+    return Kernel(base.grid, p).hessian_real(base.values)
 
-    def matvec(vec):
-        phi = ComplexField(grid, from_real(vec, grid))
-        return to_real(hessian_apply(base, phi, p).values)
 
-    return matvec
+def _smallest_pairs(base: ComplexField, p: Params, count: int, rng, tol: float = 1e-6):
+    """lanczos_smallest of the Hessian at `base`, off symmetry_basis(base)."""
+    return lanczos_smallest(hessian_operator(base, p), Kernel(base.grid, p).precondition_real,
+                            symmetry_basis(base), count, rng, tol=tol)
 
 
 def smallest_direction(base: ComplexField, p: Params, rng) -> tuple[float, ComplexField]:
@@ -233,11 +236,8 @@ def smallest_direction(base: ComplexField, p: Params, rng) -> tuple[float, Compl
     index witness needs only the sign; the eigenvalue is still accurate to
     about the square of that over the spectral gap.
     """
-    grid = base.grid
-    matvec = hessian_operator(base, p)
-    vals, vecs = lanczos_smallest(matvec, Kernel(grid, p).precondition_real,
-                                  symmetry_basis(base), 1, rng, tol=1e-3)
-    return float(vals[0]), ComplexField(grid, from_real(vecs[:, 0], grid))
+    vals, vecs = _smallest_pairs(base, p, 1, rng, tol=1e-3)
+    return float(vals[0]), ComplexField(base.grid, from_real(vecs[:, 0], base.grid))
 
 
 def dense_hessian(base: ComplexField, p: Params) -> np.ndarray:
@@ -280,9 +280,7 @@ def hessian_spectrum_at_constant(theta: float, p: Params, grid: TorusGrid,
     base = constant(theta, grid)
     hphase = hessian_apply(base, ComplexField(grid, 1j * base.values), p)
     degenerate_residual = l2_norm(hphase)
-    matvec = hessian_operator(base, p)
-    vals, vecs = lanczos_smallest(matvec, Kernel(grid, p).precondition_real,
-                                  symmetry_basis(base), count, np.random.default_rng(seed))
+    vals, vecs = _smallest_pairs(base, p, count, np.random.default_rng(seed))
     plus, minus = _symbol_branches(grid, p.c)
     entries = []
     for value, vec in zip(vals.tolist(), vecs.T):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gptw import cli
-from gptw.cli import load_config, main, write_pgm
+from gptw.cli import (certificate_csv_header, certificate_csv_row, load_config, main,
+                      write_pgm)
 from gptw.field import TorusGrid, read_field, write_field
 from gptw.functionals import Params, action, certify
 from gptw.ansatz import constant, plane_wave
@@ -80,6 +81,17 @@ class TestInfoAndCertify:
         assert float(row["residual"]) <= 1e-9
         assert abs(complex(float(row["cert_integral_re"]), float(row["cert_integral_im"]))) <= 1e-9
         assert abs(float(row["cert_lift"])) <= 1e-9
+
+    def test_csv_row(self):
+        grid16, p1 = TorusGrid((16, 16), 2 * np.pi), Params(c=1.0)
+        f = constant(0.0, grid16)
+        rep = action(f, p1)
+        cert = certify(f, p1)
+        header = certificate_csv_header()
+        row = certificate_csv_row(grid16, p1, rep, cert)
+        assert header.split(",")[0] == "T"
+        assert len(row.split(",")) == len(header.split(","))
+        assert row.split(",")[1] == "1"
 
 
 class TestMinimizeCommand:

@@ -14,8 +14,6 @@ from gptw.functionals import (
     Kernel,
     Params,
     action,
-    certificate_csv_header,
-    certificate_csv_row,
     certify,
     energy,
     gradient,
@@ -291,16 +289,6 @@ class TestCertify:
         pairing = l2_product(gradient(f, p1), f)
         assert cert.lifted
         assert abs(cert.lift_identity - pairing) <= 1e-10 * abs(pairing)
-
-    def test_csv_row(self, grid16, p1):
-        f = constant(0.0, grid16)
-        rep = action(f, p1)
-        cert = certify(f, p1)
-        header = certificate_csv_header()
-        row = certificate_csv_row(grid16, p1, rep, cert)
-        assert header.split(",")[0] == "T"
-        assert len(row.split(",")) == len(header.split(","))
-        assert row.split(",")[1] == "1"
 
 
 _RAY_GRIDS = [((16, 16), 2 * np.pi), ((8, 8, 8), 3.0)]

@@ -1,12 +1,22 @@
-"""Package structure: no module reaches into another module's private names."""
+"""Package structure: no module reaches into another module's private
+names, and every name the benchmark looks up exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "gptw"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "gptw"
 MODULES = sorted(SRC.glob("*.py"))
+PERFBENCH = ROOT / "perfbench"
+# Entries of the tracer's TRACED table whose functions no longer exist;
+# their metrics (minimize.finalize_s) read 0.
+STALE_TRACED = {("gptw.minimize", "_finalize"), ("gptw.spectrum", "_lanczos_pass")}
+# Names the workloads look up as strings: the scan wraps the start
+# builders where constancy_scan finds them.
+LOOKED_UP = [("gptw.spectrum", "perturb"), ("gptw.spectrum", "vortex_test_function")]
 
 
 def _private_imports(path):
@@ -43,3 +53,43 @@ def test_detects_private_import(tmp_path):
                      "from numpy import _core\n")
     assert _private_imports(probe) == [(1, ".minimize", "_finalize"),
                                        (2, "gptw.field", "_same_grid")]
+
+
+def _traced_names():
+    """(module, attribute) of each entry of perfbench/tracer.py's TRACED."""
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "TRACED" for t in node.targets)):
+            return [(module, attr) for module, attr, _ in ast.literal_eval(node.value)]
+    raise AssertionError("no TRACED table in perfbench/tracer.py")
+
+
+def _called_names(path):
+    """(module, attribute) of every gptw.<name> and gptw.<module>.<name>
+    attribute read in the file at `path`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.Name) and owner.id == "gptw":
+            found.add(("gptw", node.attr))
+        elif (isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name)
+              and owner.value.id == "gptw"):
+            found.add((f"gptw.{owner.attr}", node.attr))
+    return found
+
+
+def test_benchmark_names_resolve():
+    # the tracer skips a name it cannot find, and its metric then reads 0
+    traced = set(_traced_names()) - STALE_TRACED
+    called = set(LOOKED_UP)
+    for script in ("run.py", "workloads.py"):
+        called |= _called_names(PERFBENCH / script)
+    assert {("gptw", "transform_forward"), ("gptw", "gradient"), ("gptw", "action"),
+            ("gptw", "hessian_apply"), ("gptw.minimize", "minimize_action")} <= called
+    missing = [(module, attr) for module, attr in sorted(traced | called)
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []

@@ -1,7 +1,9 @@
 """Newton-MINRES refinement and its certified stopping rule."""
 
-from gptw.ansatz import perturb, plane_wave
-from gptw.field import TorusGrid
+import numpy as np
+
+from gptw.ansatz import constant, perturb, plane_wave
+from gptw.field import ComplexField, TorusGrid
 from gptw.functionals import Params, certify
 from gptw.minimize import PLANE_WAVE, classify
 from gptw.newton import certified_tol, newton_minres
@@ -28,3 +30,33 @@ def test_converges_to_unstable_plane_wave():
     assert certify(run.field, P1).residual <= tol
     assert classify(run.field) == PLANE_WAVE
     assert run.products >= run.steps >= 1
+
+
+def test_non_finite_field_stops_unconverged():
+    # |f|^2 overflows on this field: Newton returns it unconverged, untouched
+    g = TorusGrid((16, 16), 2 * np.pi)
+    big = ComplexField(g, 1e154 * perturb(constant(0.0, g), 0.5, 2, 0).values)
+    with np.errstate(all="ignore"):
+        run = newton_minres(big, P1, certified_tol(g, P1))
+    assert not run.converged
+    assert run.steps == 0
+    assert np.array_equal(run.field.values, big.values)
+
+
+def test_non_finite_minres_solution_stops_unconverged(monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    calls = []
+
+    def minres(A, b, **kwargs):
+        calls.append(b)
+        return np.full_like(b, np.nan), 0
+
+    monkeypatch.setattr(sla, "minres", minres)
+    g = TorusGrid((32, 32), 4.25)
+    start = perturb(plane_wave(-1, 1.0, g), 0.01, 2, seed=0)
+    run = newton_minres(start, P1, certified_tol(g, P1))
+    assert len(calls) == 1
+    assert not run.converged
+    assert run.steps == 0
+    assert np.array_equal(run.field.values, start.values)

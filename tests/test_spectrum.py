@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gptw
-from gptw.field import ComplexField, TorusGrid, l2_product, to_real
+from gptw import functionals, spectrum
+from gptw.field import ComplexField, TorusGrid, from_real, l2_product, to_real
 from gptw.functionals import Params, hessian_apply
 from gptw.ansatz import constant, perturb
 from gptw.spectrum import (
@@ -18,6 +20,7 @@ from gptw.spectrum import (
     case1_bound,
     constancy_scan,
     dense_hessian,
+    hessian_operator,
     hessian_spectrum_at_constant,
     lanczos_smallest,
     plane_wave_onset,
@@ -106,6 +109,27 @@ class TestLanczos:
         assert quad / l2_product(witness, witness) == pytest.approx(value, rel=1e-9)
         assert np.all(np.abs(symmetry_basis(f).T @ to_real(witness.values)) <= 1e-10)
 
+    def test_non_finite_product_fails_fast(self, grid16, monkeypatch):
+        # |f|^2 overflows on this field: the first block product is not
+        # finite, and the solve stops there rather than iterating on NaN
+        f = perturb(constant(0.0, grid16), 0.5, 2, 0)
+        big = ComplexField(grid16, 1e154 * f.values)
+        products = []
+        original = spectrum.hessian_operator
+
+        def counting(base, p):
+            matvec = original(base, p)
+
+            def counted(x):
+                products.append(x)
+                return matvec(x)
+            return counted
+
+        monkeypatch.setattr(spectrum, "hessian_operator", counting)
+        with np.errstate(all="ignore"), pytest.raises(NoConvergence, match="non-finite"):
+            smallest_direction(big, Params(c=1.0), np.random.default_rng(0))
+        assert len(products) == 1
+
     def test_import_does_not_load_eigensolver(self):
         # scipy.sparse.linalg is imported on first use, not with the package
         code = ("import sys, gptw; "
@@ -115,6 +139,46 @@ class TestLanczos:
         run = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
+
+
+_HELD_GRIDS = [((16, 16), 2 * np.pi), ((8, 8, 8), 3.0)]
+
+
+class TestHeldHessian:
+    """The Kernel's Hessian held at a base, the one product behind
+    Newton-MINRES, LOBPCG, the dense check and hessian_apply."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=8,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(grid=st.sampled_from(_HELD_GRIDS), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(0.1, 2.0), column=st.integers(0, 2**20))
+    def test_matches_apply_and_dense(self, grid, seed, scale, column, fft_calls):
+        grid = TorusGrid(*grid)
+        p = Params(c=1.0)
+        rng = np.random.default_rng(seed)
+        base = ComplexField(grid, scale * (rng.standard_normal(grid.sizes)
+                                           + 1j * rng.standard_normal(grid.sizes)))
+        directions = rng.standard_normal((5, 2 * grid.node_count))
+
+        densities = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(functionals, "density",
+                      lambda v, _fn=functionals.density: densities.append(v) or _fn(v))
+            held = hessian_operator(base, p)
+            products = []
+            for x in directions:
+                before = len(fft_calls)
+                products.append(held(x))
+                assert len(fft_calls) - before == 2
+        assert len(densities) == 1
+
+        for x, hx in zip(directions, products):
+            want = to_real(hessian_apply(base, ComplexField(grid, from_real(x, grid)), p).values)
+            assert np.linalg.norm(hx - want) <= 1e-13 * np.linalg.norm(want)
+        j = column % (2 * grid.node_count)
+        dense_column = dense_hessian(base, p)[:, j]
+        hx = held(np.eye(1, 2 * grid.node_count, j)[0])
+        assert np.linalg.norm(hx - dense_column) <= 1e-13 * np.linalg.norm(dense_column)
 
 
 class TestSpectrumAtConstant:
