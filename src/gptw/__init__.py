@@ -9,12 +9,14 @@ from .field import (
     TorusGrid,
     VortexPresent,
     axis_windings,
+    coarsest_grid,
     inner_product,
     l2_norm,
     l2_product,
     lift,
     read_field,
     read_header,
+    resample,
     spectral_derivative,
     transform_forward,
     transform_inverse,

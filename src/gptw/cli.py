@@ -209,8 +209,10 @@ def _cmd_minimize(args) -> int:
     (out / "certificate.csv").write_text(_certificate_csv(point.field, p), encoding="utf-8")
     if args.images:
         _field_images(out, "minimizer", point.field)
+    coarse = "x".join([str(row["coarse_size"])] * resolved["N"])
     print(f"minimize: action={_fmt(point.report.action)} residual={_fmt(point.residual)} "
-          f"classification={point.classification} -> {out}")
+          f"classification={point.classification} "
+          f"coarse={coarse} ({row['coarse_iterations']} iterations) -> {out}")
     return 0 if point.converged else 3
 
 
@@ -247,8 +249,10 @@ def _cmd_mp(args) -> int:
                                                  encoding="utf-8")
     if args.images:
         _field_images(out, "saddle", saddle.field)
+    coarse = "x".join(str(m) for m in result.relax_grid.sizes)
     print(f"mp: gamma={_fmt(result.gamma)} M={_fmt(upper)} "
-          f"saddle action={_fmt(saddle.report.action)} residual={_fmt(saddle.residual)} -> {out}")
+          f"saddle action={_fmt(saddle.report.action)} residual={_fmt(saddle.residual)} "
+          f"coarse={coarse} -> {out}")
     return 0 if saddle.converged else 3
 
 

@@ -5,6 +5,13 @@ uniform grid. Derivatives act as Fourier multipliers and integrals are
 rectangle-rule sums, which is spectrally accurate for smooth periodic
 integrands. Axis 0 is the traveling direction x1. A ComplexField holds node
 values; Fourier coefficients are plain arrays (transform_forward).
+
+Grids of one torus are nested by halving: resample moves a field between
+them by spectral interpolation, zero-padding or truncating its spectrum
+(Trefethen, Spectral Methods in MATLAB, 2000), and coarsest_grid picks the
+coarsest halving whose spectral tail says it still resolves a field. The
+solvers use the pair for nested iteration (Brandt, Math. Comp. 31, 1977):
+find a basin on the coarse grid, finish and certify on the target grid.
 """
 
 from __future__ import annotations
@@ -23,6 +30,13 @@ GPTW_VERSION = 1
 UNWRAP_TOL = 1e-6
 # Modulus floor below which a global phase lifting is refused.
 LIFT_FLOOR = 0.1
+# Largest spectral tail (coarsest_grid) of a field on a grid that resolves
+# it. On the criterion-6 saddle the tail is within a factor 6-32 of the
+# action error against the 128^2 saddle, so 1e-5 keeps that error near 1e-5
+# or below. Relaxing the criterion-6 string (T = 40, R = 8) at 32^2, where
+# 1 + w_R has a tail of 4e-4, instead of 64^2 (1.2e-6) moves its 128^2
+# gamma by 7.7e-4.
+TAIL_BOUND = 1e-5
 
 
 class GridMismatch(ValueError):
@@ -160,9 +174,6 @@ class ComplexField:
     def conjugate(self) -> "ComplexField":
         return self.with_values(np.conj(self.values))
 
-    def modulus(self) -> np.ndarray:
-        return np.abs(self.values)
-
 
 def _same_grid(a: ComplexField, b: ComplexField):
     if a.grid != b.grid:
@@ -215,6 +226,80 @@ def transform_forward(f: ComplexField) -> np.ndarray:
 def transform_inverse(coeffs: np.ndarray, grid: TorusGrid) -> ComplexField:
     """The field whose transform_forward coefficients are `coeffs`."""
     return ComplexField(grid, fft_inverse(coeffs))
+
+
+def _resize_axis(spec: np.ndarray, axis: int, size: int) -> np.ndarray:
+    """Normalized spectrum `spec` with `axis` zero-padded or truncated to
+    `size` modes: padding splits the Nyquist mode k = -n/2 evenly between
+    k = +n/2 and k = -n/2, truncation folds k = +m/2 and k = -m/2 into it."""
+    src = np.moveaxis(spec, axis, 0)
+    n = src.shape[0]
+    out = np.zeros((size,) + src.shape[1:], dtype=np.complex128)
+    h = min(n, size) // 2
+    out[:h] = src[:h]
+    out[size - h + 1:] = src[n - h + 1:]
+    if size > n:
+        out[h] = out[size - h] = 0.5 * src[h]
+    else:
+        out[h] = src[h] + src[n - h]
+    return np.moveaxis(out, 0, axis)
+
+
+def resample(f: ComplexField, grid: TorusGrid) -> ComplexField:
+    """f on another grid of its period and dimension, by zero-padding or
+    truncating its normalized spectrum axis by axis; f itself when `grid`
+    is f.grid, else two transforms.
+
+    Prolongation splits the Nyquist mode evenly between +n/2 and -n/2, so
+    it gives the trigonometric interpolant of f, which takes f's values at
+    f's nodes. Restriction drops the modes beyond the coarse Nyquist mode
+    and folds +m/2 and -m/2 into it, so it undoes a prolongation. Both are
+    exact for band-limited fields.
+    """
+    if grid == f.grid:
+        return f
+    if grid.dim != f.grid.dim or grid.period != f.grid.period:
+        raise GridMismatch(f"cannot resample {f.grid} onto {grid}")
+    spec = fft_forward(f.values)
+    for ax, size in enumerate(grid.sizes):
+        if size != f.grid.sizes[ax]:
+            spec = _resize_axis(spec, ax, size)
+    return ComplexField(grid, fft_inverse(spec))
+
+
+def coarsest_grid(f: ComplexField) -> TorusGrid:
+    """The coarsest grid that resolves f among f.grid and its halvings.
+
+    Every axis is halved while the sizes stay even and >= 8 and f has a
+    spectral tail <= TAIL_BOUND on the halved grid.
+    The tail on a grid of n points per axis is the energy sum |f_k|^2 of
+    f's modes with max_j |k_j| > n/3 over that of all its nonconstant
+    modes: the share of the nonconstant energy that the 2/3 rule would cut
+    there, or that the grid cannot hold at all. A tail below the rounding
+    of f's energy counts as none, so a constant field halves as far as the
+    sizes allow. One forward transform of f on its own grid gives the tail
+    of every halving.
+    """
+    power = np.abs(fft_forward(f.values)) ** 2
+    noise = np.finfo(float).eps * float(power.sum())
+    # max_j |k_j| / M_j of each mode of f.grid; on the grid halved l times
+    # the same mode sits at 2^l times this fraction of its axis
+    reach = np.zeros(f.grid.sizes)
+    for ax, m in enumerate(f.grid.sizes):
+        shape = [1] * f.grid.dim
+        shape[ax] = m
+        reach = np.maximum(reach, np.abs(f.grid.integer_modes(ax)).reshape(shape) / m)
+    total = float(power[reach > 0].sum())
+    grid = f.grid
+    while True:
+        sizes = tuple(m // 2 for m in grid.sizes)
+        if any(m < 8 or m % 2 for m in sizes):
+            return grid
+        reach *= 2.0
+        tail = float(power[reach > 1.0 / 3.0].sum())
+        if tail > TAIL_BOUND * total + noise:
+            return grid
+        grid = TorusGrid(sizes, grid.period)
 
 
 def spectral_derivative(f: ComplexField, axis: int) -> ComplexField:

@@ -14,18 +14,31 @@ negative Hessian direction off the symmetry directions
 Each field's action is evaluated once: relax_path returns the node actions
 of its path and takes those of the path it is given when the caller holds
 them, and find_saddle takes them too. The pipeline evaluates the initial
-path once, for M and as relax_path's first gamma. The saddle's
-CriticalPoint comes from the Newton result at one transform, its action.
+path once, for M and, when the string relaxes on the target grid, as
+relax_path's first gamma. The saddle's CriticalPoint comes from the Newton
+result at one transform, its action.
+
+The pipeline relaxes the string by nested iteration (Brandt, Math. Comp. 31,
+1977): on field.coarsest_grid of the path's top node 1 + w_R, from the path
+restricted there by field.resample. The string costs about as many sweeps
+on every grid that resolves the path, so the coarse grid finds the pass at
+a fraction of the cost. The coarse string is only a start: its interior
+nodes are prolonged to the target grid between the path's own endpoints,
+their actions are evaluated there, and gamma, the saddle's Newton
+refinement and its index witness are all taken on the target grid. A start
+near a basin boundary may reach a different saddle this way than a
+relaxation on the target grid alone. relax_path and find_saddle themselves
+run on whatever grid their path lives on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ansatz import VortexAnsatz, fitted_vortex_ansatz, vortex_test_function
-from .field import ComplexField, TorusGrid
+from .field import ComplexField, TorusGrid, coarsest_grid, resample
 from .functionals import Kernel, Params, action, admits
 from .minimize import CriticalPoint
 from .newton import certified_tol, newton_minres
@@ -84,12 +97,15 @@ class RelaxOptions:
 class SaddleResult:
     """A refined saddle; path_actions are the node actions of the path
     handed to find_saddle, gamma their max, and index_witness has Rayleigh
-    quotient witness_value < 0."""
+    quotient witness_value < 0. relax_grid is the grid
+    mountain_pass_pipeline relaxed the string on, None when find_saddle was
+    handed a path relaxed elsewhere."""
 
     saddle: CriticalPoint
     path_actions: np.ndarray
     index_witness: ComplexField
     witness_value: float
+    relax_grid: TorusGrid | None = None
 
     @property
     def gamma(self) -> float:
@@ -288,14 +304,31 @@ def mountain_pass_pipeline(c: float, grid: TorusGrid, R: float,
                            saddle_opts: SaddleOptions | None = None):
     """init -> relax -> refine. Returns (SaddleResult, relaxed path, M).
 
-    M is the max action over the straight initial path, the T-independent
-    upper bound for gamma, the max node action of the relaxed path. Each
-    path's node actions are evaluated once and handed on: the initial
-    path's give M and relax_path's first gamma, the relaxed path's the
-    saddle's start and SaddleResult.path_actions.
+    M is the max action over the straight initial path on `grid`, the
+    T-independent upper bound for gamma, the max node action of the relaxed
+    path. The string relaxes on field.coarsest_grid of the path's top node
+    1 + w_R, from the path restricted there (see the module docstring). Its
+    interior nodes are then prolonged to `grid` between the path's own
+    endpoints, so the relaxed path, its node actions, gamma and the saddle
+    refined from its max node all live on `grid`; SaddleResult.relax_grid
+    names the grid the string relaxed on. When that grid is `grid`, the
+    relaxation runs there only. Each node action
+    is evaluated once on `grid`: the initial path's give M and, on `grid`,
+    relax_path's first gamma, and the relaxed path's the saddle's start and
+    SaddleResult.path_actions.
     """
     p = Params(c=c)
     path = init_path(grid, R, node_count, ansatz)
     acts = path.actions(p)
-    relaxed, _, relaxed_acts = relax_path(path, p, relax_opts, acts)
-    return find_saddle(relaxed, p, saddle_opts, relaxed_acts), relaxed, float(acts.max())
+    coarse = coarsest_grid(path.nodes[-1])
+    if coarse == grid:
+        relaxed, _, relaxed_acts = relax_path(path, p, relax_opts, acts)
+    else:
+        start = Path(tuple(resample(n, coarse) for n in path.nodes))
+        strung, _, _ = relax_path(start, p, relax_opts)
+        interior = tuple(resample(n, grid) for n in strung.nodes[1:-1])
+        relaxed = Path((path.nodes[0],) + interior + (path.nodes[-1],))
+        eng = Kernel(grid, p)
+        relaxed_acts = np.array([acts[0], *(eng.action(n.values) for n in interior), acts[-1]])
+    result = replace(find_saddle(relaxed, p, saddle_opts, relaxed_acts), relax_grid=coarse)
+    return result, relaxed, float(acts.max())

@@ -100,6 +100,8 @@ class TestMinimizeCommand:
         code = main(["minimize", "--c", "1", "--T", "14", "--size", "32",
                      "--R", "2.5", "--out", str(out)])
         assert code == 0
+        # the start is not resolved on 16^2, so the descent stays on 32^2
+        assert "coarse=32x32 (0 iterations)" in capsys.readouterr().out
         assert (out / "summary.csv").exists()
         assert (out / "certificate.csv").exists()
         assert (out / "minimizer.gptw").exists()
@@ -155,9 +157,10 @@ class TestMinimizeCommand:
 class TestMountainPassCommand:
     ARGS = ["mp", "--c", "1", "--T", "29", "--size", "32", "--R", "3.5", "--nodes", "9"]
 
-    def test_run_and_artifacts(self, tmp_path):
+    def test_run_and_artifacts(self, tmp_path, capsys):
         out = tmp_path / "mp"
         assert main(self.ARGS + ["--out", str(out)]) == 0
+        assert "coarse=32x32" in capsys.readouterr().out
         for name in ("saddle.csv", "path_actions.csv", "saddle_certificate.csv",
                      "run_config.txt", "saddle.gptw"):
             assert (out / name).exists()

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gptw.ansatz import (constant, fitted_vortex_ansatz, perturb, plane_wave,
+                         vortex_test_function)
 from gptw.field import (
     ComplexField,
     FieldFormatError,
@@ -12,17 +14,20 @@ from gptw.field import (
     TorusGrid,
     VortexPresent,
     axis_windings,
+    coarsest_grid,
     inner_product,
     l2_norm,
     l2_product,
     lift,
     read_field,
     read_header,
+    resample,
     spectral_derivative,
     transform_forward,
     transform_inverse,
     write_field,
 )
+from gptw.functionals import Kernel, Params
 
 
 def random_field(grid, seed, scale=1.0):
@@ -400,3 +405,140 @@ class TestFieldFileProperties:
             return
         write_field(path, f, c=c)
         assert path.read_bytes() == raw
+
+
+# ---------------------------------------------------------------------------
+# Spectral resampling between nested grids, and the coarsest grid that
+# resolves a field.
+# ---------------------------------------------------------------------------
+
+_coarse_sizes = st.one_of(
+    st.tuples(*[st.sampled_from((8, 10, 12, 16))] * 2),
+    st.tuples(*[st.sampled_from((8, 10))] * 3),
+)
+
+
+@st.composite
+def _coarse_fields(draw, band_limited):
+    """A seeded Gaussian field on a small 2-d or 3-d grid. band_limited
+    zeroes every mode with |k_j| = n_j/2 on some axis, so the field has no
+    Nyquist content; otherwise every mode is drawn."""
+    sizes = draw(_coarse_sizes)
+    grid = TorusGrid(sizes, draw(st.floats(min_value=1.0, max_value=100.0)))
+    f = random_field(grid, draw(st.integers(0, 2**32 - 1)))
+    if not band_limited:
+        return f
+    spec = transform_forward(f)
+    for ax, m in enumerate(sizes):
+        index = [slice(None)] * len(sizes)
+        index[ax] = m // 2
+        spec[tuple(index)] = 0.0
+    return transform_inverse(spec, grid)
+
+
+def _refined(grid, factors):
+    return TorusGrid(tuple(f * m for f, m in zip(factors, grid.sizes)), grid.period)
+
+
+class TestResample:
+    @_PROPERTY
+    @given(_coarse_fields(band_limited=False),
+           st.lists(st.sampled_from((1, 2, 3)), min_size=3, max_size=3))
+    def test_restriction_undoes_prolongation(self, f, factors):
+        fine = resample(f, _refined(f.grid, factors))
+        back = resample(fine, f.grid)
+        assert back.grid == f.grid
+        assert np.abs(back.values - f.values).max() <= 1e-13 * (1 + np.abs(f.values).max())
+
+    @_PROPERTY
+    @given(_coarse_fields(band_limited=False))
+    def test_prolongation_interpolates(self, f):
+        # the Nyquist split keeps the interpolant equal to f at f's nodes
+        fine = resample(f, _refined(f.grid, (2, 2, 2)))
+        nodes = fine.values[(slice(None, None, 2),) * f.grid.dim]
+        assert np.abs(nodes - f.values).max() <= 1e-13 * (1 + np.abs(f.values).max())
+
+    @_PROPERTY
+    @given(_coarse_fields(band_limited=False))
+    def test_prolongation_keeps_real_fields_real(self, f):
+        # the Nyquist split: a whole coarse Nyquist mode on +n/2 or -n/2
+        # alone would interpolate cos(pi x / h) by exp(+-i pi x / h)
+        real = f.with_values(f.values.real)
+        fine = resample(real, _refined(f.grid, (2, 2, 2)))
+        assert np.abs(fine.values.imag).max() <= 1e-13 * (1 + np.abs(f.values).max())
+
+    @_PROPERTY
+    @given(_coarse_fields(band_limited=True), st.floats(min_value=0.0, max_value=2.0))
+    def test_prolongation_keeps_kinetic_energy_and_momentum(self, f, c):
+        fine = resample(f, _refined(f.grid, (2, 2, 2)))
+        p = Params(c=c)
+        kin, _, mom = Kernel(f.grid, p).parts(f.values)
+        kin_fine, _, mom_fine = Kernel(fine.grid, p).parts(fine.values)
+        assert abs(kin_fine - kin) <= 1e-12 * kin
+        assert abs(mom_fine - mom) <= 1e-12 * kin
+
+    def test_same_grid_is_identity(self, grid16):
+        f = random_field(grid16, 3)
+        assert resample(f, grid16) is f
+
+    @pytest.mark.parametrize("sizes,period", [((32, 32), 3.0), ((32, 32, 32), 2 * np.pi)])
+    def test_other_torus_rejected(self, grid16, sizes, period):
+        with pytest.raises(GridMismatch):
+            resample(random_field(grid16, 3), TorusGrid(sizes, period))
+
+
+class TestCoarsestGrid:
+    @pytest.mark.parametrize("size", [256, 128])
+    def test_vortex_pair_at_criterion_scale(self, size):
+        g = TorusGrid((size, size), 40.0)
+        f = vortex_test_function(fitted_vortex_ansatz(8.0, 40.0), g)
+        assert coarsest_grid(f) == TorusGrid((64, 64), 40.0)
+
+    def test_small_pair_keeps_its_grid(self):
+        # its truncation to 32^2 has a tail of 5.7e-5
+        g = TorusGrid((64, 64), 29.0)
+        f = vortex_test_function(fitted_vortex_ansatz(3.5, 29.0), g)
+        assert coarsest_grid(f) == g
+
+    def test_band_limited_perturbation(self):
+        # modes |k| <= 4 lie below n/3 at 16^2, not at 8^2
+        g = TorusGrid((64, 64), 3.0)
+        f = perturb(constant(0.0, g), 0.5, 4, 123)
+        assert coarsest_grid(f) == TorusGrid((16, 16), 3.0)
+
+    def test_content_past_a_coarse_nyquist_mode_counts_as_tail(self):
+        # k = 5 sits below n/3 at 16^2 and past the Nyquist mode at 8^2,
+        # where the truncation would drop it and leave the zero field
+        g = TorusGrid((64, 64), 40.0)
+        assert coarsest_grid(plane_wave(5, 0.0, g)) == TorusGrid((16, 16), 40.0)
+
+    def test_white_noise_keeps_its_grid(self, grid16):
+        assert coarsest_grid(random_field(grid16, 5)) == grid16
+
+    @pytest.mark.parametrize("sizes,want", [
+        ((96, 96), (12, 12)),
+        ((40, 96), (10, 24)),
+        ((8, 8), (8, 8)),
+        ((64, 64, 64), (8, 8, 8)),
+    ])
+    def test_constant_halves_while_sizes_are_even_and_at_least_8(self, sizes, want):
+        g = TorusGrid(sizes, 5.0)
+        assert coarsest_grid(constant(1.0, g)) == TorusGrid(want, 5.0)
+
+    @_PROPERTY
+    @given(st.one_of(st.tuples(*[st.sampled_from(range(8, 201, 2))] * 2),
+                     st.tuples(*[st.sampled_from((8, 12, 16, 24, 32))] * 3)),
+           st.integers(0, 2**32 - 1), st.sampled_from((1, 2, 3, 6)))
+    def test_sizes_stay_even_and_at_least_8(self, sizes, seed, band):
+        g = TorusGrid(sizes, 7.0)
+        band = min(band, min(sizes) // 2 - 1)
+        got = coarsest_grid(perturb(constant(1.0, g), 0.3, band, seed))
+        ratios = {m // n for m, n in zip(sizes, got.sizes)}
+        assert len(ratios) == 1 and all(m % n == 0 for m, n in zip(sizes, got.sizes))
+        assert all(n >= 8 and n % 2 == 0 for n in got.sizes)
+        assert got.period == g.period
+        # modes |k_j| <= band leave no tail on a grid with n_j >= 3 * band,
+        # so the halving stops only where the next grid is invalid or finer
+        # than that
+        halved = [n // 2 for n in got.sizes]
+        assert any(n < 8 or n % 2 for n in halved) or min(halved) < 3 * band

@@ -319,3 +319,71 @@ class TestMinimizerExperiment:
         init = constant(0.0, g)
         with pytest.raises(ValueError):
             minimizer_experiment(1.0, 3.0, 32, 2.0, init=init)
+
+
+def _transform_shapes(monkeypatch):
+    """Record the shape of every array handed to field.fft_forward or
+    field.fft_inverse, through each gptw module that binds them."""
+    import gptw
+    from gptw import field
+
+    shapes = []
+    for name in ("fft_forward", "fft_inverse"):
+        original = getattr(field, name)
+
+        def counting(values, _fn=original):
+            shapes.append(values.shape)
+            return _fn(values)
+
+        for module in vars(gptw).values():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return shapes
+
+
+class TestNestedDescent:
+    """minimizer_experiment finds the basin on the coarsest grid that
+    resolves its start and finishes on the target grid."""
+
+    def test_target_grid_only_finishes(self, monkeypatch):
+        T = 40.0
+        g = TorusGrid((256, 256), T)
+        init = vortex_test_function(fitted_vortex_ansatz(8.0, T), g)
+        shapes = _transform_shapes(monkeypatch)
+        log = io.StringIO()
+        point, row = minimizer_experiment(1.0, T, 256, 8.0, init=init,
+                                          opts=MinimizeOptions(grad_tol=2e-7, log_stream=log))
+        assert point.converged and point.field.grid == g
+        assert row["coarse_size"] == 64 and row["coarse_iterations"] > 0
+        # the coarse grid's tail, the restriction, the prolongation, and the
+        # target descent's set-up: no target-grid iteration is left
+        assert shapes.count((256, 256)) <= 6
+        assert shapes.count((64, 64)) >= 2 * row["coarse_iterations"]
+        # the log is the target-grid descent's
+        assert len(log.getvalue().splitlines()) == point.iterations
+
+    def test_resolved_start_descends_on_its_grid(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(minimize, "minimize_action",
+                            lambda init, *a: calls.append(init.grid) or minimize_action(init, *a))
+        g = TorusGrid((64, 64), 29.0)
+        point, row = minimizer_experiment(1.0, 29.0, 64, 3.5)
+        assert calls == [g]
+        assert row["coarse_size"] == 64 and row["coarse_iterations"] == 0
+
+    def test_plane_wave_start_stays_a_plane_wave(self):
+        # the k = 5 wave is critical and resolved on 16^2, not on 8^2
+        g = TorusGrid((64, 64), 40.0)
+        point, row = minimizer_experiment(0.0, 40.0, 64, 8.0, init=plane_wave(5, 0.0, g))
+        assert point.converged and point.field.grid == g
+        assert row["coarse_size"] == 16
+        assert row["classification"] == "PlaneWave"
+
+    def test_constancy_scan_descends_once_per_start(self, monkeypatch):
+        from gptw import spectrum
+
+        calls = []
+        monkeypatch.setattr(spectrum, "minimize_action",
+                            lambda init, *a: calls.append(init.grid) or minimize_action(init, *a))
+        spectrum.constancy_scan(1.0, [1.0, 1.5], starts=3, resolution=16, seed=0)
+        assert calls == [TorusGrid((16, 16), 1.0)] * 3 + [TorusGrid((16, 16), 1.5)] * 3

@@ -258,3 +258,59 @@ class TestFindSaddle:
     def test_gamma_bounded_by_initial_max(self, small_pipeline):
         result, _, upper = small_pipeline
         assert result.gamma <= upper + 1e-12
+
+
+class TestCoarseString:
+    """At 128^2 (T=40, R=8) the string relaxes on 64^2, the coarsest grid
+    that resolves 1 + w_R, and the saddle is refined and certified on
+    128^2; at SMALL's grid the string stays on its grid."""
+
+    T, R, NODES = 40.0, 8.0, 17
+    SADDLE = SaddleOptions(grad_tol=1e-8 * 40.0)
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return TorusGrid((128, 128), self.T)
+
+    @pytest.fixture(scope="class")
+    def nested(self, grid):
+        from gptw import mountainpass
+
+        grids = []
+        original = mountainpass.relax_path
+
+        def spy(path, *args):
+            grids.append(path.grid)
+            return original(path, *args)
+
+        mountainpass.relax_path = spy
+        try:
+            out = mountain_pass_pipeline(1.0, grid, self.R, node_count=self.NODES,
+                                         saddle_opts=self.SADDLE)
+        finally:
+            mountainpass.relax_path = original
+        return out, grids
+
+    def test_relaxes_coarse_returns_target(self, grid, nested):
+        (result, relaxed, M), grids = nested
+        coarse = TorusGrid((64, 64), self.T)
+        assert grids == [coarse]
+        assert relaxed.grid == grid and result.saddle.field.grid == grid
+        assert result.relax_grid == coarse
+        # gamma is the max node action of the target-grid path
+        assert np.array_equal(result.path_actions, relaxed.actions(P1))
+
+    def test_same_saddle_as_direct_route(self, grid, nested):
+        (result, _, M), _ = nested
+        path = init_path(grid, self.R, self.NODES)
+        direct, _, acts = relax_path(path, P1, RelaxOptions(), path.actions(P1))
+        want = find_saddle(direct, P1, self.SADDLE, acts).saddle
+        got = result.saddle
+        assert got.converged and want.converged
+        assert abs(got.report.action - want.report.action) <= 1e-9
+        assert got.report.action <= result.gamma <= M
+
+    def test_resolved_path_relaxes_on_its_grid(self, small_grid, small_pipeline):
+        result, relaxed, _ = small_pipeline
+        assert relaxed.grid == small_grid
+        assert result.relax_grid == small_grid
