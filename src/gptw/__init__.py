@@ -18,6 +18,7 @@ from .field import (
     read_header,
     resample,
     spectral_derivative,
+    spectral_tail,
     transform_forward,
     transform_inverse,
     write_field,

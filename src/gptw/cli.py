@@ -152,7 +152,7 @@ def write_pgm(path, data: np.ndarray):
 
 CSV_COLUMNS = (
     "T", "c", "kinetic", "potential", "momentum", "action",
-    "residual", "cert_integral_re", "cert_integral_im", "cert_lift",
+    "residual", "cert_integral_re", "cert_integral_im", "tail",
 )
 
 
@@ -161,15 +161,14 @@ def certificate_csv_header() -> str:
 
 
 def certificate_csv_row(grid, p: Params, report: ActionReport, cert: Certificate) -> str:
-    lift_val = cert.lift_identity if cert.lifted else float("nan")
     fields = (grid.period, p.c, report.kinetic, report.potential, report.momentum,
-              report.action, cert.residual, cert.integral.real, cert.integral.imag, lift_val)
+              report.action, cert.residual, cert.integral.real, cert.integral.imag, cert.tail)
     return ",".join(f"{x:.17g}" for x in fields)
 
 
 def _certificate_csv(f: ComplexField, p: Params) -> str:
     """certificate.csv of a field, from its nodes: the action report and
-    certify's certificates, the lifted identity included. The CSVs of
+    certify's certificates, the spectral tail included. The CSVs of
     minimize and mp therefore read as `gptw certify` of the stored field."""
     return (certificate_csv_header() + "\n"
             + certificate_csv_row(f.grid, p, action(f, p), certify(f, p)) + "\n")

@@ -12,6 +12,10 @@ them by spectral interpolation, zero-padding or truncating its spectrum
 coarsest halving whose spectral tail says it still resolves a field. The
 solvers use the pair for nested iteration (Brandt, Math. Comp. 31, 1977):
 find a basin on the coarse grid, finish and certify on the target grid.
+The tail is the package's one resolution indicator: spectral_tail reports
+it on a field's own grid, for functionals.certify, reading resolution off
+the decay of the Fourier coefficients (Boyd, Chebyshev and Fourier
+Spectral Methods, 2nd ed., 2001, ch. 2).
 """
 
 from __future__ import annotations
@@ -84,10 +88,6 @@ class TorusGrid:
     @property
     def node_count(self) -> int:
         return math.prod(self.sizes)
-
-    @property
-    def spacing(self) -> tuple[float, ...]:
-        return tuple(self.period / m for m in self.sizes)
 
     @property
     def cell_volume(self) -> float:
@@ -267,6 +267,39 @@ def resample(f: ComplexField, grid: TorusGrid) -> ComplexField:
     return ComplexField(grid, fft_inverse(spec))
 
 
+def _tails(f: ComplexField):
+    """Yield (grid, tail) for f.grid and then for each halving of it while
+    the sizes stay even and >= 8, with the spectral tail of coarsest_grid
+    (0 when it is below the rounding of f's energy), all from one forward
+    transform of f."""
+    power = np.abs(fft_forward(f.values)) ** 2
+    noise = np.finfo(float).eps * float(power.sum())
+    # max_j |k_j| / M_j of each mode of f.grid; on the grid halved l times
+    # the same mode sits at 2^l times this fraction of its axis
+    reach = np.zeros(f.grid.sizes)
+    for ax, m in enumerate(f.grid.sizes):
+        shape = [1] * f.grid.dim
+        shape[ax] = m
+        reach = np.maximum(reach, np.abs(f.grid.integer_modes(ax)).reshape(shape) / m)
+    total = float(power[reach > 0].sum())
+    grid = f.grid
+    while True:
+        tail = float(power[reach > 1.0 / 3.0].sum())
+        yield grid, (tail / total if tail > noise else 0.0)
+        sizes = tuple(m // 2 for m in grid.sizes)
+        if any(m < 8 or m % 2 for m in sizes):
+            return
+        reach *= 2.0
+        grid = TorusGrid(sizes, grid.period)
+
+
+def spectral_tail(f: ComplexField) -> float:
+    """The spectral tail of f on its own grid (see coarsest_grid), from one
+    forward transform: 0 for a field whose nonconstant energy is at
+    rounding level, and small when the grid resolves f."""
+    return next(_tails(f))[1]
+
+
 def coarsest_grid(f: ComplexField) -> TorusGrid:
     """The coarsest grid that resolves f among f.grid and its halvings.
 
@@ -280,26 +313,13 @@ def coarsest_grid(f: ComplexField) -> TorusGrid:
     sizes allow. One forward transform of f on its own grid gives the tail
     of every halving.
     """
-    power = np.abs(fft_forward(f.values)) ** 2
-    noise = np.finfo(float).eps * float(power.sum())
-    # max_j |k_j| / M_j of each mode of f.grid; on the grid halved l times
-    # the same mode sits at 2^l times this fraction of its axis
-    reach = np.zeros(f.grid.sizes)
-    for ax, m in enumerate(f.grid.sizes):
-        shape = [1] * f.grid.dim
-        shape[ax] = m
-        reach = np.maximum(reach, np.abs(f.grid.integer_modes(ax)).reshape(shape) / m)
-    total = float(power[reach > 0].sum())
-    grid = f.grid
-    while True:
-        sizes = tuple(m // 2 for m in grid.sizes)
-        if any(m < 8 or m % 2 for m in sizes):
-            return grid
-        reach *= 2.0
-        tail = float(power[reach > 1.0 / 3.0].sum())
-        if tail > TAIL_BOUND * total + noise:
-            return grid
-        grid = TorusGrid(sizes, grid.period)
+    tails = _tails(f)
+    grid, _ = next(tails)
+    for coarse, tail in tails:
+        if tail > TAIL_BOUND:
+            break
+        grid = coarse
+    return grid
 
 
 def spectral_derivative(f: ComplexField, axis: int) -> ComplexField:
@@ -365,21 +385,9 @@ class LiftResult:
     function plus the linear winding part 2*pi*w_j*x_j/T.
     """
 
-    grid: TorusGrid
     rho: np.ndarray
     theta: np.ndarray
     windings: tuple[int, ...]
-
-    def theta_periodic(self) -> np.ndarray:
-        """theta with the linear winding part removed."""
-        out = self.theta.copy()
-        for ax, w in enumerate(self.windings):
-            if w:
-                out = out - (2.0 * np.pi * w / self.grid.period) * self.grid.coords[ax]
-        return out
-
-    def reconstruct(self) -> ComplexField:
-        return ComplexField(self.grid, self.rho * np.exp(1j * self.theta))
 
 
 def lift(f: ComplexField) -> LiftResult:
@@ -404,7 +412,7 @@ def lift(f: ComplexField) -> LiftResult:
     for ax in range(dim):
         block = tuple(slice(None) if a <= ax else slice(0, 1) for a in range(dim))
         theta[block] = np.unwrap(theta[block], axis=ax)
-    return LiftResult(f.grid, rho, theta, windings)
+    return LiftResult(rho, theta, windings)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ no transform: the action report from the carried spectrum
 (Kernel.parts), the residual that the stopping rule tested, so converged
 implies residual <= grad_tol exactly, and int (1-|f|^2) f = -volume * G_0,
 where G_0 is the k = 0 entry of the gradient's spectrum (the linear symbol
-vanishes there). Only classify runs on the final field. The lifted
-identity is not computed: functionals.certify does that, for `gptw certify`
+vanishes there). Only classify runs on the final field. The spectral
+tail is not computed: functionals.certify reports it, for `gptw certify`
 and the certificate CSVs.
 
 minimizer_experiment descends by nested iteration, the "full multigrid"
@@ -124,7 +124,7 @@ class CriticalPoint:
     tested, so converged implies residual <= the solver's target with no
     rounding slack; integral is int (1-|f|^2) f. A descent's point costs no
     transform (see the module docstring), a Newton result's one
-    (from_newton). The lifted identity is not part of a point: it is
+    (from_newton). The spectral tail is not part of a point: it is
     computed by functionals.certify where it is written, in `gptw certify`
     and the certificate CSVs.
     """

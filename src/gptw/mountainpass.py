@@ -234,7 +234,7 @@ class SaddleOptions:
 
     max_iters caps the Newton steps; grad_tol of None means the
     volume-scaled default 1e-8 * T^(N/2), and the refinement target is
-    min(grad_tol, cert_tol / T^(N/2)) (see find_saddle). seed draws the
+    min(grad_tol, newton.CERT_TOL / T^(N/2)) (see find_saddle). seed draws the
     start vector of the index witness's eigensolve.
     """
 
@@ -258,8 +258,8 @@ def find_saddle(path: Path, p: Params, opts: SaddleOptions | None = None,
     certify its index.
 
     The refinement is Newton-MINRES from the max node (newton_minres). It
-    stops at ||grad I|| <= min(grad_tol, p.cert_tol / T^(N/2)), so a
-    converged saddle has |int (1-|f|^2) f| <= p.cert_tol; its `iterations`
+    stops at ||grad I|| <= newton.certified_tol(grid, grad_tol), so a
+    converged saddle has |int (1-|f|^2) f| <= newton.CERT_TOL; its `iterations`
     count Newton steps. The index witness is the smallest-eigenvalue Hessian
     direction off the phase and translation directions, which carry the
     zero modes of every critical point; when the quadratic form is
@@ -273,7 +273,7 @@ def find_saddle(path: Path, p: Params, opts: SaddleOptions | None = None,
     tested and the action from one transform.
     """
     opts = opts or SaddleOptions()
-    tol = certified_tol(path.grid, p, opts.grad_tol)
+    tol = certified_tol(path.grid, opts.grad_tol)
     acts = _node_actions(path, p, actions)
     idx = _pick_max_node(acts)
     refined = newton_minres(path.nodes[idx], p, tol, max_steps=opts.max_iters)

@@ -25,6 +25,9 @@ from .functionals import Kernel, Params, default_grad_tol
 KRYLOV_MAX = 300
 # Step halvings before a Newton step is given up.
 MAX_BACKTRACKS = 10
+# Bound on the integrated certificate |int (1-|f|^2) f| that certified_tol
+# guarantees.
+CERT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -38,16 +41,16 @@ class NewtonResult:
     products: int
 
 
-def certified_tol(grid: TorusGrid, p: Params, grad_tol: float | None = None) -> float:
-    """Residual target min(grad_tol, p.cert_tol / T^(N/2)).
+def certified_tol(grid: TorusGrid, grad_tol: float | None = None) -> float:
+    """Residual target min(grad_tol, CERT_TOL / T^(N/2)).
 
     The linear symbols vanish at k = 0, so int (1-|f|^2) f = -int grad I,
     which Cauchy-Schwarz bounds by T^(N/2) ||grad I||: a field that meets
-    this target has |int (1-|f|^2) f| <= p.cert_tol. grad_tol of None means
+    this target has |int (1-|f|^2) f| <= CERT_TOL. grad_tol of None means
     default_grad_tol(grid).
     """
     base = grad_tol if grad_tol is not None else default_grad_tol(grid)
-    return min(base, p.cert_tol / grid.period ** (grid.dim / 2.0))
+    return min(base, CERT_TOL / grid.period ** (grid.dim / 2.0))
 
 
 def newton_minres(init: ComplexField, p: Params, tol: float,

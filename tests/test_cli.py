@@ -23,15 +23,12 @@ def _csv_row(path):
 
 def _assert_certificates_written(csv_path, field_path):
     # the certificate CSV holds the certificates of the stored field, its
-    # lifted identity included, or NaN when the field has no lifting
+    # spectral tail included
     f, c = read_field(field_path)
     p = Params(c=c)
     cert = certify(f, p)
     row = _csv_row(csv_path)
-    if cert.lifted:
-        assert float(row["cert_lift"]) == cert.lift_identity
-    else:
-        assert np.isnan(float(row["cert_lift"]))
+    assert float(row["tail"]) == cert.tail
     assert float(row["residual"]) == cert.residual
     assert float(row["action"]) == action(f, p).action
 
@@ -80,7 +77,7 @@ class TestInfoAndCertify:
         row = dict(zip(header, out[1].split(",")))
         assert float(row["residual"]) <= 1e-9
         assert abs(complex(float(row["cert_integral_re"]), float(row["cert_integral_im"]))) <= 1e-9
-        assert abs(float(row["cert_lift"])) <= 1e-9
+        assert float(row["tail"]) <= 1e-12
 
     def test_csv_row(self):
         grid16, p1 = TorusGrid((16, 16), 2 * np.pi), Params(c=1.0)

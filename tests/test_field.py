@@ -23,6 +23,7 @@ from gptw.field import (
     read_header,
     resample,
     spectral_derivative,
+    spectral_tail,
     transform_forward,
     transform_inverse,
     write_field,
@@ -46,7 +47,7 @@ class TestTorusGrid:
         g = TorusGrid((8, 16), 3.5)
         assert g.dim == 2
         assert g.node_count == 128
-        assert g.spacing == (3.5 / 8, 3.5 / 16)
+        assert g.sizes == (8, 16) and g.period == 3.5
         assert g.cell_volume == pytest.approx(3.5**2)
 
     def test_3d(self):
@@ -214,8 +215,7 @@ class TestLift:
         lr = lift(f)
         assert lr.windings == (1, 0)
         assert np.allclose(lr.rho, 1.0)
-        recon = lr.reconstruct()
-        assert np.abs(recon.values - f.values).max() <= 1e-10
+        assert np.abs(lr.rho * np.exp(1j * lr.theta) - f.values).max() <= 1e-10
 
     def test_smooth_synthetic(self, grid16):
         # rho e^{i theta} with periodic theta plus winding, reconstruct exactly
@@ -226,10 +226,10 @@ class TestLift:
         f = ComplexField(g, rho * np.exp(1j * theta))
         lr = lift(f)
         assert lr.windings == (-2, 0)
-        assert np.abs(lr.reconstruct().values - f.values).max() <= 1e-10
-        # periodic part has no leftover linear trend
-        tp = lr.theta_periodic()
-        assert abs(tp[:, 0].mean() - tp[:, 1].mean()) < 1.0
+        assert np.abs(lr.rho * np.exp(1j * lr.theta) - f.values).max() <= 1e-10
+        # theta is the periodic phase plus the linear winding part
+        linear = -2 * 2 * np.pi * x1 / g.period
+        assert np.abs(lr.theta - linear - 0.4 * np.cos(2 * np.pi * x1 / g.period)).max() <= 1e-12
 
     def test_vortex_on_node_raises_vortex_present(self):
         # T=48 on 64 nodes puts h=0.75; R=4.5 lands a core exactly on a grid
@@ -514,6 +514,19 @@ class TestCoarsestGrid:
 
     def test_white_noise_keeps_its_grid(self, grid16):
         assert coarsest_grid(random_field(grid16, 5)) == grid16
+
+    @pytest.mark.parametrize("sizes", [(48, 48), (48, 96), (24, 24, 24)])
+    def test_spectral_tail_is_the_energy_share_past_a_third(self, sizes):
+        # modes k = 1 and k = n/3 + 1 along axis 0 around a mean of 1: the
+        # second lies past n/3, so it alone is tail
+        g = TorusGrid(sizes, 5.0)
+        n = sizes[0]
+        x1 = g.coords[0] * (2 * np.pi / g.period)
+        f = ComplexField(g, 1.0 + 0.3 * np.exp(1j * x1) + 0.1 * np.exp(1j * (n // 3 + 1) * x1)
+                         + np.zeros(sizes))
+        assert spectral_tail(f) == pytest.approx(0.01 / 0.1, rel=1e-12)
+        f = ComplexField(g, 1.0 + 0.3 * np.exp(1j * (n // 3) * x1) + np.zeros(sizes))
+        assert spectral_tail(f) == 0.0
 
     @pytest.mark.parametrize("sizes,want", [
         ((96, 96), (12, 12)),

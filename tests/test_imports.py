@@ -1,7 +1,9 @@
 """Package structure: no module reaches into another module's private
-names, and every name the benchmark looks up exists."""
+names, every name the benchmark looks up exists, and every option field is
+set by some caller."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -93,3 +95,35 @@ def test_benchmark_names_resolve():
     missing = [(module, attr) for module, attr in sorted(traced | called)
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+# Option classes whose every field some caller outside the tests must set
+OPTION_CLASSES = [("gptw.functionals", "Params"), ("gptw.minimize", "MinimizeOptions"),
+                  ("gptw.mountainpass", "RelaxOptions"), ("gptw.mountainpass", "SaddleOptions")]
+
+
+def _names_set(paths):
+    """{class name: keywords} of every call by name in the files at
+    `paths`, and the attribute names assigned on anything but self."""
+    keywords, attributes = {}, set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                attributes.update(t.attr for t in targets if isinstance(t, ast.Attribute)
+                                  and getattr(t.value, "id", None) != "self")
+    return keywords, attributes
+
+
+def test_every_option_is_set_outside_the_tests():
+    # a field that only its default ever fills is a knob nothing turns
+    keywords, attributes = _names_set(MODULES + sorted(PERFBENCH.glob("*.py")))
+    unset = [(cls, field.name) for module, cls in OPTION_CLASSES
+             for field in dataclasses.fields(getattr(importlib.import_module(module), cls))
+             if field.name not in keywords.get(cls, set()) | attributes]
+    assert unset == []

@@ -6,16 +6,16 @@ from gptw.ansatz import constant, perturb, plane_wave
 from gptw.field import ComplexField, TorusGrid
 from gptw.functionals import Params, certify
 from gptw.minimize import PLANE_WAVE, classify
-from gptw.newton import certified_tol, newton_minres
+from gptw.newton import CERT_TOL, certified_tol, newton_minres
 
 P1 = Params(c=1.0)
 
 
 def test_certified_tol():
     g = TorusGrid((16, 16), 4.0)
-    assert certified_tol(g, P1) == 1e-8 * 4.0
-    assert certified_tol(g, Params(c=1.0, cert_tol=1e-9)) == 1e-9 / 4.0
-    assert certified_tol(g, P1, grad_tol=1e-12) == 1e-12
+    assert certified_tol(g) == 1e-8 * 4.0
+    assert certified_tol(g, grad_tol=1e-4) == CERT_TOL / 4.0
+    assert certified_tol(g, grad_tol=1e-12) == 1e-12
 
 
 def test_converges_to_unstable_plane_wave():
@@ -23,7 +23,7 @@ def test_converges_to_unstable_plane_wave():
     # it; Newton converges to it from a nearby start
     g = TorusGrid((32, 32), 4.25)
     start = perturb(plane_wave(-1, 1.0, g), 0.01, 2, seed=0)
-    tol = certified_tol(g, P1)
+    tol = certified_tol(g)
     run = newton_minres(start, P1, tol)
     assert run.converged
     assert run.residual <= tol
@@ -37,7 +37,7 @@ def test_non_finite_field_stops_unconverged():
     g = TorusGrid((16, 16), 2 * np.pi)
     big = ComplexField(g, 1e154 * perturb(constant(0.0, g), 0.5, 2, 0).values)
     with np.errstate(all="ignore"):
-        run = newton_minres(big, P1, certified_tol(g, P1))
+        run = newton_minres(big, P1, certified_tol(g))
     assert not run.converged
     assert run.steps == 0
     assert np.array_equal(run.field.values, big.values)
@@ -55,7 +55,7 @@ def test_non_finite_minres_solution_stops_unconverged(monkeypatch):
     monkeypatch.setattr(sla, "minres", minres)
     g = TorusGrid((32, 32), 4.25)
     start = perturb(plane_wave(-1, 1.0, g), 0.01, 2, seed=0)
-    run = newton_minres(start, P1, certified_tol(g, P1))
+    run = newton_minres(start, P1, certified_tol(g))
     assert len(calls) == 1
     assert not run.converged
     assert run.steps == 0
