@@ -30,11 +30,9 @@ from .functionals import (
     Params,
     action,
     certify,
-    energy,
     equation_integral,
     gradient,
     hessian_apply,
-    momentum,
 )
 from .ansatz import (
     NoSuchSolution,

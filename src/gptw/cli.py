@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -129,15 +130,9 @@ def _prepare_out(resolved: dict, command: str) -> FsPath:
 
 
 def _ansatz_from(resolved: dict, R: float, T: float) -> VortexAnsatz:
-    """Explicit cutoffs/core width win over the fitted defaults."""
-    width = resolved.get("core_width")
-    inner = resolved.get("cutoff_inner")
-    outer = resolved.get("cutoff_outer")
-    base = fitted_vortex_ansatz(R, T)
-    return VortexAnsatz(R,
-                        core_width=width if width is not None else 1.0,
-                        cutoff_inner=inner if inner is not None else base.cutoff_inner,
-                        cutoff_outer=outer if outer is not None else base.cutoff_outer)
+    """fitted_vortex_ansatz(R, T) with the vortex keys that are set."""
+    given = {key: resolved[key] for key in _VORTEX if resolved.get(key) is not None}
+    return replace(fitted_vortex_ansatz(R, T), **given)
 
 
 def write_pgm(path, data: np.ndarray):

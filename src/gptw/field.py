@@ -171,9 +171,6 @@ class ComplexField:
     def with_values(self, values: np.ndarray) -> "ComplexField":
         return ComplexField(self.grid, values)
 
-    def conjugate(self) -> "ComplexField":
-        return self.with_values(np.conj(self.values))
-
 
 def _same_grid(a: ComplexField, b: ComplexField):
     if a.grid != b.grid:

@@ -115,13 +115,13 @@ class Kernel:
     resolutions aliasing sits below the solver tolerances.
 
     action and preconditioned_gradient also take what the caller holds, and
-    then skip its computation: the normalized spectrum (spectrum(v)) of
+    then skip its computation: the normalized spectrum fft_forward(v) of
     their argument, which saves a forward transform, and the density
     1 - |v|^2, which action returns on request; ray_coefficients always
     takes them, with the value and slope of its quartic. Sums are BLAS
     pairings (np.dot, np.vdot) of contiguous arrays. preconditioned_gradient
     forms grad I and (1 - Lap)^(-1) grad I in Fourier space from
-    spectrum(v) in 2 transforms, where precondition(gradient(v)) costs four;
+    fft_forward(v) in 2 transforms, where precondition(gradient(v)) costs four;
     a string node step and a descent iteration cost these 2 (gptw.minimize
     says what the descent carries).
     """
@@ -144,16 +144,11 @@ class Kernel:
         """1 / (1 + |xi|^2), the symbol of (1 - Lap)^(-1)."""
         return 1.0 / (1.0 + self.lap)
 
-    @staticmethod
-    def spectrum(v: np.ndarray) -> np.ndarray:
-        """Normalized Fourier coefficients fft(v) / n, linear in v."""
-        return fft_forward(v)
-
     def _terms(self, v: np.ndarray, spec: np.ndarray | None
                ) -> tuple[float, float, float, np.ndarray]:
         """Kinetic, potential and momentum parts with the density 1 - |v|^2."""
         if spec is None:
-            spec = self.spectrum(v)
+            spec = fft_forward(v)
         p2 = _abs2(spec)
         kinetic = 0.5 * self.volume * _sum_dot(self.lap, p2)
         # xi1 varies along the first axis only: one matrix-vector product
@@ -167,7 +162,7 @@ class Kernel:
     def parts(self, v: np.ndarray, spec: np.ndarray | None = None) -> tuple[float, float, float]:
         """Kinetic (1/2)int|grad v|^2, potential (1/4)int(1-|v|^2)^2 and
         momentum (1/2)int (i d_x1 v).v, from one forward transform, or none
-        when spec = spectrum(v) is given."""
+        when spec = fft_forward(v) is given."""
         return self._terms(v, spec)[:3]
 
     def action(self, v: np.ndarray, spec: np.ndarray | None = None,
@@ -190,11 +185,11 @@ class Kernel:
     def preconditioned_gradient(self, v: np.ndarray, spec: np.ndarray,
                                 dens: np.ndarray | None = None
                                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(G, z, Z) at v from spec = spectrum(v) and, when given, dens =
-        1 - |v|^2: G = spectrum(gradient(v)), z = precondition(gradient(v))
-        and Z = spectrum(z).
+        """(G, z, Z) at v from spec = fft_forward(v) and, when given, dens =
+        1 - |v|^2: G = fft_forward(gradient(v)), z = precondition(gradient(v))
+        and Z = fft_forward(z).
 
-        G = linear*spec - spectrum((1-|v|^2) v) takes one forward transform
+        G = linear*spec - fft_forward((1-|v|^2) v) takes one forward transform
         and z one inverse transform of Z = G / (1 + |xi|^2).
         """
         gs = self.linear * spec
@@ -249,7 +244,7 @@ class Kernel:
         sums of dens, b = f.d and cc = |d|^2, since
         1 - |f + alpha d|^2 = dens - 2 alpha b - alpha^2 cc; the polynomial
         therefore agrees with action() along the whole ray. ds is
-        spectrum(d), so no transform is made.
+        fft_forward(d), so no transform is made.
         """
         quad = 0.5 * self.volume * _sum_dot(self.linear, _abs2(ds))
         b = _pairing(f, d)
@@ -311,17 +306,6 @@ class Kernel:
             if val < best_val:
                 best, best_val = alpha, val
         return best
-
-
-def energy(f: ComplexField) -> tuple[float, float]:
-    """Kinetic and potential parts, (1/2)int|grad f|^2 and (1/4)int(1-|f|^2)^2."""
-    kinetic, potential, _ = Kernel(f.grid, Params(c=0.0)).parts(f.values)
-    return kinetic, potential
-
-
-def momentum(f: ComplexField) -> float:
-    """First momentum component P = (1/2) int (i d_x1 f) . f."""
-    return Kernel(f.grid, Params(c=0.0)).parts(f.values)[2]
 
 
 def action(f: ComplexField, p: Params) -> ActionReport:

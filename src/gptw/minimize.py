@@ -68,8 +68,8 @@ from typing import TextIO
 import numpy as np
 
 from .ansatz import fitted_vortex_ansatz, vortex_test_function
-from .field import (ComplexField, TorusGrid, axis_windings, coarsest_grid, lift,
-                    resample)
+from .field import (ComplexField, TorusGrid, axis_windings, coarsest_grid, fft_forward,
+                    lift, resample)
 from .field import VortexPresent, InconsistentWinding
 from .functionals import (ActionReport, Kernel, Params, action, admits,
                           default_grad_tol, equation_integral)
@@ -167,12 +167,12 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
     eng = Kernel(grid, p)
     log = opts.log_stream
 
-    # fs, gs, zs and ds are the spectra (Kernel.spectrum) of f, of its
+    # fs, gs, zs and ds are the spectra (fft_forward) of f, of its
     # gradient g, of z = (1 - Lap)^(-1) g and of d; dens is 1 - |f|^2 and
     # val the action at f. f is never written in place: each accepted step
     # takes over the trial arrays.
     f = init.values
-    fs = eng.spectrum(f)
+    fs = fft_forward(f)
     val, dens = eng.action(f, fs, with_density=True)
     if not np.isfinite(val):
         raise NonFiniteValue(f"action not finite at the initial field ({val})")
@@ -220,7 +220,7 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
         if restart:
             # recompute the carried spectrum, and the action and density with
             # it, so that rounding drift cannot build up over the run
-            fs = eng.spectrum(f)
+            fs = fft_forward(f)
             val, dens = eng.action(f, fs, with_density=True)
         gs_old = gs
         gs, z, zs = eng.preconditioned_gradient(f, fs, dens)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ansatz import VortexAnsatz, fitted_vortex_ansatz, vortex_test_function
-from .field import ComplexField, TorusGrid, coarsest_grid, resample
+from .field import ComplexField, TorusGrid, coarsest_grid, fft_forward, resample
 from .functionals import Kernel, Params, action, admits
 from .minimize import CriticalPoint
 from .newton import certified_tol, newton_minres
@@ -202,7 +202,7 @@ def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None,
         trial = list(nodes)
         for i in range(1, len(trial) - 1):
             v = trial[i]
-            spec = eng.spectrum(v)
+            spec = fft_forward(v)
             for _ in range(NODE_STEPS):
                 _, z, zs = eng.preconditioned_gradient(v, spec)
                 if eng.dot(z, z) == 0.0:

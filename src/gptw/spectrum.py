@@ -22,10 +22,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .ansatz import SupportTooLarge, constant, fitted_vortex_ansatz, perturb, vortex_test_function
-from .field import ComplexField, TorusGrid, fft_forward, fft_inverse, from_real, l2_norm, to_real
+from .field import (ComplexField, TorusGrid, fft_forward, fft_inverse, from_real, l2_norm,
+                    spectral_derivative, to_real)
 from .functionals import Kernel, Params, hessian_apply
 from .minimize import CONSTANT_CLASSES, minimize_action
 
@@ -198,11 +198,8 @@ def symmetry_basis(f: ComplexField) -> np.ndarray:
     These are the directions of the global phase and the translations, along
     which the Hessian of the action is singular at every critical point.
     """
-    grid = f.grid
     v = f.values
-    spec = fft_forward(v)
-    columns = [1j * v] + [fft_inverse(1j * grid.deriv_symbols[ax] * spec)
-                          for ax in range(grid.dim)]
+    columns = [1j * v] + [spectral_derivative(f, ax).values for ax in range(f.grid.dim)]
     scale = float(np.linalg.norm(v))
     basis: list[np.ndarray] = []
     for col in columns:
@@ -240,6 +237,18 @@ def smallest_direction(base: ComplexField, p: Params, rng) -> tuple[float, Compl
     return float(vals[0]), ComplexField(base.grid, from_real(vecs[:, 0], base.grid))
 
 
+def _dense(matvec, dim: int) -> np.ndarray:
+    """Symmetric part of the dim x dim matrix whose column j is matvec of
+    the j-th unit vector."""
+    A = np.empty((dim, dim))
+    e = np.zeros(dim)
+    for j in range(dim):
+        e[j] = 1.0
+        A[:, j] = matvec(e)
+        e[j] = 0.0
+    return 0.5 * (A + A.T)
+
+
 def dense_hessian(base: ComplexField, p: Params) -> np.ndarray:
     """Assemble the full Hessian, symmetry directions included, as a
     2n x 2n real matrix from the columns of hessian_operator.
@@ -249,11 +258,7 @@ def dense_hessian(base: ComplexField, p: Params) -> np.ndarray:
     n = base.grid.node_count
     if n > DENSE_NODE_LIMIT:
         raise ValueError(f"dense assembly limited to {DENSE_NODE_LIMIT} nodes, grid has {n}")
-    matvec = hessian_operator(base, p)
-    A = np.zeros((2 * n, 2 * n))
-    for j in range(2 * n):
-        A[:, j] = matvec(np.eye(1, 2 * n, j)[0])
-    return 0.5 * (A + A.T)
+    return _dense(hessian_operator(base, p), 2 * n)
 
 
 def _dominant_mode(grid: TorusGrid, values: np.ndarray) -> tuple[int, ...]:
@@ -311,25 +316,16 @@ def poincare_constant(grid: TorusGrid) -> tuple[float, float]:
     return lam, lam / 4.0
 
 
-def _dense_neg_laplacian(grid: TorusGrid) -> np.ndarray:
-    n = grid.node_count
-    lap = grid.laplacian_symbol
-    A = np.zeros((n, n))
-    e = np.zeros(grid.sizes)
-    for j, idx in enumerate(np.ndindex(*grid.sizes)):
-        e[idx] = 1.0
-        A[:, j] = fft_inverse(lap * fft_forward(e)).real.ravel()
-        e[idx] = 0.0
-    return 0.5 * (A + A.T)
-
-
 def weighted_eigenvalue(weight: np.ndarray, grid: TorusGrid) -> float:
     """Smallest eigenvalue of int|grad u|^2 / int f u^2 over real u with the
     weighted-mean constraint int f u = 0, for weights 1/2 <= f <= 2.
 
     Solved densely: -Lap restricted to the constraint complement against the
     weight Gram matrix. Satisfies lambda_T(f) >= lambda_T(2) = lambda_T(1)/2.
+    scipy.linalg is imported on first use.
     """
+    import scipy.linalg
+
     w = np.asarray(weight, dtype=float)
     if w.shape != grid.sizes:
         raise ValueError(f"weight shape {w.shape} != grid sizes {grid.sizes}")
@@ -340,7 +336,8 @@ def weighted_eigenvalue(weight: np.ndarray, grid: TorusGrid) -> float:
     n = grid.node_count
     if n > DENSE_NODE_LIMIT:
         raise ValueError(f"dense eigensolve limited to {DENSE_NODE_LIMIT} nodes")
-    A = _dense_neg_laplacian(grid)
+    lap = grid.laplacian_symbol
+    A = _dense(lambda x: fft_inverse(lap * fft_forward(x.reshape(grid.sizes))).real.ravel(), n)
     B = np.diag(w.ravel())
     Q = scipy.linalg.null_space(w.ravel()[None, :])
     vals = scipy.linalg.eigh(Q.T @ A @ Q, Q.T @ B @ Q, eigvals_only=True,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gptw.field import ComplexField, TorusGrid, l2_norm, transform_forward
-from gptw.functionals import Params, action, certify, momentum, energy
+from gptw.functionals import Params, action, certify
 from gptw.ansatz import (
     NoSuchSolution,
     SupportTooLarge,
@@ -128,7 +128,7 @@ class TestVortexAnsatz:
     def test_positive_momentum(self):
         g = TorusGrid((128, 128), 40.0)
         f = vortex_test_function(VortexAnsatz(4.0), g)
-        assert momentum(f) > 0
+        assert action(f, Params(c=0.0)).momentum > 0
 
     def test_negative_action_frozen(self):
         # frozen regression: R=8, default cutoffs, T=66 on 128^2
@@ -152,12 +152,12 @@ class TestVortexAnsatz:
         g = TorusGrid((48, 48, 48), 26.0)
         a = VortexAnsatz(3.0)
         f = vortex_test_function(a, g)
-        assert momentum(f) > 0
+        rep = action(f, Params(c=0.0))
+        assert rep.momentum > 0
         y = [g.coords[ax] - g.period / 2 for ax in range(3)]
         r = np.sqrt(sum(c**2 for c in y)) + np.zeros(g.sizes)
         assert np.abs(f.values[r >= a.cutoff_outer] - 1.0).max() == 0.0
-        kin, pot = energy(f)
-        assert kin > 0 and pot > 0
+        assert rep.kinetic > 0 and rep.potential > 0
 
 
 class TestPerturb:

@@ -2,6 +2,7 @@
 
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ from gptw.cli import (certificate_csv_header, certificate_csv_row, load_config, 
                       write_pgm)
 from gptw.field import TorusGrid, read_field, write_field
 from gptw.functionals import Params, action, certify
-from gptw.ansatz import constant, plane_wave
+from gptw.ansatz import (VortexAnsatz, constant, fitted_vortex_ansatz, plane_wave,
+                         vortex_test_function)
 
 
 def _csv_row(path):
@@ -230,6 +232,28 @@ class TestTestfnCommand:
         rows = (out / "testfn.csv").read_text().splitlines()
         assert rows[0].startswith("R,T,size")
         assert float(rows[1].split(",")[6]) < 0  # negative action at R=4, c=1
+
+    @pytest.mark.parametrize("flags, ansatz", [
+        (["--core-width", "0.5", "--cutoff-inner", "13", "--cutoff-outer", "15"],
+         VortexAnsatz(4.0, 0.5, 13.0, 15.0)),
+        (["--core-width", "0.5"], replace(fitted_vortex_ansatz(4.0, 33.0), core_width=0.5)),
+    ])
+    def test_vortex_flags_act(self, tmp_path, flags, ansatz):
+        # R = 4 runs on 64^2 at T = 33; a flag that is set replaces that
+        # field of the fitted ansatz, the others keep their fitted values
+        out = tmp_path / "tf"
+        assert main(["testfn", "--R", "4", *flags, "--out", str(out)]) == 0
+        row = _csv_row(out / "testfn.csv")
+        assert (row["T"], row["size"]) == ("33", "64")
+        rep = action(vortex_test_function(ansatz, TorusGrid((64, 64), 33.0)), Params(c=1.0))
+        for key in ("kinetic", "potential", "momentum", "action"):
+            assert float(row[key]) == getattr(rep, key)
+
+    def test_cutoffs_out_of_order_exit_2(self, tmp_path, capsys):
+        code = main(["testfn", "--R", "4", "--cutoff-inner", "15", "--cutoff-outer", "13",
+                     "--out", str(tmp_path / "tf")])
+        assert code == 2
+        assert "cutoff_outer" in capsys.readouterr().err
 
 
 class TestConfigHandling:

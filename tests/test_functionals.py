@@ -8,19 +8,21 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gptw.field import ComplexField, TorusGrid, l2_norm, l2_product
+from gptw.field import ComplexField, TorusGrid, fft_forward, l2_norm, l2_product
 from gptw.functionals import (
     ActionReport,
     Kernel,
     Params,
     action,
     certify,
-    energy,
     gradient,
     hessian_apply,
-    momentum,
 )
 from gptw.ansatz import constant, plane_wave
+
+
+# Speed 0: the energy and momentum parts of action(f, p) do not depend on c.
+P0 = Params(c=0.0)
 
 
 def random_field(grid, seed, scale=1.0):
@@ -57,31 +59,31 @@ class TestParams:
 class TestEnergy:
     def test_zero_field(self, grid16):
         f = ComplexField(grid16, np.zeros(grid16.sizes, dtype=complex))
-        kin, pot = energy(f)
-        assert kin == 0.0
-        assert pot == pytest.approx(grid16.cell_volume / 4, rel=1e-14)
+        rep = action(f, P0)
+        assert rep.kinetic == 0.0
+        assert rep.potential == pytest.approx(grid16.cell_volume / 4, rel=1e-14)
 
     def test_unit_constants(self, grid16):
         for theta in (0.0, 1.0, np.pi):
-            kin, pot = energy(constant(theta, grid16))
-            assert abs(kin) < 1e-14
-            assert abs(pot) < 1e-25
+            rep = action(constant(theta, grid16), P0)
+            assert abs(rep.kinetic) < 1e-14
+            assert abs(rep.potential) < 1e-25
 
     def test_phase_ramp(self, grid16):
         T = grid16.period
         alpha = 2 * np.pi * 2 / T
         x1 = grid16.coords[0]
         f = ComplexField(grid16, np.exp(1j * alpha * x1) * np.ones(grid16.sizes))
-        kin, pot = energy(f)
-        assert kin == pytest.approx(alpha**2 * T**2 / 2, rel=1e-12)
-        assert abs(pot) < 1e-25
+        rep = action(f, P0)
+        assert rep.kinetic == pytest.approx(alpha**2 * T**2 / 2, rel=1e-12)
+        assert abs(rep.potential) < 1e-25
 
 
 class TestMomentum:
     def test_real_field_zero(self, grid16):
         rng = np.random.default_rng(3)
         f = ComplexField(grid16, rng.standard_normal(grid16.sizes).astype(complex))
-        assert abs(momentum(f)) < 1e-12
+        assert abs(action(f, P0).momentum) < 1e-12
 
     def test_phase_ramp(self, grid16):
         T = grid16.period
@@ -89,18 +91,16 @@ class TestMomentum:
             alpha = 2 * np.pi * k / T
             x1 = grid16.coords[0]
             f = ComplexField(grid16, np.exp(1j * alpha * x1) * np.ones(grid16.sizes))
-            assert momentum(f) == pytest.approx(-alpha * T**2 / 2, rel=1e-12)
+            assert action(f, P0).momentum == pytest.approx(-alpha * T**2 / 2, rel=1e-12)
 
     def test_conjugation_flips_sign(self, grid16):
         for seed in range(5):
             f = random_field(grid16, seed)
-            pf = momentum(f)
-            pc = momentum(f.conjugate())
-            assert abs(pc + pf) <= 1e-12 * abs(pf)
-            kin_f, pot_f = energy(f)
-            kin_c, pot_c = energy(f.conjugate())
-            assert kin_c == pytest.approx(kin_f, rel=1e-12)
-            assert pot_c == pytest.approx(pot_f, rel=1e-12)
+            rep_f = action(f, P0)
+            rep_c = action(f.with_values(np.conj(f.values)), P0)
+            assert abs(rep_c.momentum + rep_f.momentum) <= 1e-12 * abs(rep_f.momentum)
+            assert rep_c.kinetic == pytest.approx(rep_f.kinetic, rel=1e-12)
+            assert rep_c.potential == pytest.approx(rep_f.potential, rel=1e-12)
 
 
 class TestAction:
@@ -145,7 +145,7 @@ class TestAction:
                       zip(range(25), (0.3, 1.0, 2.5) * 9)]
             fields += [constant(0.3, grid16), plane_wave(-1, c, grid16)]
             for f in fields:
-                grad_sq = 2 * energy(f)[0]
+                grad_sq = 2 * action(f, P0).kinetic
                 norm_sq = l2_product(f, f)
                 lhs = action(f, p).action
                 rhs = 0.25 * grad_sq + (lam - c**2 / 4) * norm_sq - K * vol
@@ -237,7 +237,7 @@ class TestTransformCount:
     def test_preconditioned_gradient_costs_two_transforms(self, grid16, p1, fft_calls):
         kernel = Kernel(grid16, p1)
         v = random_field(grid16, 3).values
-        spec = kernel.spectrum(v)
+        spec = fft_forward(v)
         fft_calls.clear()
         kernel.preconditioned_gradient(v, spec)
         assert len(fft_calls) == 2
@@ -275,9 +275,9 @@ _RAY_GRIDS = [((16, 16), 2 * np.pi), ((8, 8, 8), 3.0)]
 
 def _ray_inputs(kernel, f, d):
     """What the descent supplies to the ray quartic at f along d: the
-    action, the slope <grad I(f), d>, the density 1 - |f|^2 and spectrum(d)."""
+    action, the slope <grad I(f), d>, the density 1 - |f|^2 and fft_forward(d)."""
     value, dens = kernel.action(f, with_density=True)
-    return value, kernel.dot(kernel.gradient(f), d), dens, kernel.spectrum(d)
+    return value, kernel.dot(kernel.gradient(f), d), dens, fft_forward(d)
 
 
 class TestRay:
@@ -443,7 +443,7 @@ class TestSuppliedSpectrum:
         kernel = Kernel(grid, Params(c=1.0))
         f = random_field(grid, (seed, 0), scale).values
         d = random_field(grid, (seed, 1), scale).values
-        fs, ds = kernel.spectrum(f), kernel.spectrum(d)
+        fs, ds = fft_forward(f), fft_forward(d)
 
         exact = kernel.action(f)
         value, dens = kernel.action(f, fs, with_density=True)
@@ -452,10 +452,10 @@ class TestSuppliedSpectrum:
         g = kernel.gradient(f)
         z = kernel.precondition(g)
         gs, zz, zs = kernel.preconditioned_gradient(f, fs, dens)
-        for got, want in ((gs, kernel.spectrum(g)), (zz, z), (zs, kernel.spectrum(z))):
+        for got, want in ((gs, fft_forward(g)), (zz, z), (zs, fft_forward(z))):
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         bound = 1e-13 * np.sqrt(kernel.dot(g, g) * kernel.dot(d, d))
-        assert abs(kernel.spectral_dot(kernel.spectrum(g), ds) - kernel.dot(g, d)) <= bound
+        assert abs(kernel.spectral_dot(fft_forward(g), ds) - kernel.dot(g, d)) <= bound
         # the quartic from the values the descent holds: its carried action
         # and density, and the slope of its descent test
         lean = kernel.ray_coefficients(f, d, value, kernel.spectral_dot(gs, ds), dens, ds)

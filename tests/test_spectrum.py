@@ -131,9 +131,13 @@ class TestLanczos:
         assert len(products) == 1
 
     def test_import_does_not_load_eigensolver(self):
-        # scipy.sparse.linalg is imported on first use, not with the package
+        # scipy.fft, scipy.linalg and scipy.sparse.linalg are each imported on
+        # first use, not with the package, so importing it loads no scipy module
         code = ("import sys, gptw; "
-                "assert 'scipy.sparse.linalg' not in sys.modules, 'loaded'")
+                "assert 'scipy.sparse.linalg' not in sys.modules, 'loaded'; "
+                "loaded = sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')); "
+                "assert not loaded, loaded")
         src = str(Path(gptw.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         run = subprocess.run([sys.executable, "-c", code], env=env,
