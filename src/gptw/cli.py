@@ -25,7 +25,7 @@ from .ansatz import (NoSuchSolution, SupportTooLarge, VortexAnsatz,
                      fitted_vortex_ansatz, vortex_test_function)
 from .field import (GPTW_VERSION, ComplexField, FieldFormatError, TorusGrid,
                     read_field, write_field)
-from .functionals import ActionReport, Certificate, Params, action, certify
+from .functionals import Params, action, certify
 from .minimize import MinimizeOptions, minimizer_experiment
 from .mountainpass import NotASaddle, SaddleOptions, mountain_pass_pipeline
 from .spectrum import (constancy_scan, hessian_spectrum_at_constant,
@@ -76,6 +76,15 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
+
+
+def _csv(header: str, rows, **notes) -> str:
+    """CSV text: the header, one line per row with each cell through _fmt,
+    then one `# key = value` line per note."""
+    lines = [header]
+    lines += [",".join(_fmt(x) for x in row) for row in rows]
+    lines += [f"# {key} = {_fmt(value)}" for key, value in notes.items()]
+    return "\n".join(lines) + "\n"
 
 
 def load_config(path) -> dict:
@@ -145,28 +154,16 @@ def write_pgm(path, data: np.ndarray):
         fh.write(img.tobytes())
 
 
-CSV_COLUMNS = (
-    "T", "c", "kinetic", "potential", "momentum", "action",
-    "residual", "cert_integral_re", "cert_integral_im", "tail",
-)
-
-
-def certificate_csv_header() -> str:
-    return ",".join(CSV_COLUMNS)
-
-
-def certificate_csv_row(grid, p: Params, report: ActionReport, cert: Certificate) -> str:
-    fields = (grid.period, p.c, report.kinetic, report.potential, report.momentum,
-              report.action, cert.residual, cert.integral.real, cert.integral.imag, cert.tail)
-    return ",".join(f"{x:.17g}" for x in fields)
-
-
 def _certificate_csv(f: ComplexField, p: Params) -> str:
     """certificate.csv of a field, from its nodes: the action report and
     certify's certificates, the spectral tail included. The CSVs of
     minimize and mp therefore read as `gptw certify` of the stored field."""
-    return (certificate_csv_header() + "\n"
-            + certificate_csv_row(f.grid, p, action(f, p), certify(f, p)) + "\n")
+    report, cert = action(f, p), certify(f, p)
+    return _csv("T,c,kinetic,potential,momentum,action,"
+                "residual,cert_integral_re,cert_integral_im,tail",
+                [(f.grid.period, p.c, report.kinetic, report.potential, report.momentum,
+                  report.action, cert.residual, cert.integral.real, cert.integral.imag,
+                  cert.tail)])
 
 
 def _field_images(out: FsPath, stem: str, f: ComplexField):
@@ -194,11 +191,9 @@ def _cmd_minimize(args) -> int:
                                           resolved["R"], init=init, opts=opts,
                                           dim=resolved["N"])
     write_field(out / "minimizer.gptw", point.field, c=resolved["c"])
-    (out / "summary.csv").write_text(
-        "c,T,action,residual,classification\n"
-        + ",".join([_fmt(row["c"]), _fmt(row["T"]), _fmt(row["action"]),
-                    _fmt(row["residual"]), row["classification"]]) + "\n",
-        encoding="utf-8")
+    keys = ("c", "T", "action", "residual", "classification")
+    (out / "summary.csv").write_text(_csv(",".join(keys), [[row[k] for k in keys]]),
+                                     encoding="utf-8")
     p = Params(c=resolved["c"])
     (out / "certificate.csv").write_text(_certificate_csv(point.field, p), encoding="utf-8")
     if args.images:
@@ -226,18 +221,17 @@ def _cmd_mp(args) -> int:
         return 3
     p = Params(c=resolved["c"])
     acts = result.path_actions
-    lines = ["node,t,action"]
-    for i, (node, a) in enumerate(zip(relaxed.nodes, acts)):
+    for i, node in enumerate(relaxed.nodes):
         write_field(out / f"path_{i:03d}.gptw", node, c=resolved["c"])
-        lines.append(f"{i},{_fmt(i / (len(acts) - 1))},{_fmt(float(a))}")
-    (out / "path_actions.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out / "path_actions.csv").write_text(
+        _csv("node,t,action", [(i, i / (len(acts) - 1), float(a)) for i, a in enumerate(acts)]),
+        encoding="utf-8")
     saddle = result.saddle
     write_field(out / "saddle.gptw", saddle.field, c=resolved["c"])
     (out / "saddle.csv").write_text(
-        "gamma,M,action,residual,witness_value,classification\n"
-        + ",".join([_fmt(result.gamma), _fmt(upper),
-                    _fmt(saddle.report.action), _fmt(saddle.residual),
-                    _fmt(result.witness_value), saddle.classification]) + "\n",
+        _csv("gamma,M,action,residual,witness_value,classification",
+             [(result.gamma, upper, saddle.report.action, saddle.residual,
+               result.witness_value, saddle.classification)]),
         encoding="utf-8")
     (out / "saddle_certificate.csv").write_text(_certificate_csv(saddle.field, p),
                                                  encoding="utf-8")
@@ -261,14 +255,12 @@ def _cmd_spectrum(args) -> int:
     except NoConvergence as exc:
         print(f"spectrum: {exc}", file=sys.stderr)
         return 3
-    lines = ["c,T,value,mode,branch"]
-    for value, mode, branch in rep.eigenvalues:
-        mode_txt = " ".join(str(m) for m in mode)
-        lines.append(f"{_fmt(rep.speed)},{_fmt(rep.period)},{_fmt(value)},{mode_txt},{branch}")
-    lines.append(f"# analytic_min = {_fmt(rep.analytic_min)}")
-    lines.append(f"# degenerate_residual = {_fmt(rep.degenerate_residual)}")
-    lines.append(f"# positivity = {rep.positivity}")
-    (out / "spectrum.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [(rep.speed, rep.period, value, " ".join(str(m) for m in mode), branch)
+            for value, mode, branch in rep.eigenvalues]
+    (out / "spectrum.csv").write_text(
+        _csv("c,T,value,mode,branch", rows, analytic_min=rep.analytic_min,
+             degenerate_residual=rep.degenerate_residual, positivity=rep.positivity),
+        encoding="utf-8")
     if args.images:
         cs = np.linspace(0.1, 2.0, 64)
         Ts = np.linspace(max(resolved["T"] / 4.0, 0.5), 2.0 * resolved["T"], 64)
@@ -291,13 +283,12 @@ def _cmd_scan(args) -> int:
         raise ValueError("scan needs at least one period in --T")
     rep = constancy_scan(resolved["c"], T_values, resolved["starts"],
                          resolved["size"], seed=resolved["seed"], band=resolved["band"])
-    lines = ["T,all_constant,nonconstant,unconverged"]
-    for r in rep.rows:
-        lines.append(f"{_fmt(r.T)},{str(r.all_constant).lower()},{r.nonconstant},{r.unconverged}")
-    lines.append(f"# case1_bound = {_fmt(rep.case1_bound)}")
-    lines.append(f"# plane_wave_onset = {_fmt(rep.plane_wave_onset)}")
-    lines.append(f"# empirical_onset = {_fmt(rep.empirical_onset)}")
-    (out / "threshold.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [(r.T, str(r.all_constant).lower(), r.nonconstant, r.unconverged)
+            for r in rep.rows]
+    (out / "threshold.csv").write_text(
+        _csv("T,all_constant,nonconstant,unconverged", rows, case1_bound=rep.case1_bound,
+             plane_wave_onset=rep.plane_wave_onset, empirical_onset=rep.empirical_onset),
+        encoding="utf-8")
     print(f"scan: onset={_fmt(rep.empirical_onset)} "
           f"(case1={_fmt(rep.case1_bound)}, plane wave={_fmt(rep.plane_wave_onset)}) -> {out}")
     return 0
@@ -308,26 +299,21 @@ def _cmd_testfn(args) -> int:
     out = _prepare_out(resolved, "testfn")
     R_values = _parse_list(resolved["R"])
     p = Params(c=resolved["c"])
-    lines = ["R,T,size,kinetic,potential,momentum,action"]
-    table = []
+    rows = []
     for R in R_values:
         T = 8.25 * R
         size = 1 << max(6, int(np.ceil(np.log2(T / 0.52))))
         grid = TorusGrid((size, size), T)
-        f = vortex_test_function(_ansatz_from(resolved, R, T), grid)
-        rep = action(f, p)
-        table.append((R, rep))
-        lines.append(",".join([_fmt(R), _fmt(T), str(size), _fmt(rep.kinetic),
-                               _fmt(rep.potential), _fmt(rep.momentum), _fmt(rep.action)]))
-    if len(table) >= 2:
-        logR = np.log([r for r, _ in table])
-        logP = np.log([rep.momentum for _, rep in table])
-        slope = float(np.polyfit(logR, logP, 1)[0])
-        lines.append(f"# momentum_loglog_slope = {_fmt(slope)}")
-        ratio = table[-1][1].kinetic / table[-2][1].kinetic
-        lines.append(f"# kinetic_ratio_last = {_fmt(float(ratio))}")
-    (out / "testfn.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"testfn: {len(table)} rows -> {out}")
+        rep = action(vortex_test_function(_ansatz_from(resolved, R, T), grid), p)
+        rows.append((R, T, size, rep.kinetic, rep.potential, rep.momentum, rep.action))
+    notes = {}
+    if len(rows) >= 2:
+        R_col, kinetic, momentum = np.array(rows)[:, [0, 3, 5]].T
+        notes["momentum_loglog_slope"] = float(np.polyfit(np.log(R_col), np.log(momentum), 1)[0])
+        notes["kinetic_ratio_last"] = float(kinetic[-1] / kinetic[-2])
+    (out / "testfn.csv").write_text(
+        _csv("R,T,size,kinetic,potential,momentum,action", rows, **notes), encoding="utf-8")
+    print(f"testfn: {len(rows)} rows -> {out}")
     return 0
 
 

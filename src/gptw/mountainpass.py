@@ -11,12 +11,11 @@ budget. The max node is refined by Newton-MINRES on the action gradient
 negative Hessian direction off the symmetry directions
 (gptw.spectrum.smallest_direction) certifies the saddle index.
 
-Each field's action is evaluated once: relax_path returns the node actions
-of its path and takes those of the path it is given when the caller holds
-them, and find_saddle takes them too. The pipeline evaluates the initial
-path once, for M and, when the string relaxes on the target grid, as
-relax_path's first gamma. The saddle's CriticalPoint comes from the Newton
-result at one transform, its action.
+Node actions are evaluated once per path, by the function that holds it:
+the pipeline evaluates the initial path's, for M; relax_path its start
+path's, for the first gamma and the fixed endpoints of every sweep; and
+find_saddle the relaxed path's, for gamma and the max node. The saddle's
+CriticalPoint comes from the Newton result at one transform, its action.
 
 The pipeline relaxes the string by nested iteration (Brandt, Math. Comp. 31,
 1977): on field.coarsest_grid of the path's top node 1 + w_R, from the path
@@ -24,11 +23,13 @@ restricted there by field.resample. The string costs about as many sweeps
 on every grid that resolves the path, so the coarse grid finds the pass at
 a fraction of the cost. The coarse string is only a start: its interior
 nodes are prolonged to the target grid between the path's own endpoints,
-their actions are evaluated there, and gamma, the saddle's Newton
-refinement and its index witness are all taken on the target grid. A start
-near a basin boundary may reach a different saddle this way than a
-relaxation on the target grid alone. relax_path and find_saddle themselves
-run on whatever grid their path lives on.
+and gamma, the saddle's Newton refinement and its index witness are all
+taken on the target grid. When the target grid is already the coarsest,
+restriction and prolongation return their field unchanged (field.resample),
+so the string relaxes on the target grid itself. A start near a basin
+boundary may reach a different saddle this way than a relaxation on the
+target grid alone. relax_path and find_saddle themselves run on whatever
+grid their path lives on.
 """
 
 from __future__ import annotations
@@ -149,19 +150,8 @@ def _reparametrize(values: list[np.ndarray], weight: float) -> list[np.ndarray]:
     return out
 
 
-def _node_actions(path: Path, p: Params, actions: np.ndarray | None) -> np.ndarray:
-    """The node actions of `path`: `actions`, the ones its caller holds,
-    checked to have one entry per node, or path.actions(p) when None."""
-    if actions is None:
-        return path.actions(p)
-    actions = np.asarray(actions, dtype=float)
-    if actions.shape != (len(path.nodes),):
-        raise ValueError(f"{actions.shape} node actions for a path of {len(path.nodes)} nodes")
-    return actions
-
-
-def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None,
-               actions: np.ndarray | None = None) -> tuple[Path, float, np.ndarray]:
+def relax_path(path: Path, p: Params,
+               opts: RelaxOptions | None = None) -> tuple[Path, float, np.ndarray]:
     """String-method relaxation of the interior nodes.
 
     Each sweep moves every interior node by NODE_STEPS fixed-size
@@ -171,8 +161,9 @@ def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None,
     refuses is rejected and the step halved. Returns (relaxed path, gamma estimate,
     node actions of the relaxed path) after opts.sweeps sweeps, or earlier
     once gamma has not improved by REL_TOL in opts.patience sweeps in a row
-    (the string has stalled). `actions`, when given, are the node actions
-    of `path` (path.actions(p)), which are then not evaluated again.
+    (the string has stalled). The node actions of `path` are evaluated
+    once, at the start: they give the first gamma, and the endpoints'
+    carry over to every sweep.
 
     A node takes its spectrum once per sweep and carries it through its
     steps by linearity, so a step costs the 2 transforms of
@@ -187,7 +178,7 @@ def relax_path(path: Path, p: Params, opts: RelaxOptions | None = None,
     # arrays are shared, not copied
     nodes = [n.values for n in path.nodes]
     endpoints = (path.nodes[0], path.nodes[-1])
-    acts = _node_actions(path, p, actions)
+    acts = path.actions(p)
 
     # the endpoints stay fixed, so their actions carry over to every sweep
     ends = acts[0], acts[-1]
@@ -252,8 +243,7 @@ def _pick_max_node(acts: np.ndarray) -> int:
     return int(np.argmax(acts >= acts.max() - 1e-12))
 
 
-def find_saddle(path: Path, p: Params, opts: SaddleOptions | None = None,
-                actions: np.ndarray | None = None) -> SaddleResult:
+def find_saddle(path: Path, p: Params, opts: SaddleOptions | None = None) -> SaddleResult:
     """Refine the max-action node of a relaxed path to a critical point and
     certify its index.
 
@@ -264,9 +254,9 @@ def find_saddle(path: Path, p: Params, opts: SaddleOptions | None = None,
     direction off the phase and translation directions, which carry the
     zero modes of every critical point; when the quadratic form is
     nonnegative there, the Hessian has no negative direction and NotASaddle
-    is raised (the path collapsed to a minimizer). gamma is the max node
-    action of `path`; `actions`, when given, are its node actions as
-    relax_path returns them, which are then not evaluated again.
+    is raised (the path collapsed to a minimizer). The node actions of
+    `path` are evaluated once: they pick the max node and give
+    SaddleResult.path_actions, whose max is gamma.
 
     The saddle's CriticalPoint comes from the Newton result
     (CriticalPoint.from_newton): the residual Newton's stopping rule
@@ -274,7 +264,7 @@ def find_saddle(path: Path, p: Params, opts: SaddleOptions | None = None,
     """
     opts = opts or SaddleOptions()
     tol = certified_tol(path.grid, opts.grad_tol)
-    acts = _node_actions(path, p, actions)
+    acts = path.actions(p)
     idx = _pick_max_node(acts)
     refined = newton_minres(path.nodes[idx], p, tol, max_steps=opts.max_iters)
     saddle_field = refined.field
@@ -312,23 +302,17 @@ def mountain_pass_pipeline(c: float, grid: TorusGrid, R: float,
     endpoints, so the relaxed path, its node actions, gamma and the saddle
     refined from its max node all live on `grid`; SaddleResult.relax_grid
     names the grid the string relaxed on. When that grid is `grid`, the
-    relaxation runs there only. Each node action
-    is evaluated once on `grid`: the initial path's give M and, on `grid`,
-    relax_path's first gamma, and the relaxed path's the saddle's start and
-    SaddleResult.path_actions.
+    restriction and prolongation return their fields unchanged and this is
+    relax_path and find_saddle on `grid`, bit for bit. Node actions are
+    evaluated for the initial path (M), the restricted path (relax_path's
+    first gamma) and the relaxed path (find_saddle).
     """
     p = Params(c=c)
     path = init_path(grid, R, node_count, ansatz)
-    acts = path.actions(p)
     coarse = coarsest_grid(path.nodes[-1])
-    if coarse == grid:
-        relaxed, _, relaxed_acts = relax_path(path, p, relax_opts, acts)
-    else:
-        start = Path(tuple(resample(n, coarse) for n in path.nodes))
-        strung, _, _ = relax_path(start, p, relax_opts)
-        interior = tuple(resample(n, grid) for n in strung.nodes[1:-1])
-        relaxed = Path((path.nodes[0],) + interior + (path.nodes[-1],))
-        eng = Kernel(grid, p)
-        relaxed_acts = np.array([acts[0], *(eng.action(n.values) for n in interior), acts[-1]])
-    result = replace(find_saddle(relaxed, p, saddle_opts, relaxed_acts), relax_grid=coarse)
-    return result, relaxed, float(acts.max())
+    start = Path(tuple(resample(n, coarse) for n in path.nodes))
+    strung, _, _ = relax_path(start, p, relax_opts)
+    interior = tuple(resample(n, grid) for n in strung.nodes[1:-1])
+    relaxed = Path((path.nodes[0],) + interior + (path.nodes[-1],))
+    result = replace(find_saddle(relaxed, p, saddle_opts), relax_grid=coarse)
+    return result, relaxed, float(path.actions(p).max())

@@ -106,10 +106,11 @@ def _symbol_branches(grid: TorusGrid, c: float) -> tuple[np.ndarray, np.ndarray]
     return grid.laplacian_symbol + 1.0 + root, grid.laplacian_symbol + 1.0 - root
 
 
-def symbol_eigenvalues(grid: TorusGrid, c: float, complement: bool = True):
-    """All Hessian eigenvalues at a modulus-one constant, from the per-mode
-    symbol. Returns (value, mode, branch) sorted ascending; with complement
-    the zero of the phase direction (k = 0, lower branch) is dropped.
+def symbol_eigenvalues(grid: TorusGrid, c: float):
+    """The Hessian eigenvalues at a modulus-one constant on the complement
+    of the phase direction, from the per-mode symbol. Returns (value, mode,
+    branch) sorted ascending; the phase direction's zero (k = 0, lower
+    branch) is left out.
 
     Each grid mode contributes its two branches once, which counts the
     k/-k pairing with the right multiplicity.
@@ -118,8 +119,7 @@ def symbol_eigenvalues(grid: TorusGrid, c: float, complement: bool = True):
     # entry 2j + b is branch b ("+", "-") of the mode at flat index j
     values = np.stack([plus.ravel(), minus.ravel()], axis=1).ravel()
     order = np.argsort(values, kind="stable")
-    if complement:
-        order = order[order != 1]  # k = 0, lower branch: the phase direction
+    order = order[order != 1]  # k = 0, lower branch: the phase direction
     at = np.unravel_index(order // 2, grid.sizes)
     modes = zip(*[grid.integer_modes(ax)[at[ax]].tolist() for ax in range(grid.dim)])
     branches = np.array(["+", "-"])[order % 2].tolist()
@@ -298,8 +298,7 @@ def hessian_spectrum_at_constant(theta: float, p: Params, grid: TorusGrid,
         period=grid.period,
         eigenvalues=tuple(entries),
         degenerate_residual=degenerate_residual,
-        # flat index 0 is k = 0, whose lower branch is the phase direction
-        analytic_min=float(min(plus.min(), minus.ravel()[1:].min())),
+        analytic_min=symbol_eigenvalues(grid, p.c)[0][0],
         positivity=entries[0][0] > 0.0,
     )
 

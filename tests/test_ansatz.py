@@ -75,6 +75,8 @@ class TestVortexAnsatz:
     def test_invariants(self):
         with pytest.raises(ValueError):
             VortexAnsatz(1.5)
+        with pytest.raises(ValueError, match="core width"):
+            VortexAnsatz(3.0, core_width=0.0)
         with pytest.raises(ValueError):
             VortexAnsatz(4.0, cutoff_inner=7.0, cutoff_outer=20.0)  # inner <= 2R
         with pytest.raises(ValueError):

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gptw import cli
-from gptw.cli import (certificate_csv_header, certificate_csv_row, load_config, main,
-                      write_pgm)
+from gptw.cli import load_config, main, write_pgm
 from gptw.field import TorusGrid, read_field, write_field
 from gptw.functionals import Params, action, certify
 from gptw.ansatz import (VortexAnsatz, constant, fitted_vortex_ansatz, plane_wave,
@@ -83,14 +82,15 @@ class TestInfoAndCertify:
 
     def test_csv_row(self):
         grid16, p1 = TorusGrid((16, 16), 2 * np.pi), Params(c=1.0)
-        f = constant(0.0, grid16)
-        rep = action(f, p1)
-        cert = certify(f, p1)
-        header = certificate_csv_header()
-        row = certificate_csv_row(grid16, p1, rep, cert)
+        header, row = cli._certificate_csv(constant(0.0, grid16), p1).splitlines()
         assert header.split(",")[0] == "T"
         assert len(row.split(",")) == len(header.split(","))
         assert row.split(",")[1] == "1"
+
+    def test_certify_out_matches_stdout(self, tmp_path, pw_file, capsys):
+        out = tmp_path / "cert"
+        assert main(["certify", str(pw_file), "--out", str(out)]) == 0
+        assert (out / "certificate.csv").read_text() == capsys.readouterr().out
 
 
 class TestMinimizeCommand:
@@ -174,6 +174,14 @@ class TestMountainPassCommand:
             f, c = read_field(out / f"path_{i:03d}.gptw")
             assert float(line.split(",")[2]) == action(f, Params(c=c)).action
 
+    def test_images_flag(self, tmp_path):
+        out = tmp_path / "mp"
+        assert main(self.ARGS + ["--out", str(out), "--images"]) == 0
+        for name in ("saddle_modulus.pgm", "saddle_phase.pgm"):
+            raw = (out / name).read_bytes()
+            assert raw.startswith(b"P5\n32 32\n255\n")
+            assert len(raw) == len(b"P5\n32 32\n255\n") + 32 * 32
+
     def test_witness_no_convergence_exits_3(self, tmp_path, capsys, lobpcg_fails):
         out = tmp_path / "mp"
         assert main(self.ARGS + ["--out", str(out)]) == 3
@@ -195,6 +203,10 @@ class TestScanCommand:
         assert rows[3].startswith("1.8,true")
         assert any("case1_bound" in r for r in rows)
 
+    def test_no_period_exits_2(self, tmp_path, capsys):
+        assert main(["scan", "--T", "", "--out", str(tmp_path / "scan")]) == 2
+        assert "at least one period" in capsys.readouterr().err
+
 
 class TestSpectrumCommand:
     def test_report(self, tmp_path):
@@ -206,6 +218,15 @@ class TestSpectrumCommand:
         assert rows[0] == "c,T,value,mode,branch"
         first = float(rows[1].split(",")[2])
         assert first == pytest.approx(2 - np.sqrt(2), abs=1e-8)
+
+    def test_images_flag(self, tmp_path):
+        # the positivity criterion on a 64 x 64 lattice of (c, T)
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--size", "16", "--count", "2", "--out", str(out),
+                     "--images"]) == 0
+        raw = (out / "positivity.pgm").read_bytes()
+        assert raw.startswith(b"P5\n64 64\n255\n")
+        assert len(raw) == len(b"P5\n64 64\n255\n") + 64 * 64
 
     def test_no_convergence_exits_3(self, tmp_path, capsys, lobpcg_fails):
         out = tmp_path / "spec"

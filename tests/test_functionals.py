@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gptw.field import ComplexField, TorusGrid, fft_forward, l2_norm, l2_product
+from gptw.field import (ComplexField, GridMismatch, TorusGrid, fft_forward, l2_norm,
+                        l2_product)
 from gptw.functionals import (
     ActionReport,
     Kernel,
@@ -222,6 +223,12 @@ class TestHessian:
         for target in (2 - np.sqrt(2), 2 + np.sqrt(2)):
             hits = np.sum(np.abs(ev - target) < 1e-9)
             assert hits >= 2
+
+
+    def test_grids_must_match(self, grid16, p1):
+        other = TorusGrid((32, 32), grid16.period)
+        with pytest.raises(GridMismatch):
+            hessian_apply(constant(0.0, grid16), constant(0.0, other), p1)
 
 
 class TestTransformCount:

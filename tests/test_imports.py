@@ -1,6 +1,6 @@
 """Package structure: no module reaches into another module's private
-names, every name the benchmark looks up exists, and every option field is
-set by some caller."""
+names, every name the benchmark looks up exists, and every option field and
+defaulted parameter is set by some caller."""
 
 import ast
 import dataclasses
@@ -127,3 +127,58 @@ def test_every_option_is_set_outside_the_tests():
              for field in dataclasses.fields(getattr(importlib.import_module(module), cls))
              if field.name not in keywords.get(cls, set()) | attributes]
     assert unset == []
+
+
+# Defaulted parameters that only the tests pass: the tests drive the CLI
+# through main(argv).
+CALLED_FROM_TESTS = {("cli", "main", "argv")}
+
+
+def _defaulted_parameters(paths):
+    """(module, function, parameter, position) of every parameter with a
+    default of a function or method defined in the files at `paths`; the
+    position counts call arguments (self and cls excluded) and is None for a
+    keyword-only parameter."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for owner in ast.walk(tree):
+            body = getattr(owner, "body", None)
+            for node in body if isinstance(body, list) else []:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                bound = isinstance(owner, ast.ClassDef) and not any(
+                    getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                args = node.args.posonlyargs + node.args.args
+                for i in range(len(args) - len(node.args.defaults), len(args)):
+                    found.append((path.stem, node.name, args[i].arg, i - bound))
+                for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                    if default is not None:
+                        found.append((path.stem, node.name, arg.arg, None))
+    return found
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no call overrides is a knob nothing turns; a call
+    # passes a parameter by its keyword or by as many positional arguments
+    calls = {}
+    for path in MODULES + sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = {(module, func, arg)
+                for module, func, arg, position in _defaulted_parameters(MODULES)
+                if not any(any(k.arg == arg for k in call.keywords)
+                           or (position is not None and len(call.args) > position)
+                           for call in calls.get(func, []))}
+    assert unpassed == CALLED_FROM_TESTS
+
+
+def test_detects_unpassed_default(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(a, b=1, *, c=2):\n    pass\n"
+                     "class K:\n    def m(self, d=3):\n        pass\n")
+    assert _defaulted_parameters([probe]) == [("probe", "f", "b", 1), ("probe", "f", "c", None),
+                                              ("probe", "m", "d", 0)]

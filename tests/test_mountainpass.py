@@ -76,6 +76,21 @@ class TestInitPath:
         with pytest.raises(ValueError):
             Path((constant(0.0, small_grid),) * 2)
 
+    def test_mixed_grids_raise(self, small_grid):
+        other = TorusGrid((32, 32), SMALL["T"])
+        with pytest.raises(ValueError, match="one grid"):
+            Path((constant(0.0, small_grid), constant(0.0, other), constant(0.0, small_grid)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RelaxOptions(sweeps=0),
+    lambda: RelaxOptions(patience=0),
+    lambda: SaddleOptions(max_iters=0),
+], ids=["sweeps", "patience", "max_iters"])
+def test_option_guards(make):
+    with pytest.raises(ValueError, match=">= 1"):
+        make()
+
 
 class TestRelaxPath:
     def test_constants_path_is_stationary_then_stalls(self):
@@ -109,27 +124,13 @@ class TestRelaxPath:
         fft_calls.clear()
         relax_path(path, P1, RelaxOptions(sweeps=1))
         assert len(fft_calls) == 2 + 3 + 3 * (2 * NODE_STEPS + 2)
-        # node actions the caller holds are not evaluated again
-        acts = path.actions(P1)
-        fft_calls.clear()
-        relax_path(path, P1, RelaxOptions(sweeps=1), acts)
-        assert len(fft_calls) == 3 * (2 * NODE_STEPS + 2)
 
     def test_node_actions_evaluated_once(self):
-        # the returned actions are those of the returned path, and handing
-        # relax_path the actions of its path changes nothing but the work
+        # the returned actions are those of the returned path
         g = TorusGrid((32, 32), SMALL["T"])
         path = init_path(g, SMALL["R"], node_count=5)
-        opts = RelaxOptions(sweeps=3)
-        relaxed, gamma, acts = relax_path(path, P1, opts)
+        relaxed, _, acts = relax_path(path, P1, RelaxOptions(sweeps=3))
         assert np.array_equal(acts, relaxed.actions(P1))
-        again, gamma_again, acts_again = relax_path(path, P1, opts, path.actions(P1))
-        assert gamma_again == gamma
-        assert np.array_equal(acts_again, acts)
-        for a, b in zip(again.nodes, relaxed.nodes):
-            assert np.array_equal(a.values, b.values)
-        with pytest.raises(ValueError):
-            relax_path(path, P1, opts, acts[:-1])
 
     def test_sweep_matches_steps_from_scratch(self):
         # the spectrum a node carries through its steps gives the steps
@@ -334,8 +335,8 @@ class TestCoarseString:
     def test_same_saddle_as_direct_route(self, grid, nested):
         (result, _, M), _ = nested
         path = init_path(grid, self.R, self.NODES)
-        direct, _, acts = relax_path(path, P1, RelaxOptions(), path.actions(P1))
-        want = find_saddle(direct, P1, self.SADDLE, acts).saddle
+        direct, _, _ = relax_path(path, P1, RelaxOptions())
+        want = find_saddle(direct, P1, self.SADDLE).saddle
         got = result.saddle
         assert got.converged and want.converged
         assert abs(got.report.action - want.report.action) <= 1e-9
@@ -345,3 +346,17 @@ class TestCoarseString:
         result, relaxed, _ = small_pipeline
         assert relaxed.grid == small_grid
         assert result.relax_grid == small_grid
+
+    def test_identity_route_is_direct_route(self, small_grid, small_pipeline):
+        # on a grid that is already the coarsest, restriction and
+        # prolongation return their fields, so the pipeline is relax_path
+        # and find_saddle on that grid, bit for bit
+        result, relaxed, M = small_pipeline
+        path = init_path(small_grid, SMALL["R"], node_count=17)
+        direct, _, _ = relax_path(path, P1, RelaxOptions(sweeps=40, patience=6))
+        want = find_saddle(direct, P1, SaddleOptions(grad_tol=1e-8 * SMALL["T"]))
+        for a, b in zip(relaxed.nodes, direct.nodes, strict=True):
+            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(result.path_actions, want.path_actions)
+        assert np.array_equal(result.saddle.field.values, want.saddle.field.values)
+        assert M == float(path.actions(P1).max())

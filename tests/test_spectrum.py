@@ -44,7 +44,8 @@ class TestSymbolOracle:
         p = Params(c=1.0)
         A = dense_hessian(constant(0.0, g), p)
         dense = np.sort(np.linalg.eigvalsh(A))
-        sym = np.sort([e[0] for e in symbol_eigenvalues(g, 1.0, complement=False)])
+        # the phase direction's zero, 0 + 1 - sqrt(1), completes the symbol
+        sym = np.sort([0.0] + [e[0] for e in symbol_eigenvalues(g, 1.0)])
         assert dense.size == sym.size == 2 * g.node_count
         assert np.abs(dense - sym).max() <= 1e-9
 
@@ -314,6 +315,20 @@ class TestWeightedEigenvalue:
             weighted_eigenvalue(3.0 * np.ones(grid16.sizes), grid16)
         with pytest.raises(WeightOutOfRange):
             weighted_eigenvalue(0.1 * np.ones(grid16.sizes), grid16)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: dense_hessian(constant(0.0, TorusGrid((66, 66), 2 * np.pi)), Params(c=1.0)),
+     "4096 nodes"),
+    (lambda: weighted_eigenvalue(np.ones((8, 8)), TorusGrid((16, 16), 2 * np.pi)),
+     "weight shape"),
+    (lambda: weighted_eigenvalue(np.ones((66, 66)), TorusGrid((66, 66), 2 * np.pi)),
+     "4096 nodes"),
+], ids=["dense_hessian-66", "weight-shape", "weighted-66"])
+def test_dense_guards(call, match):
+    # 66^2 = 4,356 nodes is above DENSE_NODE_LIMIT
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestConstancyScan:
