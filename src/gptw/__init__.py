@@ -4,16 +4,12 @@ from .field import (
     ComplexField,
     FieldFormatError,
     GridMismatch,
-    InconsistentWinding,
-    LiftResult,
     TorusGrid,
-    VortexPresent,
     axis_windings,
     coarsest_grid,
     inner_product,
     l2_norm,
     l2_product,
-    lift,
     read_field,
     read_header,
     resample,
@@ -21,6 +17,7 @@ from .field import (
     spectral_tail,
     transform_forward,
     transform_inverse,
+    vortex_count,
     write_field,
 )
 from .functionals import (

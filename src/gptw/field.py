@@ -1,4 +1,4 @@
-"""Torus grids, spectral calculus and phase lifting for periodic complex fields.
+"""Torus grids, spectral calculus and vortex counting for periodic complex fields.
 
 The domain is the cube [0, T]^N with opposite faces identified, sampled on a
 uniform grid. Derivatives act as Fourier multipliers and integrals are
@@ -16,10 +16,16 @@ The tail is the package's one resolution indicator: spectral_tail reports
 it on a field's own grid, for functionals.certify, reading resolution off
 the decay of the Fourier coefficients (Boyd, Chebyshev and Fourier
 Spectral Methods, 2nd ed., 2001, ch. 2).
+
+Vortices are counted, not inferred from a small modulus: vortex_count sums
+the phase increments around each grid cell, the discrete winding number of
+the lattice, which is an exact integer on node values with no zero and
+needs no transform.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -30,10 +36,6 @@ import numpy as np
 GPTW_MAGIC = b"GPTW"
 GPTW_VERSION = 1
 
-# Path-dependence tolerance for phase unwrapping, radians per grid node.
-UNWRAP_TOL = 1e-6
-# Modulus floor below which a global phase lifting is refused.
-LIFT_FLOOR = 0.1
 # Largest spectral tail (coarsest_grid) of a field on a grid that resolves
 # it. On the criterion-6 saddle the tail is within a factor 6-32 of the
 # action error against the 128^2 saddle, so 1e-5 keeps that error near 1e-5
@@ -45,14 +47,6 @@ TAIL_BOUND = 1e-5
 
 class GridMismatch(ValueError):
     """Operands live on different grids."""
-
-
-class VortexPresent(RuntimeError):
-    """No global lifting: the modulus dips below the floor somewhere."""
-
-
-class InconsistentWinding(RuntimeError):
-    """Phase unwrapping is path dependent beyond tolerance (unresolved vortices)."""
 
 
 class FieldFormatError(ValueError):
@@ -350,66 +344,47 @@ def inner_product(a: ComplexField, b: ComplexField) -> float:
     return total
 
 
-def axis_windings(f: ComplexField) -> tuple[tuple[int, ...], float]:
-    """Phase circulation along each axis, checked on every grid line.
+def _increments(v: np.ndarray, axis: int) -> np.ndarray:
+    """Phase increment angle(v_b * conj(v_a)) in (-pi, pi] from each node a
+    to its periodic neighbour b along `axis`."""
+    return np.angle(np.roll(v, -1, axis=axis) * np.conj(v))
 
-    Returns (windings, worst_dev): windings[j] is the net phase increment of
-    the origin line along axis j divided by 2*pi, rounded to an integer;
-    worst_dev is the largest deviation of any line's circulation from the
-    corresponding 2*pi*integer, in radians per node. Large worst_dev signals
-    unresolved vortices (path-dependent unwrapping).
+
+def axis_windings(f: ComplexField) -> tuple[int, ...]:
+    """Phase circulation along the grid line through the origin in each
+    axis direction, divided by 2*pi and rounded to an integer.
+
+    Two parallel lines differ in circulation by 2*pi times the sum of the
+    cell windings in the strip between them, so when vortex_count is (0, 0)
+    every line of an axis carries the same winding to rounding.
     """
-    v = f.values
-    windings = []
-    worst = 0.0
-    two_pi = 2.0 * np.pi
+    out = []
     for ax in range(f.grid.dim):
-        inc = np.angle(np.roll(v, -1, axis=ax) * np.conj(v))
-        circ = inc.sum(axis=ax)
-        origin = float(circ.flat[0])
-        w = int(np.rint(origin / two_pi))
-        dev = float(np.max(np.abs(circ - two_pi * w))) / f.grid.sizes[ax]
-        windings.append(w)
-        worst = max(worst, dev)
-    return tuple(windings), worst
+        line = f.values[tuple(slice(None) if a == ax else 0 for a in range(f.grid.dim))]
+        out.append(int(np.rint(_increments(line, 0).sum() / (2.0 * np.pi))))
+    return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
-class LiftResult:
-    """Polar representation rho*exp(i*theta) of a vortexless field.
+def vortex_count(f: ComplexField) -> tuple[int, int]:
+    """(plus, minus): the total positive and negative winding of the grid
+    cells of f.
 
-    theta is the continuous unwrapped representative; it equals a periodic
-    function plus the linear winding part 2*pi*w_j*x_j/T.
+    The winding of a cell is the sum of the four phase increments around it
+    divided by 2*pi, the discrete winding number of the lattice. It is an
+    integer to rounding whenever no node value is exactly 0, and it uses the
+    node values only. In 3-D every cell face of the three orientations counts, so the
+    count is the number of vortex-line crossings. The cell windings of a
+    periodic field sum to zero, since each edge enters two cells with
+    opposite signs, so plus == minus.
     """
-
-    rho: np.ndarray
-    theta: np.ndarray
-    windings: tuple[int, ...]
-
-
-def lift(f: ComplexField) -> LiftResult:
-    """Lift f = rho*exp(i*theta) with integer windings per axis.
-
-    Unwraps along the axis-0 line through the grid origin first, then sweeps
-    the remaining axes. Raises VortexPresent when min |f| < LIFT_FLOOR and
-    InconsistentWinding when circulation differs between parallel lines by
-    more than UNWRAP_TOL.
-    """
-    rho = np.abs(f.values)
-    lo = float(rho.min())
-    if lo < LIFT_FLOOR:
-        raise VortexPresent(f"min |f| = {lo:.3e} below floor {LIFT_FLOOR:.3e}")
-    windings, dev = axis_windings(f)
-    if dev > UNWRAP_TOL:
-        raise InconsistentWinding(
-            f"circulation varies between lines by {dev:.3e} rad/node (tol {UNWRAP_TOL:.1e})"
-        )
-    theta = np.angle(f.values)
-    dim = f.grid.dim
-    for ax in range(dim):
-        block = tuple(slice(None) if a <= ax else slice(0, 1) for a in range(dim))
-        theta[block] = np.unwrap(theta[block], axis=ax)
-    return LiftResult(rho, theta, windings)
+    inc = [_increments(f.values, ax) for ax in range(f.grid.dim)]
+    plus = minus = 0
+    for a, b in itertools.combinations(range(f.grid.dim), 2):
+        circ = inc[a] + np.roll(inc[b], -1, axis=a) - np.roll(inc[a], -1, axis=b) - inc[b]
+        w = np.rint(circ / (2.0 * np.pi)).astype(int)
+        plus += int(w[w > 0].sum())
+        minus -= int(w[w < 0].sum())
+    return plus, minus
 
 
 # ---------------------------------------------------------------------------

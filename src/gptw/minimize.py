@@ -69,8 +69,7 @@ import numpy as np
 
 from .ansatz import fitted_vortex_ansatz, vortex_test_function
 from .field import (ComplexField, TorusGrid, axis_windings, coarsest_grid, fft_forward,
-                    lift, resample)
-from .field import VortexPresent, InconsistentWinding
+                    resample, vortex_count)
 from .functionals import (ActionReport, Kernel, Params, action, admits,
                           default_grad_tol, equation_integral)
 from .newton import NewtonResult, newton_minres
@@ -272,10 +271,13 @@ def _polish(field: ComplexField, p: Params, value: float, tol: float) -> NewtonR
 
 
 def classify(f: ComplexField) -> str:
-    """Bucket a field by its constancy structure, to sup-norm CLASS_TOL.
+    """Bucket a field by its constancy and vortex structure.
 
-    Order of the tie-breaking tests: ZeroConstant, UnitConstant, PlaneWave,
-    Vortexful, OtherNonconstant.
+    Order of the tie-breaking tests: ZeroConstant and UnitConstant (to
+    sup-norm CLASS_TOL), then Vortexful when field.vortex_count is nonzero
+    or f is exactly 0 at a node (the one case where a cell winding is not an
+    integer), then PlaneWave for a constant modulus (to CLASS_TOL) with a
+    nonzero axis winding, else OtherNonconstant.
     """
     v = f.values
     mod = np.abs(v)
@@ -284,15 +286,10 @@ def classify(f: ComplexField) -> str:
     mean = v.mean()
     if float(np.abs(v - mean).max()) <= CLASS_TOL and float(np.abs(mod - 1.0).max()) <= CLASS_TOL:
         return UNIT_CONSTANT
-    mod_variation = float(mod.max() - mod.min())
-    if mod_variation <= CLASS_TOL:
-        windings, dev = axis_windings(f)
-        if dev <= 1e-3 and any(windings):
-            return PLANE_WAVE
-    try:
-        lift(f)
-    except (VortexPresent, InconsistentWinding):
+    if any(vortex_count(f)) or float(mod.min()) == 0.0:
         return VORTEXFUL
+    if float(mod.max() - mod.min()) <= CLASS_TOL and any(axis_windings(f)):
+        return PLANE_WAVE
     return OTHER_NONCONSTANT
 
 

@@ -287,6 +287,9 @@ def hessian_spectrum_at_constant(theta: float, p: Params, grid: TorusGrid,
     degenerate_residual = l2_norm(hphase)
     vals, vecs = _smallest_pairs(base, p, count, np.random.default_rng(seed))
     plus, minus = _symbol_branches(grid, p.c)
+    # the smallest symbol entry off the phase direction, the lower branch at
+    # flat index 0 (k = 0)
+    analytic_min = float(min(plus.min(), minus.ravel()[1:].min()))
     entries = []
     for value, vec in zip(vals.tolist(), vecs.T):
         mode = _dominant_mode(grid, from_real(vec, grid))
@@ -298,7 +301,7 @@ def hessian_spectrum_at_constant(theta: float, p: Params, grid: TorusGrid,
         period=grid.period,
         eigenvalues=tuple(entries),
         degenerate_residual=degenerate_residual,
-        analytic_min=symbol_eigenvalues(grid, p.c)[0][0],
+        analytic_min=analytic_min,
         positivity=entries[0][0] > 0.0,
     )
 

@@ -1,24 +1,21 @@
-"""Grid, transform, derivative, inner-product, lifting and file-format tests."""
+"""Grid, transform, derivative, inner-product, winding and file-format tests."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gptw.ansatz import (constant, fitted_vortex_ansatz, perturb, plane_wave,
+from gptw.ansatz import (VortexAnsatz, constant, fitted_vortex_ansatz, perturb, plane_wave,
                          vortex_test_function)
 from gptw.field import (
     ComplexField,
     FieldFormatError,
     GridMismatch,
-    InconsistentWinding,
     TorusGrid,
-    VortexPresent,
     axis_windings,
     coarsest_grid,
     inner_product,
     l2_norm,
     l2_product,
-    lift,
     read_field,
     read_header,
     resample,
@@ -26,6 +23,7 @@ from gptw.field import (
     spectral_tail,
     transform_forward,
     transform_inverse,
+    vortex_count,
     write_field,
 )
 from gptw.functionals import Kernel, Params
@@ -201,62 +199,81 @@ class TestInnerProducts:
             l2_product(random_field(grid16, 0), random_field(other, 0))
 
 
+def cell_sums(f):
+    """Phase increments summed around every cell of every orientation,
+    over 2*pi, computed independently of vortex_count."""
+    v = f.values
+    out = []
+    for a in range(v.ndim):
+        for b in range(a + 1, v.ndim):
+            loop = [v, np.roll(v, -1, a), np.roll(np.roll(v, -1, a), -1, b), np.roll(v, -1, b)]
+            total = sum(np.angle(loop[(i + 1) % 4] * np.conj(loop[i])) for i in range(4))
+            out.append(total / (2 * np.pi))
+    return np.concatenate([s.ravel() for s in out])
+
+
 class TestLift:
+    """The phase lifted along grid lines (axis_windings) and around grid
+    cells (vortex_count)."""
+
     def test_constant_one(self, grid16):
         f = ComplexField(grid16, np.ones(grid16.sizes, dtype=complex))
-        lr = lift(f)
-        assert np.allclose(lr.rho, 1.0)
-        assert np.abs(lr.theta).max() < 1e-14
-        assert lr.windings == (0, 0)
+        assert axis_windings(f) == (0, 0)
+        assert vortex_count(f) == (0, 0)
 
     def test_unit_winding(self, grid16):
         x1 = grid16.coords[0]
         f = ComplexField(grid16, np.exp(2j * np.pi * x1 / grid16.period) * np.ones(grid16.sizes))
-        lr = lift(f)
-        assert lr.windings == (1, 0)
-        assert np.allclose(lr.rho, 1.0)
-        assert np.abs(lr.rho * np.exp(1j * lr.theta) - f.values).max() <= 1e-10
+        assert axis_windings(f) == (1, 0)
+        assert vortex_count(f) == (0, 0)
 
     def test_smooth_synthetic(self, grid16):
-        # rho e^{i theta} with periodic theta plus winding, reconstruct exactly
+        # rho e^{i theta} with periodic theta plus winding
         g = grid16
         x1, x2 = (g.coords[0] + np.zeros(g.sizes), g.coords[1] + np.zeros(g.sizes))
         rho = 1.0 + 0.3 * np.sin(2 * np.pi * x2 / g.period)
         theta = 0.4 * np.cos(2 * np.pi * x1 / g.period) - 2 * 2 * np.pi * x1 / g.period
         f = ComplexField(g, rho * np.exp(1j * theta))
-        lr = lift(f)
-        assert lr.windings == (-2, 0)
-        assert np.abs(lr.rho * np.exp(1j * lr.theta) - f.values).max() <= 1e-10
-        # theta is the periodic phase plus the linear winding part
-        linear = -2 * 2 * np.pi * x1 / g.period
-        assert np.abs(lr.theta - linear - 0.4 * np.cos(2 * np.pi * x1 / g.period)).max() <= 1e-12
+        assert axis_windings(f) == (-2, 0)
+        assert vortex_count(f) == (0, 0)
 
-    def test_vortex_on_node_raises_vortex_present(self):
-        # T=48 on 64 nodes puts h=0.75; R=4.5 lands a core exactly on a grid
-        # node, so the sampled modulus vanishes there
-        from gptw.ansatz import VortexAnsatz, vortex_test_function
-        g = TorusGrid((64, 64), 48.0)
-        f = vortex_test_function(VortexAnsatz(4.5), g)
-        assert float(np.abs(f.values).min()) == 0.0
-        with pytest.raises(VortexPresent):
-            lift(f)
-
-    def test_vortex_off_node_raises_inconsistent_winding(self):
-        # cores between nodes: the modulus stays above the floor but the
-        # circulation jumps by 2*pi between lines on either side of a core
-        from gptw.ansatz import VortexAnsatz, vortex_test_function
+    def test_vortex_off_node_counts_one_pair(self):
+        # cores between nodes: the circulation jumps by 2*pi between lines
+        # on either side of a core, and the cells around the cores wind
         g = TorusGrid((64, 64), 40.0)
         f = vortex_test_function(VortexAnsatz(4.0), g)
         assert float(np.abs(f.values).min()) > 0.1
-        with pytest.raises(InconsistentWinding):
-            lift(f)
+        assert vortex_count(f) == (1, 1)
+
+    def test_ring_3d(self):
+        f = vortex_test_function(VortexAnsatz(3.0), TorusGrid((32, 32, 32), 26.0))
+        plus, minus = vortex_count(f)
+        assert plus == minus > 0
 
     def test_axis_windings_consistency_measure(self, grid16):
+        # with no cell winding every parallel line carries the origin
+        # line's circulation
         f = random_field(grid16, 11, scale=0.1)
         smooth = ComplexField(grid16, 1.0 + f.values * 0.01)
-        windings, dev = axis_windings(smooth)
-        assert windings == (0, 0)
-        assert dev < 1e-6
+        assert vortex_count(smooth) == (0, 0)
+        assert axis_windings(smooth) == (0, 0)
+        for ax in range(2):
+            inc = np.angle(np.roll(smooth.values, -1, ax) * np.conj(smooth.values))
+            assert np.abs(inc.sum(axis=ax)).max() < 1e-12
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), theta=st.floats(-np.pi, np.pi),
+           amplitude=st.floats(0.0, 1.5), band=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    def test_cell_windings_are_integers_and_balance(self, dim, theta, amplitude, band, seed):
+        # each edge enters two cells with opposite signs, so a periodic
+        # field's cell windings sum to zero
+        f = perturb(constant(theta, TorusGrid((8,) * dim, 6.0)), amplitude, band, seed)
+        sums = cell_sums(f)
+        assert np.abs(sums - np.rint(sums)).max() <= 1e-12
+        plus, minus = vortex_count(f)
+        assert plus == minus
+        assert plus == int(np.rint(sums)[sums > 0].sum())
 
 
 class TestFieldFiles:

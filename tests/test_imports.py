@@ -1,6 +1,7 @@
 """Package structure: no module reaches into another module's private
-names, every name the benchmark looks up exists, and every option field and
-defaulted parameter is set by some caller."""
+names, every name the benchmark looks up exists, every option field and
+defaulted parameter is set by some caller, and every exception class is
+raised."""
 
 import ast
 import dataclasses
@@ -14,8 +15,9 @@ SRC = ROOT / "src" / "gptw"
 MODULES = sorted(SRC.glob("*.py"))
 PERFBENCH = ROOT / "perfbench"
 # Entries of the tracer's TRACED table whose functions no longer exist;
-# their metrics (minimize.finalize_s) read 0.
-STALE_TRACED = {("gptw.minimize", "_finalize"), ("gptw.spectrum", "_lanczos_pass")}
+# their metrics (minimize.finalize_s, field.lift_calls, field.lift_s) read 0.
+STALE_TRACED = {("gptw.minimize", "_finalize"), ("gptw.spectrum", "_lanczos_pass"),
+                ("gptw.field", "lift")}
 # Names the workloads look up as strings: the scan wraps the start
 # builders where constancy_scan finds them.
 LOOKED_UP = [("gptw.spectrum", "perturb"), ("gptw.spectrum", "vortex_test_function")]
@@ -182,3 +184,37 @@ def test_detects_unpassed_default(tmp_path):
                      "class K:\n    def m(self, d=3):\n        pass\n")
     assert _defaulted_parameters([probe]) == [("probe", "f", "b", 1), ("probe", "f", "c", None),
                                               ("probe", "m", "d", 0)]
+
+
+def _exceptions_and_raises(paths):
+    """(names of the exception classes defined, names raised) in the files
+    at `paths`; a class counts as an exception when one of its bases is a
+    name ending in Error or Exception, or another such class."""
+    defined, raised = set(), set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases = {getattr(b, "id", None) or getattr(b, "attr", None) for b in node.bases}
+                if any(b and b.endswith(("Error", "Exception")) for b in bases) or bases & defined:
+                    defined.add(node.name)
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
+    return defined, raised
+
+
+def test_every_exception_is_raised():
+    # an exception class whose only raiser is gone is a name nothing can catch
+    defined, raised = _exceptions_and_raises(MODULES)
+    assert sorted(defined - raised) == []
+
+
+def test_detects_unraised_exception(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("class A(ValueError):\n    pass\n"
+                     "class B(RuntimeError):\n    pass\n"
+                     "class C(A):\n    pass\n"
+                     "class D:\n    pass\n"
+                     "def f():\n    raise B('x')\n")
+    assert _exceptions_and_raises([probe]) == ({"A", "B", "C"}, {"B"})

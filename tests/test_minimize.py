@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gptw import minimize
-from gptw.field import ComplexField, TorusGrid, l2_norm
+from gptw.field import ComplexField, TorusGrid, l2_norm, vortex_count
 from gptw.functionals import Kernel, Params, action, certify, gradient
 from gptw.ansatz import (
     constant, fitted_vortex_ansatz, perturb, plane_wave, vortex_test_function, VortexAnsatz,
@@ -61,6 +61,21 @@ class TestClassify:
     def test_order_zero_beats_unit(self, grid16):
         tiny = ComplexField(grid16, np.full(grid16.sizes, 1e-9 + 0j))
         assert classify(tiny) == "ZeroConstant"
+
+    def test_vortex_on_node_is_vortexful(self):
+        # T=48 on 64 nodes puts h=0.75; R=4.5 lands a core exactly on a grid
+        # node, where the cell windings are not integers and count nothing
+        g = TorusGrid((64, 64), 48.0)
+        f = vortex_test_function(VortexAnsatz(4.5), g)
+        assert float(np.abs(f.values).min()) == 0.0
+        assert classify(f) == "Vortexful"
+
+    def test_real_field_with_nodal_line_is_other(self):
+        g = TorusGrid((64, 64), 40.0)
+        f = ComplexField(g, np.cos(2 * np.pi * g.coords[0] / g.period) + np.zeros(g.sizes))
+        assert float(np.abs(f.values).min()) < 0.1
+        assert vortex_count(f) == (0, 0)
+        assert classify(f) == "OtherNonconstant"
 
     def test_constant_modulus_nonunit_is_other(self, grid16):
         f = ComplexField(grid16, np.full(grid16.sizes, 2.0 + 0j))

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from gptw.field import ComplexField, TorusGrid, l2_product, resample, spectral_tail
+from gptw.field import (ComplexField, TorusGrid, l2_product, resample, spectral_tail,
+                        vortex_count)
 from gptw.functionals import Kernel, Params, action, certify, hessian_apply
 from gptw.ansatz import VortexAnsatz, constant
+from gptw.minimize import OTHER_NONCONSTANT, VORTEXFUL, classify
 from gptw.mountainpass import (
     NODE_STEPS,
     STEP0,
@@ -259,6 +261,23 @@ class TestFindSaddle:
     def test_gamma_bounded_by_initial_max(self, small_pipeline):
         result, _, upper = small_pipeline
         assert result.gamma <= upper + 1e-12
+
+
+class TestVortexBirth:
+    def test_pair_is_born_between_c_0_9_and_0_85(self, small_grid, small_pipeline):
+        # the c = 1 saddle continued down in c by Newton: at c = 0.9 the
+        # modulus dips to 0.026 with no cell winding anywhere, at c = 0.85
+        # a vortex pair is born
+        f = small_pipeline[0].saddle.field
+        seen = {}
+        for c in (0.95, 0.9, 0.85):
+            run = newton_minres(f, Params(c=c), certified_tol(small_grid))
+            assert run.converged
+            f = run.field
+            seen[c] = (float(np.abs(f.values).min()), vortex_count(f), classify(f))
+        assert seen[0.9][0] < 0.1
+        assert seen[0.9][1:] == ((0, 0), OTHER_NONCONSTANT)
+        assert seen[0.85][1:] == ((1, 1), VORTEXFUL)
 
 
 class TestSpectralTail:
