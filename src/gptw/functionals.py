@@ -74,7 +74,7 @@ class Certificate:
 
 def admits(trial: float, value: float) -> bool:
     """The acceptance test of a step from action `value` to `trial` in the
-    descent, its polish and the string: a rise of at most 1e-14 * (1 + |value|)."""
+    descent, its floor rule and the string: a rise of at most 1e-14 * (1 + |value|)."""
     return trial <= value + 1e-14 * (1.0 + abs(value))
 
 
@@ -265,11 +265,12 @@ class Kernel:
         The critical points are the real roots of the cubic p'(alpha),
         found in closed form (the trigonometric formula for three real
         roots, Cardano's for one) and polished by two Newton steps, all in
-        Python floats. The best positive root whose quartic value lies
-        below p0 is returned; None when there is none, or when |4 p4| <
-        1e-300 leaves no cubic.
+        Python floats. The positive root of the largest drop p(alpha) - p0
+        below 0 is returned (the drop is compared with 0, not p(alpha) with
+        p0, so a drop under one ulp of p0 counts); None when there is none,
+        or when |4 p4| < 1e-300 leaves no cubic.
         """
-        p0, p1, p2, p3, p4 = (float(x) for x in p)
+        p1, p2, p3, p4 = (float(x) for x in p[1:])
         lead = 4.0 * p4
         if abs(lead) < 1e-300:
             return None
@@ -291,7 +292,7 @@ class Kernel:
             m = 2.0 * math.sqrt(-s / 3.0)
             phi = math.acos(max(-1.0, min(1.0, 3.0 * r / (s * m)))) / 3.0
             ts = tuple(m * math.cos(phi - 2.0 * math.pi * k / 3.0) for k in range(3))
-        best, best_val = None, p0
+        best, best_drop = None, 0.0
         for t in ts:
             alpha = t - a2 / 3.0
             for _ in range(2):
@@ -302,9 +303,9 @@ class Kernel:
                 alpha -= dp / ddp
             if not alpha > 0.0:
                 continue
-            val = (((p4 * alpha + p3) * alpha + p2) * alpha + p1) * alpha + p0
-            if val < best_val:
-                best, best_val = alpha, val
+            drop = (((p4 * alpha + p3) * alpha + p2) * alpha + p1) * alpha
+            if drop < best_drop:
+                best, best_drop = alpha, drop
         return best
 
 

@@ -3,8 +3,11 @@
 The optimizer is nonlinear conjugate gradient (Polak-Ribiere with restarts)
 preconditioned by the inverse Helmholtz operator (1 - Lap)^(-1) in spectral
 space. The action restricted to a ray is a quartic polynomial, so each line
-search steps to its exact minimum (Kernel.ray_coefficients, ray_minimum).
-A step is accepted when it raises the action by at most 1e-14 * (1 + |I|)
+search steps to its exact minimum (Kernel.ray_coefficients, ray_minimum),
+a root whose drop p(alpha) - p0 is below 0: near a minimum the drop falls
+below one ulp of the action, where a test of p(alpha) against p0 refuses
+every step (Hager and Zhang, SIAM J. Optim. 16, 2005). A step is accepted
+when the action at the trial point rises by at most 1e-14 * (1 + |I|)
 (functionals.admits), an allowance for rounding in the flat steps near
 convergence, so descent started clearly below the zero action level of the
 modulus-one constants can only end at a nonconstant critical point.
@@ -22,18 +25,28 @@ gradient and its preconditioned image come from
 Kernel.preconditioned_gradient, one forward transform of the cubic term
 (the carried density times f) and one inverse transform. The residual,
 the descent test and the Polak-Ribiere coefficient pair spectra by
-Parseval, so the gradient is never formed on the nodes. The iterate's
-spectrum, action and density are recomputed from its nodes at every
-RESTART_EVERY restart, which bounds the drift of the carried copies.
+Parseval, so the gradient is never formed on the nodes.
+
+The carried spectrum drifts from the nodes' by rounding, visible below a
+residual of about 1e-12. It is refreshed from the nodes (one forward
+transform), with the action and density, at every RESTART_EVERY restart and
+when the carried residual meets grad_tol: this confirm corrects the
+gradient's linear part (its cubic part already uses the nodes' density),
+and the descent converges only if the refreshed residual meets grad_tol,
+else it restarts. It stalls, unconverged, when a refresh (the start, a
+restart or a confirm) lowers neither the residual of the previous refresh
+nor its action beyond admits' allowance: the floor, at c = 1 from the
+criterion-5 start (T = 40, R = 8), about 3-5e-13 at 64^2 and 6e-12 at
+256^2. It also stalls when neither direction gives an admitted step.
 
 The critical point is built from what the descent holds when it stops, at
-no transform: the action report from the carried spectrum
-(Kernel.parts), the residual that the stopping rule tested, so converged
-implies residual <= grad_tol exactly, and int (1-|f|^2) f = -volume * G_0,
-where G_0 is the k = 0 entry of the gradient's spectrum (the linear symbol
-vanishes there). Only classify runs on the final field. The spectral
-tail is not computed: functionals.certify reports it, for `gptw certify`
-and the certificate CSVs.
+no transform: the action report from the spectrum (Kernel.parts), which
+at convergence is the nodes', the residual that the stopping rule tested,
+so converged implies residual <= grad_tol exactly, and int (1-|f|^2) f =
+-volume * G_0, where G_0 is the k = 0 entry of the gradient's spectrum
+(the linear symbol vanishes there). Only classify runs on the final field.
+The spectral tail is not computed: functionals.certify reports it, for
+`gptw certify` and the certificate CSVs.
 
 minimizer_experiment descends by nested iteration, the "full multigrid"
 start (Brandt, Math. Comp. 31, 1977): first on field.coarsest_grid of its
@@ -46,18 +59,11 @@ gain is largest when the minimizer is band-limited on the coarse grid: the
 prolonged criterion-5 plane wave (T = 40, R = 8, 256^2 via 64^2) meets the
 target residual with no target-grid iteration. Starts whose minimizer is
 not band-limited there keep target-grid iterations; their cost is
-unmeasured. The coarse
-stage is only a start: the returned point and every certificate come from
-the target-grid descent, and only that descent writes the log
-(MinimizeOptions.log_stream, the progress.log of `gptw minimize`). A start
-near a basin boundary may reach a different critical point this way than a
-descent on the target grid alone.
-
-A descent that stalls above its target with no descent left at rounding
-level, as on small grids where the default target sits near the floor the
-exact-step descent reaches, hands its iterate to at most POLISH_STEPS
-Newton-MINRES steps (gptw.newton) and keeps their result only when it
-converges with an admitted action and the same classification.
+unmeasured. The coarse stage is only a start: the returned point and every
+certificate come from the target-grid descent, and only that descent writes
+the log (MinimizeOptions.log_stream, the progress.log of `gptw minimize`). A
+start near a basin boundary may reach a different critical point this way
+than a descent on the target grid alone.
 """
 
 from __future__ import annotations
@@ -69,10 +75,10 @@ import numpy as np
 
 from .ansatz import fitted_vortex_ansatz, vortex_test_function
 from .field import (ComplexField, TorusGrid, axis_windings, coarsest_grid, fft_forward,
-                    resample, vortex_count)
+                    fft_inverse, resample, vortex_count)
 from .functionals import (ActionReport, Kernel, Params, action, admits,
                           default_grad_tol, equation_integral)
-from .newton import NewtonResult, newton_minres
+from .newton import NewtonResult
 
 ZERO_CONSTANT = "ZeroConstant"
 UNIT_CONSTANT = "UnitConstant"
@@ -86,8 +92,6 @@ CONSTANT_CLASSES = (ZERO_CONSTANT, UNIT_CONSTANT)
 CLASS_TOL = 1e-6
 # The conjugate-gradient direction restarts from steepest descent this often.
 RESTART_EVERY = 100
-# Newton-MINRES steps allowed to a descent that stalls above its target.
-POLISH_STEPS = 3
 
 
 class NonFiniteValue(RuntimeError):
@@ -122,7 +126,8 @@ class CriticalPoint:
     residual is the L2 residual ||grad I|| that the solver's stopping rule
     tested, so converged implies residual <= the solver's target with no
     rounding slack; integral is int (1-|f|^2) f. A descent's point costs no
-    transform (see the module docstring), a Newton result's one
+    transform and, converged or stalled at its floor, comes from the nodes'
+    spectrum (see the module docstring); a Newton result's costs one
     (from_newton). The spectral tail is not part of a point: it is
     computed by functionals.certify where it is written, in `gptw certify`
     and the certificate CSVs.
@@ -150,15 +155,13 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
     """Descend the action from `init` until the L2 residual meets grad_tol.
 
     Each step goes to the exact minimum of the quartic ray restriction of
-    the action, along the conjugate direction or, when that is no descent,
-    along steepest descent. Returns the converged critical point, or the
-    last iterate with converged=False after max_iters or when neither
-    direction lowers the action (no descent at rounding level). Steps are
-    accepted by functionals.admits. Raises NonFiniteValue if the action or
-    gradient overflows at an accepted iterate.
-
-    A stall above grad_tol is polished by Newton-MINRES (see the module
-    docstring); `iterations` counts descent steps only.
+    the action (a root whose drop below p0 is negative), along the conjugate
+    direction or, when that is no descent, along steepest descent; admits
+    accepts it on the action at the trial point. Returns the point converged
+    on a residual from the nodes' spectrum, or the last iterate with
+    converged=False when the descent stalls (see the module docstring) or
+    after max_iters. Raises NonFiniteValue if the action or gradient
+    overflows at an accepted iterate.
     """
     opts = opts or MinimizeOptions()
     grid = init.grid
@@ -181,14 +184,14 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
     d, ds = -z, -zs
     iters = 0
     converged = res <= tol
-    stalled = False
     steepest = True
+    # residual and action at the last refresh (start, restart or confirm)
+    refresh_res, refresh_val = res, val
 
     def search(direction, direction_spec, slope):
         """Exact minimum of the quartic ray restriction along `direction`,
-        whose slope at f is `slope`; returns the trial (value, f, fs, dens),
-        or None when the action evaluated at the trial point does not lower
-        it."""
+        whose slope at f is `slope`: the trial (value, f, fs, dens), or None
+        when there is none or admits refuses the action there."""
         alpha = eng.ray_minimum(
             eng.ray_coefficients(f, direction, val, slope, dens, direction_spec))
         if alpha is None:
@@ -209,32 +212,41 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
             d, ds, steepest = -z, -zs, True
             hit = search(d, ds, -gz)
         if hit is None:
-            stalled = True  # no descent possible at rounding level
-            break
+            break  # stalled: no descent possible at rounding level
         val, f, fs, dens = hit
         if not np.all(np.isfinite(f.view(np.float64))):
             raise NonFiniteValue("iterate left the finite range")
         iters += 1
-        restart = iters % RESTART_EVERY == 0
-        if restart:
-            # recompute the carried spectrum, and the action and density with
-            # it, so that rounding drift cannot build up over the run
+        refresh = iters % RESTART_EVERY == 0
+        if refresh:
+            # refresh the carried spectrum, action and density from the nodes
             fs = fft_forward(f)
             val, dens = eng.action(f, fs, with_density=True)
         gs_old = gs
         gs, z, zs = eng.preconditioned_gradient(f, fs, dens)
         res = np.sqrt(eng.spectral_dot(gs, gs))
+        if res <= tol and not refresh:
+            # confirm: gs's cubic part already comes from the nodes' dens
+            fresh = fft_forward(f)
+            gs += eng.linear * (fresh - fs)
+            fs = fresh
+            val = eng.action(f, fs)
+            res = np.sqrt(eng.spectral_dot(gs, gs))
+            refresh = True
+            if res > tol:
+                zs = gs * eng.preconditioner
+                z = fft_inverse(zs)
         gz_new = eng.spectral_dot(gs, zs)
         if log is not None:
             log.write(f"{iters} {val:.17g} {res:.17g}\n")
-        if res <= tol:
-            converged = True
-            break
-        # Preconditioned Polak-Ribiere with nonnegativity restart.
-        beta = (gz_new - eng.spectral_dot(gs_old, zs)) / gz if gz > 0 else 0.0
-        beta = max(beta, 0.0)
-        if restart:
-            beta = 0.0
+        if refresh:
+            converged = res <= tol
+            if converged or (res >= refresh_res and admits(refresh_val, val)):
+                break  # converged, or stalled at the floor
+            refresh_res, refresh_val = res, val
+        # Preconditioned Polak-Ribiere, restarted by a refresh or a negative beta
+        beta = 0.0 if refresh or not gz > 0 else max(
+            (gz_new - eng.spectral_dot(gs_old, zs)) / gz, 0.0)
         d *= beta
         d -= z
         ds *= beta
@@ -243,10 +255,6 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
         gz = gz_new
 
     final = ComplexField(grid, f)
-    if stalled:
-        polished = _polish(final, p, val, tol)
-        if polished is not None:
-            return CriticalPoint.from_newton(polished, p, iters)
     return CriticalPoint(
         field=final,
         report=ActionReport.assemble(*eng.parts(f, fs), p.c),
@@ -256,18 +264,6 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
         converged=converged,
         iterations=iters,
     )
-
-
-def _polish(field: ComplexField, p: Params, value: float, tol: float) -> NewtonResult | None:
-    """Newton-MINRES from a descent stalled above tol at action `value`:
-    its result when it converges with an admitted action and the same
-    classification, else None."""
-    polished = newton_minres(field, p, tol, max_steps=POLISH_STEPS)
-    if (polished.converged
-            and admits(Kernel(field.grid, p).action(polished.field.values), value)
-            and classify(polished.field) == classify(field)):
-        return polished
-    return None
 
 
 def classify(f: ComplexField) -> str:

@@ -236,6 +236,8 @@ class SaddleOptions:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.grad_tol is not None and not self.grad_tol > 0:
+            raise ValueError("grad_tol must be positive")
 
 
 def _pick_max_node(acts: np.ndarray) -> int:

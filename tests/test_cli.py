@@ -156,6 +156,13 @@ class TestMinimizeCommand:
 class TestMountainPassCommand:
     ARGS = ["mp", "--c", "1", "--T", "29", "--size", "32", "--R", "3.5", "--nodes", "9"]
 
+    # minimize runs the same start without --nodes
+    @pytest.mark.parametrize("args", [ARGS, ["minimize", *ARGS[1:-2]]], ids=["mp", "minimize"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_nonpositive_tolerance_exits_2(self, tmp_path, capsys, args, tol):
+        assert main(args + ["--tol", tol, "--out", str(tmp_path / "x")]) == 2
+        assert "grad_tol must be positive" in capsys.readouterr().err
+
     def test_run_and_artifacts(self, tmp_path, capsys):
         out = tmp_path / "mp"
         assert main(self.ARGS + ["--out", str(out)]) == 0

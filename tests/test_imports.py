@@ -1,7 +1,7 @@
 """Package structure: no module reaches into another module's private
 names, every name the benchmark looks up exists, every option field and
-defaulted parameter is set by some caller, and every exception class is
-raised."""
+defaulted parameter is set by some caller, every exception class is raised,
+and every module constant is read."""
 
 import ast
 import dataclasses
@@ -218,3 +218,36 @@ def test_detects_unraised_exception(tmp_path):
                      "class D:\n    pass\n"
                      "def f():\n    raise B('x')\n")
     assert _exceptions_and_raises([probe]) == ({"A", "B", "C"}, {"B"})
+
+
+def _constants_and_loads(paths):
+    """(names of the UPPER_CASE constants assigned at module level, names
+    loaded anywhere, bare or as an attribute) in the files at `paths`."""
+    assigned, loaded = set(), set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                assigned.update(t.id for t in targets
+                                if isinstance(t, ast.Name) and t.id.isupper())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return assigned, loaded
+
+
+def test_every_constant_is_read():
+    # a constant whose reader is gone is a knob nothing turns
+    assigned, loaded = _constants_and_loads(MODULES)
+    assert sorted(assigned - loaded) == []
+
+
+def test_detects_unread_constant(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("A = 1\nB: int = 2\nC = 3\nD = 4\nlower = 5\n"
+                     "def f(x=A):\n    E = 6\n    return x + mod.C + E\n")
+    assert _constants_and_loads([probe]) == ({"A", "B", "C", "D"},
+                                             {"A", "int", "mod", "C", "E", "x"})
