@@ -7,7 +7,6 @@ from .field import (
     TorusGrid,
     axis_windings,
     coarsest_grid,
-    inner_product,
     l2_norm,
     l2_product,
     read_field,
@@ -49,7 +48,7 @@ from .minimize import (
     minimize_action,
     minimizer_experiment,
 )
-from .newton import NewtonResult, certified_tol, newton_minres
+from .newton import certified_tol, newton_minres
 from .mountainpass import (
     NotASaddle,
     Path,

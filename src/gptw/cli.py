@@ -9,7 +9,10 @@ Configuration comes from flags plus an optional `key = value` file
 (# comments allowed); flags override file values. A command accepts only
 the flags and keys it reads, and every output directory receives the fully
 resolved configuration for reproducibility. Exit codes:
-0 success, 2 validation error, 3 non-convergence.
+0 success, 2 validation error, 3 non-convergence. A run whose inputs are
+rejected writes nothing: every command builds what it runs from its flags,
+and all but minimize (whose progress.log streams from the descent) also
+compute, before it makes the output directory.
 """
 
 from __future__ import annotations
@@ -180,34 +183,38 @@ def _field_images(out: FsPath, stem: str, f: ComplexField):
 
 def _cmd_minimize(args) -> int:
     resolved = _resolve(args)
-    out = _prepare_out(resolved, "minimize")
     grid = TorusGrid((resolved["size"],) * resolved["N"], resolved["T"])
     init = vortex_test_function(
         _ansatz_from(resolved, resolved["R"], resolved["T"]), grid)
     opts = MinimizeOptions(max_iters=resolved["max_iters"], grad_tol=resolved["tol"])
+    p = Params(c=resolved["c"])
+    # progress.log streams from the descent, so the directory comes first
+    out = _prepare_out(resolved, "minimize")
     with open(out / "progress.log", "w", encoding="utf-8") as log:
         opts.log_stream = log
-        point, row = minimizer_experiment(resolved["c"], resolved["T"], resolved["size"],
-                                          resolved["R"], init=init, opts=opts,
-                                          dim=resolved["N"])
+        point, start = minimizer_experiment(resolved["c"], resolved["T"], resolved["size"],
+                                            resolved["R"], init=init, opts=opts,
+                                            dim=resolved["N"])
     write_field(out / "minimizer.gptw", point.field, c=resolved["c"])
-    keys = ("c", "T", "action", "residual", "classification")
-    (out / "summary.csv").write_text(_csv(",".join(keys), [[row[k] for k in keys]]),
-                                     encoding="utf-8")
-    p = Params(c=resolved["c"])
+    (out / "summary.csv").write_text(
+        _csv("c,T,action,residual,classification",
+             [(resolved["c"], resolved["T"], point.report.action, point.residual,
+               point.classification)]),
+        encoding="utf-8")
     (out / "certificate.csv").write_text(_certificate_csv(point.field, p), encoding="utf-8")
     if args.images:
         _field_images(out, "minimizer", point.field)
-    coarse = "x".join([str(row["coarse_size"])] * resolved["N"])
+    coarse, coarse_iterations = ((grid, 0) if start is None
+                                 else (start.field.grid, start.iterations))
     print(f"minimize: action={_fmt(point.report.action)} residual={_fmt(point.residual)} "
           f"classification={point.classification} "
-          f"coarse={coarse} ({row['coarse_iterations']} iterations) -> {out}")
+          f"coarse={'x'.join(str(m) for m in coarse.sizes)} "
+          f"({coarse_iterations} iterations) -> {out}")
     return 0 if point.converged else 3
 
 
 def _cmd_mp(args) -> int:
     resolved = _resolve(args)
-    out = _prepare_out(resolved, "mp")
     grid = TorusGrid((resolved["size"],) * resolved["N"], resolved["T"])
     sopts = SaddleOptions(max_iters=resolved["max_iters"], grad_tol=resolved["tol"],
                           seed=resolved["seed"])
@@ -217,8 +224,10 @@ def _cmd_mp(args) -> int:
             ansatz=_ansatz_from(resolved, resolved["R"], resolved["T"]),
             saddle_opts=sopts)
     except (NotASaddle, NoConvergence) as exc:
+        _prepare_out(resolved, "mp")
         print(f"mp: {exc}", file=sys.stderr)
         return 3
+    out = _prepare_out(resolved, "mp")
     p = Params(c=resolved["c"])
     acts = result.path_actions
     for i, node in enumerate(relaxed.nodes):
@@ -246,15 +255,16 @@ def _cmd_mp(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     resolved = _resolve(args)
-    out = _prepare_out(resolved, "spectrum")
     grid = TorusGrid((resolved["size"],) * resolved["N"], resolved["T"])
     p = Params(c=resolved["c"])
     try:
         rep = hessian_spectrum_at_constant(0.0, p, grid, count=resolved["count"],
                                            seed=resolved["seed"])
     except NoConvergence as exc:
+        _prepare_out(resolved, "spectrum")
         print(f"spectrum: {exc}", file=sys.stderr)
         return 3
+    out = _prepare_out(resolved, "spectrum")
     rows = [(rep.speed, rep.period, value, " ".join(str(m) for m in mode), branch)
             for value, mode, branch in rep.eigenvalues]
     (out / "spectrum.csv").write_text(
@@ -277,12 +287,12 @@ def _parse_list(text: str) -> list[float]:
 
 def _cmd_scan(args) -> int:
     resolved = _resolve(args)
-    out = _prepare_out(resolved, "scan")
     T_values = _parse_list(resolved["T"])
     if not T_values:
         raise ValueError("scan needs at least one period in --T")
     rep = constancy_scan(resolved["c"], T_values, resolved["starts"],
                          resolved["size"], seed=resolved["seed"], band=resolved["band"])
+    out = _prepare_out(resolved, "scan")
     rows = [(r.T, str(r.all_constant).lower(), r.nonconstant, r.unconverged)
             for r in rep.rows]
     (out / "threshold.csv").write_text(
@@ -296,7 +306,6 @@ def _cmd_scan(args) -> int:
 
 def _cmd_testfn(args) -> int:
     resolved = _resolve(args)
-    out = _prepare_out(resolved, "testfn")
     R_values = _parse_list(resolved["R"])
     p = Params(c=resolved["c"])
     rows = []
@@ -306,6 +315,7 @@ def _cmd_testfn(args) -> int:
         grid = TorusGrid((size, size), T)
         rep = action(vortex_test_function(_ansatz_from(resolved, R, T), grid), p)
         rows.append((R, T, size, rep.kinetic, rep.potential, rep.momentum, rep.action))
+    out = _prepare_out(resolved, "testfn")
     notes = {}
     if len(rows) >= 2:
         R_col, kinetic, momentum = np.array(rows)[:, [0, 3, 5]].T

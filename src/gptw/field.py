@@ -335,15 +335,6 @@ def l2_norm(f: ComplexField) -> float:
     return float(np.linalg.norm(f.values)) * np.sqrt(f.grid.quad_weight)
 
 
-def inner_product(a: ComplexField, b: ComplexField) -> float:
-    """H1 pairing: sum of derivative L2 pairings plus the L2 pairing."""
-    _same_grid(a, b)
-    total = l2_product(a, b)
-    for ax in range(a.grid.dim):
-        total += l2_product(spectral_derivative(a, ax), spectral_derivative(b, ax))
-    return total
-
-
 def _increments(v: np.ndarray, axis: int) -> np.ndarray:
     """Phase increment angle(v_b * conj(v_a)) in (-pi, pi] from each node a
     to its periodic neighbour b along `axis`."""

@@ -59,7 +59,8 @@ gain is largest when the minimizer is band-limited on the coarse grid: the
 prolonged criterion-5 plane wave (T = 40, R = 8, 256^2 via 64^2) meets the
 target residual with no target-grid iteration. Starts whose minimizer is
 not band-limited there keep target-grid iterations; their cost is
-unmeasured. The coarse stage is only a start: the returned point and every
+unmeasured. The coarse stage is only a start: minimizer_experiment returns
+its point next to the target-grid descent's, but the minimizer and every
 certificate come from the target-grid descent, and only that descent writes
 the log (MinimizeOptions.log_stream, the progress.log of `gptw minimize`). A
 start near a basin boundary may reach a different critical point this way
@@ -76,9 +77,7 @@ import numpy as np
 from .ansatz import fitted_vortex_ansatz, vortex_test_function
 from .field import (ComplexField, TorusGrid, axis_windings, coarsest_grid, fft_forward,
                     fft_inverse, resample, vortex_count)
-from .functionals import (ActionReport, Kernel, Params, action, admits,
-                          default_grad_tol, equation_integral)
-from .newton import NewtonResult
+from .functionals import ActionReport, Kernel, Params, admits, default_grad_tol
 
 ZERO_CONSTANT = "ZeroConstant"
 UNIT_CONSTANT = "UnitConstant"
@@ -125,12 +124,13 @@ class CriticalPoint:
 
     residual is the L2 residual ||grad I|| that the solver's stopping rule
     tested, so converged implies residual <= the solver's target with no
-    rounding slack; integral is int (1-|f|^2) f. A descent's point costs no
-    transform and, converged or stalled at its floor, comes from the nodes'
-    spectrum (see the module docstring); a Newton result's costs one
-    (from_newton). The spectral tail is not part of a point: it is
-    computed by functionals.certify where it is written, in `gptw certify`
-    and the certificate CSVs.
+    rounding slack; integral is int (1-|f|^2) f; iterations counts the
+    solver's steps. A descent's point costs no transform and, converged or
+    stalled at its floor, comes from the nodes' spectrum (see the module
+    docstring); a Newton-MINRES point (newton.newton_minres) costs one, its
+    action. The spectral tail is not part of a point: it is computed by
+    functionals.certify where it is written, in `gptw certify` and the
+    certificate CSVs.
     """
 
     field: ComplexField
@@ -140,15 +140,6 @@ class CriticalPoint:
     integral: complex
     converged: bool
     iterations: int
-
-    @classmethod
-    def from_newton(cls, result: NewtonResult, p: Params, iterations: int) -> "CriticalPoint":
-        """The point at a Newton-MINRES result: its residual, the action
-        from one transform, the integral pointwise and the classification."""
-        f = result.field
-        return cls(field=f, report=action(f, p), residual=result.residual,
-                   classification=classify(f), integral=equation_integral(f),
-                   converged=result.converged, iterations=iterations)
 
 
 def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None = None) -> CriticalPoint:
@@ -292,18 +283,17 @@ def classify(f: ComplexField) -> str:
 def minimizer_experiment(c: float, T: float, resolution: int, R: float,
                          init: ComplexField | None = None,
                          opts: MinimizeOptions | None = None,
-                         dim: int = 2) -> tuple[CriticalPoint, dict]:
+                         dim: int = 2) -> tuple[CriticalPoint, CriticalPoint | None]:
     """Minimize from the vortex test function 1 + w_R (or a caller-supplied
-    init) and summarize the outcome as a CSV-ready row.
+    init). Returns (point, start).
 
     The descent is nested (see the module docstring): minimize_action runs
     first on field.coarsest_grid(init), from init restricted there, then on
     the target grid from its result prolonged, with the same options except
-    that only the target-grid descent writes to opts.log_stream. The
-    returned point is the target-grid descent's, so its residual, action and
-    class are target-grid values. The row's coarse_size is the coarse grid's
-    points per axis and coarse_iterations its descent steps, 0 when the
-    coarse grid is the target grid and the descent runs there only.
+    that only the target-grid descent writes to opts.log_stream. point is
+    the target-grid descent's, so its residual, action and class are
+    target-grid values; start is the coarse descent's, None when the coarse
+    grid is the target grid and the descent runs there only.
     """
     grid = TorusGrid((resolution,) * dim, T)
     p = Params(c=c)
@@ -314,19 +304,8 @@ def minimizer_experiment(c: float, T: float, resolution: int, R: float,
         raise ValueError("init field lives on a different grid")
     opts = opts or MinimizeOptions()
     coarse = coarsest_grid(init)
-    coarse_iterations = 0
+    start = None
     if coarse != grid:
         start = minimize_action(resample(init, coarse), p, replace(opts, log_stream=None))
-        coarse_iterations = start.iterations
         init = resample(start.field, grid)
-    point = minimize_action(init, p, opts)
-    row = {
-        "c": c,
-        "T": T,
-        "action": point.report.action,
-        "residual": point.residual,
-        "classification": point.classification,
-        "coarse_size": coarse.sizes[0],
-        "coarse_iterations": coarse_iterations,
-    }
-    return point, row
+    return minimize_action(init, p, opts), start

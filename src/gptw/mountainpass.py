@@ -14,8 +14,9 @@ negative Hessian direction off the symmetry directions
 Node actions are evaluated once per path, by the function that holds it:
 the pipeline evaluates the initial path's, for M; relax_path its start
 path's, for the first gamma and the fixed endpoints of every sweep; and
-find_saddle the relaxed path's, for gamma and the max node. The saddle's
-CriticalPoint comes from the Newton result at one transform, its action.
+find_saddle the relaxed path's, for gamma and the max node. The saddle is
+the CriticalPoint that Newton-MINRES returns, whose action costs one
+transform.
 
 The pipeline relaxes the string by nested iteration (Brandt, Math. Comp. 31,
 1977): on field.coarsest_grid of the path's top node 1 + w_R, from the path
@@ -258,23 +259,19 @@ def find_saddle(path: Path, p: Params, opts: SaddleOptions | None = None) -> Sad
     nonnegative there, the Hessian has no negative direction and NotASaddle
     is raised (the path collapsed to a minimizer). The node actions of
     `path` are evaluated once: they pick the max node and give
-    SaddleResult.path_actions, whose max is gamma.
-
-    The saddle's CriticalPoint comes from the Newton result
-    (CriticalPoint.from_newton): the residual Newton's stopping rule
+    SaddleResult.path_actions, whose max is gamma. The saddle is the
+    CriticalPoint newton_minres returns: the residual its stopping rule
     tested and the action from one transform.
     """
     opts = opts or SaddleOptions()
     tol = certified_tol(path.grid, opts.grad_tol)
     acts = path.actions(p)
     idx = _pick_max_node(acts)
-    refined = newton_minres(path.nodes[idx], p, tol, max_steps=opts.max_iters)
-    saddle_field = refined.field
-    point = CriticalPoint.from_newton(refined, p, refined.steps)
+    point = newton_minres(path.nodes[idx], p, tol, max_steps=opts.max_iters)
 
     # Index witness: only its Rayleigh quotient matters, a negative value
     # certifies the index.
-    witness_value, witness = smallest_direction(saddle_field, p,
+    witness_value, witness = smallest_direction(point.field, p,
                                                 np.random.default_rng(opts.seed))
     if witness_value >= 0:
         raise NotASaddle(

@@ -10,16 +10,20 @@ the system stays consistent and MINRES solves it without projecting them out
 (Choi, Paige & Saunders, SIAM J. Sci. Comput. 33, 2011). Steps backtrack on
 the L2 residual ||grad I|| (Knoll & Keyes, J. Comput. Phys. 193, 2004).
 Newton converges to unstable critical points as well as to minimizers.
+
+The solve returns the descent's record, a minimize.CriticalPoint: the
+residual its stopping rule tested, the action from one transform, the
+integral pointwise and the classification of the last iterate, with
+iterations counting Newton steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .field import ComplexField, TorusGrid, from_real, to_real
-from .functionals import Kernel, Params, default_grad_tol
+from .functionals import Kernel, Params, action, default_grad_tol, equation_integral
+from .minimize import CriticalPoint, classify
 
 # MINRES iterations allowed per Newton step.
 KRYLOV_MAX = 300
@@ -28,17 +32,6 @@ MAX_BACKTRACKS = 10
 # Bound on the integrated certificate |int (1-|f|^2) f| that certified_tol
 # guarantees.
 CERT_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class NewtonResult:
-    """Last Newton iterate with its L2 residual and the work spent."""
-
-    field: ComplexField
-    residual: float
-    converged: bool
-    steps: int
-    products: int
 
 
 def certified_tol(grid: TorusGrid, grad_tol: float | None = None) -> float:
@@ -54,28 +47,22 @@ def certified_tol(grid: TorusGrid, grad_tol: float | None = None) -> float:
 
 
 def newton_minres(init: ComplexField, p: Params, tol: float,
-                  max_steps: int = 50) -> NewtonResult:
+                  max_steps: int = 50) -> CriticalPoint:
     """Newton iteration from `init` until ||grad I|| <= tol.
 
-    Returns the last iterate with converged=False when max_steps is spent,
-    when a MINRES solution is not finite, when no step length along the
-    Newton direction decreases the residual, or when the iterate leaves the
-    finite range.
+    Returns the point at the last iterate (see the module docstring), with
+    converged=False when max_steps is spent, when a MINRES solution is not
+    finite, when no step length along the Newton direction decreases the
+    residual, or when the iterate leaves the finite range.
     """
     from scipy.sparse.linalg import LinearOperator, minres
 
     grid = init.grid
     kern = Kernel(grid, p)
     dim = 2 * grid.node_count
-    products = 0
     f = init.values
-
-    def matvec(x):
-        nonlocal products
-        products += 1
-        return hess(x)
-
-    H = LinearOperator((dim, dim), matvec=matvec, dtype=np.float64)
+    # the Hessian held at the current iterate, set before each MINRES solve
+    H = LinearOperator((dim, dim), matvec=lambda x: hess(x), dtype=np.float64)
     M = LinearOperator((dim, dim), matvec=kern.precondition_real, dtype=np.float64)
 
     g = kern.gradient(f)
@@ -87,7 +74,7 @@ def newton_minres(init: ComplexField, p: Params, tol: float,
         # its residual against ||H|| ||s||, which can exceed ||grad I|| by
         # the condition number, hence the small prefactor.
         eta = 1e-3 * np.sqrt(min(1.0, res / res0))
-        hess = kern.hessian_real(f)  # the Hessian held at this iterate, read by matvec
+        hess = kern.hessian_real(f)
         x, _ = minres(H, to_real(-g), rtol=eta, maxiter=KRYLOV_MAX, M=M)
         if not np.all(np.isfinite(x)):
             break
@@ -107,4 +94,7 @@ def newton_minres(init: ComplexField, p: Params, tol: float,
             break
         f, g, res = hit
         steps += 1
-    return NewtonResult(init.with_values(f), res, res <= tol, steps, products)
+    final = init.with_values(f)
+    return CriticalPoint(field=final, report=action(final, p), residual=res,
+                         classification=classify(final), integral=equation_integral(final),
+                         converged=res <= tol, iterations=steps)

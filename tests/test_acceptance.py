@@ -137,14 +137,14 @@ def test_criterion_5_global_minimizer_desk_scale():
     def check():
         T = 40.0
         opts = MinimizeOptions(grad_tol=2e-7, max_iters=50000)
-        point, row = minimizer_experiment(1.0, T, 256, 8.0, opts=opts)
+        point, _ = minimizer_experiment(1.0, T, 256, 8.0, opts=opts)
         assert point.converged
         assert point.residual <= 1e-6 * T
-        assert row["classification"] not in CONSTANT_CLASSES
-        assert row["action"] < 0
+        assert point.classification not in CONSTANT_CLASSES
+        assert point.report.action < 0
         assert abs(point.integral) <= 1e-6
         # frozen regression value (k=-1 winding branch on this grid)
-        assert row["action"] == pytest.approx(-112.93699680205742, rel=1e-9)
+        assert point.report.action == pytest.approx(-112.93699680205742, rel=1e-9)
 
     report(5, "global-minimizer experiment: nonconstant, action < 0, certificates pass", check)
 

@@ -448,6 +448,30 @@ def test_flag_registration(tmp_path, command, flag, value, recorded):
     assert f"out = {out}" in lines
 
 
+# (argv without --out, message on stderr) of runs rejected with exit 2: the
+# first five fail on the flags themselves, the last three inside the solver
+_REJECTED = [
+    (["minimize", "--size", "32", "--T", "40", "--R", "8", "--tol", "nan"],
+     "grad_tol must be positive"),
+    (["mp", "--size", "32", "--T", "29", "--R", "3.5", "--nodes", "9", "--max-iters", "0"],
+     "max_iters must be >= 1"),
+    (["spectrum", "--size", "7"], "axis sizes must be even"),
+    (["scan", "--T", ","], "at least one period"),
+    (["testfn", "--R", "1"], "half separation must be >= 2"),
+    (["mp", "--size", "32", "--T", "29", "--R", "3.5", "--nodes", "2"], "node_count"),
+    (["spectrum", "--size", "8", "--count", "26"], "complement"),
+    (["scan", "--T", "1.0", "--size", "16", "--starts", "0"], "starts must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _REJECTED)
+def test_rejected_run_writes_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestPgm:
     def test_write_pgm(self, tmp_path):
         data = np.linspace(0, 1, 12).reshape(3, 4)

@@ -13,7 +13,6 @@ from gptw.field import (
     TorusGrid,
     axis_windings,
     coarsest_grid,
-    inner_product,
     l2_norm,
     l2_product,
     read_field,
@@ -184,14 +183,6 @@ class TestInnerProducts:
             lhs = l2_product(f, f)
             rhs = vol * float(np.sum(spec.real**2 + spec.imag**2))
             assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
-
-    def test_h1_of_plane_wave(self, grid16):
-        T = grid16.period
-        alpha = 2 * np.pi / T
-        x1 = grid16.coords[0]
-        f = ComplexField(grid16, np.exp(1j * alpha * x1) * np.ones(grid16.sizes))
-        expected = (1 + alpha**2) * T**2
-        assert inner_product(f, f) == pytest.approx(expected, rel=1e-12)
 
     def test_grid_mismatch(self, grid16):
         other = TorusGrid((16, 16), 1.0)

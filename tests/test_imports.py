@@ -1,7 +1,8 @@
 """Package structure: no module reaches into another module's private
 names, every name the benchmark looks up exists, every option field and
 defaulted parameter is set by some caller, every exception class is raised,
-and every module constant is read."""
+every module constant is read, and every public function and class is read
+by the package or the benchmark."""
 
 import ast
 import dataclasses
@@ -251,3 +252,39 @@ def test_detects_unread_constant(tmp_path):
                      "def f(x=A):\n    E = 6\n    return x + mod.C + E\n")
     assert _constants_and_loads([probe]) == ({"A", "B", "C", "D"},
                                              {"A", "int", "mod", "C", "E", "x"})
+
+
+# Public names that only the tests read: the oracles and paper quantities
+# that the tests compare the solvers against.
+TEST_ORACLES = {"plane_wave", "plane_wave_action_density", "symbol_eigenvalues",
+                "dense_hessian", "poincare_constant", "weighted_eigenvalue", "l2_product"}
+
+
+def _public_definitions(paths):
+    """Names of the public functions and classes defined at module level in
+    the files at `paths`."""
+    names = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names.update(node.name for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     and not node.name.startswith("_"))
+    return names
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # a function or class that only the package's export list and the tests
+    # name is code kept for its tests
+    readers = [path for path in MODULES if path.name != "__init__.py"]
+    _, loaded = _constants_and_loads(readers + sorted(PERFBENCH.glob("*.py")))
+    unread = _public_definitions(MODULES) - loaded - TEST_ORACLES
+    assert sorted(unread) == []
+
+
+def test_detects_unread_public_name(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("class A:\n    def m(self):\n        pass\n"
+                     "def f():\n    def g():\n        pass\n    return A\n"
+                     "def _h():\n    pass\n")
+    assert _public_definitions([probe]) == {"A", "f"}
+    assert {"A", "f"} - _constants_and_loads([probe])[1] == {"f"}

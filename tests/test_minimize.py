@@ -335,18 +335,18 @@ class TestMinimizerExperiment:
     def test_small_period_constant(self):
         init_grid = TorusGrid((64, 64), 3.0)
         init = perturb(constant(0.0, init_grid), 0.5, 4, 123)
-        point, row = minimizer_experiment(1.0, 3.0, 64, 2.0, init=init)
+        point, _ = minimizer_experiment(1.0, 3.0, 64, 2.0, init=init)
         assert point.converged
-        assert row["classification"] in CONSTANT_CLASSES
-        assert abs(row["action"]) <= 1e-8 or row["classification"] == "ZeroConstant"
+        assert point.classification in CONSTANT_CLASSES
+        assert abs(point.report.action) <= 1e-8 or point.classification == "ZeroConstant"
 
     def test_vortex_start_goes_negative(self):
         # desk-scale slice of the negative-minimizer experiment
-        point, row = minimizer_experiment(1.0, 40.0, 128, 8.0,
-                                          opts=MinimizeOptions(grad_tol=1e-5 * 40))
+        point, _ = minimizer_experiment(1.0, 40.0, 128, 8.0,
+                                        opts=MinimizeOptions(grad_tol=1e-5 * 40))
         assert point.converged
-        assert row["action"] < 0
-        assert row["classification"] not in CONSTANT_CLASSES
+        assert point.report.action < 0
+        assert point.classification not in CONSTANT_CLASSES
 
     def test_grid_mismatch_guard(self):
         g = TorusGrid((16, 16), 3.0)
@@ -385,14 +385,14 @@ class TestNestedDescent:
         init = vortex_test_function(fitted_vortex_ansatz(8.0, T), g)
         shapes = _transform_shapes(monkeypatch)
         log = io.StringIO()
-        point, row = minimizer_experiment(1.0, T, 256, 8.0, init=init,
-                                          opts=MinimizeOptions(grad_tol=2e-7, log_stream=log))
+        point, start = minimizer_experiment(1.0, T, 256, 8.0, init=init,
+                                            opts=MinimizeOptions(grad_tol=2e-7, log_stream=log))
         assert point.converged and point.field.grid == g
-        assert row["coarse_size"] == 64 and row["coarse_iterations"] > 0
+        assert start.field.grid.sizes == (64, 64) and start.iterations > 0
         # the coarse grid's tail, the restriction, the prolongation, and the
         # target descent's set-up: no target-grid iteration is left
         assert shapes.count((256, 256)) <= 6
-        assert shapes.count((64, 64)) >= 2 * row["coarse_iterations"]
+        assert shapes.count((64, 64)) >= 2 * start.iterations
         # the log is the target-grid descent's
         assert len(log.getvalue().splitlines()) == point.iterations
 
@@ -401,17 +401,17 @@ class TestNestedDescent:
         monkeypatch.setattr(minimize, "minimize_action",
                             lambda init, *a: calls.append(init.grid) or minimize_action(init, *a))
         g = TorusGrid((64, 64), 29.0)
-        point, row = minimizer_experiment(1.0, 29.0, 64, 3.5)
+        point, start = minimizer_experiment(1.0, 29.0, 64, 3.5)
         assert calls == [g]
-        assert row["coarse_size"] == 64 and row["coarse_iterations"] == 0
+        assert start is None and point.field.grid == g
 
     def test_plane_wave_start_stays_a_plane_wave(self):
         # the k = 5 wave is critical and resolved on 16^2, not on 8^2
         g = TorusGrid((64, 64), 40.0)
-        point, row = minimizer_experiment(0.0, 40.0, 64, 8.0, init=plane_wave(5, 0.0, g))
+        point, start = minimizer_experiment(0.0, 40.0, 64, 8.0, init=plane_wave(5, 0.0, g))
         assert point.converged and point.field.grid == g
-        assert row["coarse_size"] == 16
-        assert row["classification"] == "PlaneWave"
+        assert start.field.grid.sizes == (16, 16)
+        assert point.classification == "PlaneWave"
 
     def test_constancy_scan_descends_once_per_start(self, monkeypatch):
         from gptw import spectrum

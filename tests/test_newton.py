@@ -4,7 +4,7 @@ import numpy as np
 
 from gptw.ansatz import constant, perturb, plane_wave
 from gptw.field import ComplexField, TorusGrid
-from gptw.functionals import Params, certify
+from gptw.functionals import Params, action, certify, equation_integral
 from gptw.minimize import PLANE_WAVE, classify
 from gptw.newton import CERT_TOL, certified_tol, newton_minres
 
@@ -29,7 +29,11 @@ def test_converges_to_unstable_plane_wave():
     assert run.residual <= tol
     assert certify(run.field, P1).residual <= tol
     assert classify(run.field) == PLANE_WAVE
-    assert run.products >= run.steps >= 1
+    # the point is built from its field: action, class and integral
+    assert run.report == action(run.field, P1)
+    assert run.classification == classify(run.field)
+    assert run.integral == equation_integral(run.field)
+    assert run.iterations >= 1
 
 
 def test_non_finite_field_stops_unconverged():
@@ -39,7 +43,7 @@ def test_non_finite_field_stops_unconverged():
     with np.errstate(all="ignore"):
         run = newton_minres(big, P1, certified_tol(g))
     assert not run.converged
-    assert run.steps == 0
+    assert run.iterations == 0
     assert np.array_equal(run.field.values, big.values)
 
 
@@ -58,5 +62,5 @@ def test_non_finite_minres_solution_stops_unconverged(monkeypatch):
     run = newton_minres(start, P1, certified_tol(g))
     assert len(calls) == 1
     assert not run.converged
-    assert run.steps == 0
+    assert run.iterations == 0
     assert np.array_equal(run.field.values, start.values)
