@@ -15,7 +15,6 @@ from .field import (
     spectral_derivative,
     spectral_tail,
     transform_forward,
-    transform_inverse,
     vortex_count,
     write_field,
 )
@@ -43,7 +42,6 @@ from .ansatz import (
 from .minimize import (
     CriticalPoint,
     MinimizeOptions,
-    NonFiniteValue,
     classify,
     minimize_action,
     minimizer_experiment,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import ComplexField, TorusGrid, transform_inverse, l2_norm
+from .field import ComplexField, TorusGrid, fft_inverse, l2_norm
 
 
 class NoSuchSolution(ValueError):
@@ -173,7 +173,7 @@ def perturb(f: ComplexField, amplitude: float, band: int, seed: int) -> ComplexF
     offsets = np.arange(-band, band + 1)
     idx = np.ix_(*[offsets % m for m in grid.sizes])
     spec[idx] = block
-    bump = transform_inverse(spec, grid)
+    bump = ComplexField(grid, fft_inverse(spec))
     norm = l2_norm(bump)
     scale = amplitude * grid.period ** (grid.dim / 2.0) / norm
     return f.with_values(f.values + scale * bump.values)

@@ -7,12 +7,17 @@ a stored field), info (GPTW file metadata).
 
 Configuration comes from flags plus an optional `key = value` file
 (# comments allowed); flags override file values. A command accepts only
-the flags and keys it reads, and every output directory receives the fully
-resolved configuration for reproducibility. Exit codes:
-0 success, 2 validation error, 3 non-convergence. A run whose inputs are
-rejected writes nothing: every command builds what it runs from its flags,
-and all but minimize (whose progress.log streams from the descent) also
-compute, before it makes the output directory.
+the flags and keys it reads. Every output directory but that of `gptw
+certify --out`, which holds only certificate.csv, receives the fully
+resolved configuration (run_config.txt) for reproducibility.
+
+main alone maps failures to exit codes: 0 success; 2 validation error, a
+rejected input (ValueError) or an unreadable or unwritable file (OSError);
+3 non-convergence: an unconverged minimizer or saddle, or NotASaddle or
+NoConvergence, after which only run_config.txt is written. A run whose
+inputs are rejected writes nothing: every command builds what it runs from
+its flags, and all but minimize (whose progress.log streams from the
+descent) also compute, before it makes the output directory.
 """
 
 from __future__ import annotations
@@ -24,10 +29,8 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .ansatz import (NoSuchSolution, SupportTooLarge, VortexAnsatz,
-                     fitted_vortex_ansatz, vortex_test_function)
-from .field import (GPTW_VERSION, ComplexField, FieldFormatError, TorusGrid,
-                    read_field, write_field)
+from .ansatz import VortexAnsatz, fitted_vortex_ansatz, vortex_test_function
+from .field import GPTW_VERSION, ComplexField, TorusGrid, read_field, write_field
 from .functionals import Params, action, certify
 from .minimize import MinimizeOptions, minimizer_experiment
 from .mountainpass import NotASaddle, SaddleOptions, mountain_pass_pipeline
@@ -181,8 +184,7 @@ def _field_images(out: FsPath, stem: str, f: ComplexField):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_minimize(args) -> int:
-    resolved = _resolve(args)
+def _cmd_minimize(args, resolved: dict) -> int:
     grid = TorusGrid((resolved["size"],) * resolved["N"], resolved["T"])
     init = vortex_test_function(
         _ansatz_from(resolved, resolved["R"], resolved["T"]), grid)
@@ -213,20 +215,14 @@ def _cmd_minimize(args) -> int:
     return 0 if point.converged else 3
 
 
-def _cmd_mp(args) -> int:
-    resolved = _resolve(args)
+def _cmd_mp(args, resolved: dict) -> int:
     grid = TorusGrid((resolved["size"],) * resolved["N"], resolved["T"])
     sopts = SaddleOptions(max_iters=resolved["max_iters"], grad_tol=resolved["tol"],
                           seed=resolved["seed"])
-    try:
-        result, relaxed, upper = mountain_pass_pipeline(
-            resolved["c"], grid, resolved["R"], node_count=resolved["nodes"],
-            ansatz=_ansatz_from(resolved, resolved["R"], resolved["T"]),
-            saddle_opts=sopts)
-    except (NotASaddle, NoConvergence) as exc:
-        _prepare_out(resolved, "mp")
-        print(f"mp: {exc}", file=sys.stderr)
-        return 3
+    result, relaxed, upper = mountain_pass_pipeline(
+        resolved["c"], grid, resolved["R"], node_count=resolved["nodes"],
+        ansatz=_ansatz_from(resolved, resolved["R"], resolved["T"]),
+        saddle_opts=sopts)
     out = _prepare_out(resolved, "mp")
     p = Params(c=resolved["c"])
     acts = result.path_actions
@@ -253,17 +249,11 @@ def _cmd_mp(args) -> int:
     return 0 if saddle.converged else 3
 
 
-def _cmd_spectrum(args) -> int:
-    resolved = _resolve(args)
+def _cmd_spectrum(args, resolved: dict) -> int:
     grid = TorusGrid((resolved["size"],) * resolved["N"], resolved["T"])
     p = Params(c=resolved["c"])
-    try:
-        rep = hessian_spectrum_at_constant(0.0, p, grid, count=resolved["count"],
-                                           seed=resolved["seed"])
-    except NoConvergence as exc:
-        _prepare_out(resolved, "spectrum")
-        print(f"spectrum: {exc}", file=sys.stderr)
-        return 3
+    rep = hessian_spectrum_at_constant(0.0, p, grid, count=resolved["count"],
+                                       seed=resolved["seed"])
     out = _prepare_out(resolved, "spectrum")
     rows = [(rep.speed, rep.period, value, " ".join(str(m) for m in mode), branch)
             for value, mode, branch in rep.eigenvalues]
@@ -285,8 +275,7 @@ def _parse_list(text: str) -> list[float]:
     return [float(tok) for tok in str(text).replace(",", " ").split()]
 
 
-def _cmd_scan(args) -> int:
-    resolved = _resolve(args)
+def _cmd_scan(args, resolved: dict) -> int:
     T_values = _parse_list(resolved["T"])
     if not T_values:
         raise ValueError("scan needs at least one period in --T")
@@ -304,8 +293,7 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _cmd_testfn(args) -> int:
-    resolved = _resolve(args)
+def _cmd_testfn(args, resolved: dict) -> int:
     R_values = _parse_list(resolved["R"])
     p = Params(c=resolved["c"])
     rows = []
@@ -392,11 +380,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command of `argv`; returns its exit code (module docstring)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except (FieldFormatError, NoSuchSolution, SupportTooLarge, ValueError, OSError) as exc:
+        if args.command not in _DEFAULTS:
+            return args.handler(args)
+        resolved = _resolve(args)
+        try:
+            return args.handler(args, resolved)
+        except (NotASaddle, NoConvergence) as exc:
+            _prepare_out(resolved, args.command)
+            print(f"gptw {args.command}: {exc}", file=sys.stderr)
+            return 3
+    except (ValueError, OSError) as exc:
         print(f"gptw {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,8 @@ The domain is the cube [0, T]^N with opposite faces identified, sampled on a
 uniform grid. Derivatives act as Fourier multipliers and integrals are
 rectangle-rule sums, which is spectrally accurate for smooth periodic
 integrands. Axis 0 is the traveling direction x1. A ComplexField holds node
-values; Fourier coefficients are plain arrays (transform_forward).
+values; Fourier coefficients are plain arrays: transform_forward(f) holds
+f's, and ComplexField(grid, fft_inverse(coeffs)) is the field of coeffs.
 
 Grids of one torus are nested by halving: resample moves a field between
 them by spectral interpolation, zero-padding or truncating its spectrum
@@ -212,11 +213,6 @@ def transform_forward(f: ComplexField) -> np.ndarray:
     storage order (grid.integer_modes), normalized so the mode-0
     coefficient equals the mean of the field."""
     return fft_forward(f.values)
-
-
-def transform_inverse(coeffs: np.ndarray, grid: TorusGrid) -> ComplexField:
-    """The field whose transform_forward coefficients are `coeffs`."""
-    return ComplexField(grid, fft_inverse(coeffs))
 
 
 def _resize_axis(spec: np.ndarray, axis: int, size: int) -> np.ndarray:

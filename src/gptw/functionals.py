@@ -24,7 +24,6 @@ from .field import (
     fft_forward,
     fft_inverse,
     from_real,
-    l2_norm,
     spectral_tail,
     to_real,
 )
@@ -117,7 +116,7 @@ class Kernel:
     action and preconditioned_gradient also take what the caller holds, and
     then skip its computation: the normalized spectrum fft_forward(v) of
     their argument, which saves a forward transform, and the density
-    1 - |v|^2, which action returns on request; ray_coefficients always
+    1 - |v|^2, which action returns with the value; ray_coefficients always
     takes them, with the value and slope of its quartic. Sums are BLAS
     pairings (np.dot, np.vdot) of contiguous arrays. preconditioned_gradient
     forms grad I and (1 - Lap)^(-1) grad I in Fourier space from
@@ -165,16 +164,14 @@ class Kernel:
         when spec = fft_forward(v) is given."""
         return self._terms(v, spec)[:3]
 
-    def action(self, v: np.ndarray, spec: np.ndarray | None = None,
-               with_density: bool = False) -> float | tuple[float, np.ndarray]:
-        """kinetic + potential - c * momentum (see parts); with_density
-        returns (action, 1 - |v|^2)."""
+    def action(self, v: np.ndarray, spec: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+        """(kinetic + potential - c * momentum, 1 - |v|^2) (see parts)."""
         # overflow deliberately saturates to inf; callers treat a non-finite
-        # value as a rejected trial or raise NonFiniteValue
+        # value as a rejected trial
         with np.errstate(over="ignore", invalid="ignore"):
             kinetic, potential, mom, dens = self._terms(v, spec)
             value = kinetic + potential - self.c * mom
-        return (value, dens) if with_density else value
+        return value, dens
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
         """-Lap v - c*i*d_x1 v - (1-|v|^2) v, from two transforms."""
@@ -346,7 +343,7 @@ def certify(f: ComplexField, p: Params) -> Certificate:
     """Certificates of f at speed c, from 3 transforms.
 
     * residual: L2 norm of the action gradient, 0 at solutions of the
-      discrete equation.
+      discrete equation, and inf or nan where the gradient overflows.
     * integral: int (1-|f|^2) f, the equation integrated over the cell,
       0 at solutions.
     * tail: field.spectral_tail(f), the share of f's nonconstant energy in
@@ -358,4 +355,7 @@ def certify(f: ComplexField, p: Params) -> Certificate:
     (gptw.minimize.CriticalPoint); certify runs for `gptw certify` and the
     certificate CSVs.
     """
-    return Certificate(l2_norm(gradient(f, p)), equation_integral(f), spectral_tail(f))
+    # a raw array, not a ComplexField, which would reject an overflow
+    residual = float(np.linalg.norm(Kernel(f.grid, p).gradient(f.values)))
+    return Certificate(residual * np.sqrt(f.grid.quad_weight), equation_integral(f),
+                       spectral_tail(f))

@@ -37,7 +37,9 @@ else it restarts. It stalls, unconverged, when a refresh (the start, a
 restart or a confirm) lowers neither the residual of the previous refresh
 nor its action beyond admits' allowance: the floor, at c = 1 from the
 criterion-5 start (T = 40, R = 8), about 3-5e-13 at 64^2 and 6e-12 at
-256^2. It also stalls when neither direction gives an admitted step.
+256^2. It also stalls when neither direction gives an admitted step, as at
+a start whose action or gradient is not finite, which it returns after 0
+iterations, as newton.newton_minres does: the descent never raises.
 
 The critical point is built from what the descent holds when it stops, at
 no transform: the action report from the spectrum (Kernel.parts), which
@@ -93,10 +95,6 @@ CLASS_TOL = 1e-6
 RESTART_EVERY = 100
 
 
-class NonFiniteValue(RuntimeError):
-    """The iterate left the finite floating-point range."""
-
-
 @dataclass
 class MinimizeOptions:
     """Knobs for minimize_action.
@@ -150,9 +148,9 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
     direction or, when that is no descent, along steepest descent; admits
     accepts it on the action at the trial point. Returns the point converged
     on a residual from the nodes' spectrum, or the last iterate with
-    converged=False when the descent stalls (see the module docstring) or
-    after max_iters. Raises NonFiniteValue if the action or gradient
-    overflows at an accepted iterate.
+    converged=False when the descent stalls (see the module docstring),
+    the start among them when its action or gradient is not finite, or
+    after max_iters.
     """
     opts = opts or MinimizeOptions()
     grid = init.grid
@@ -166,9 +164,7 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
     # takes over the trial arrays.
     f = init.values
     fs = fft_forward(f)
-    val, dens = eng.action(f, fs, with_density=True)
-    if not np.isfinite(val):
-        raise NonFiniteValue(f"action not finite at the initial field ({val})")
+    val, dens = eng.action(f, fs)
     gs, z, zs = eng.preconditioned_gradient(f, fs, dens)
     res = np.sqrt(eng.spectral_dot(gs, gs))
     gz = eng.spectral_dot(gs, zs)
@@ -189,7 +185,7 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
             return None
         tf = f + alpha * direction
         tfs = fs + alpha * direction_spec
-        tv, tdens = eng.action(tf, tfs, with_density=True)
+        tv, tdens = eng.action(tf, tfs)
         if np.isfinite(tv) and admits(tv, val):
             return tv, tf, tfs, tdens
         return None
@@ -205,14 +201,12 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
         if hit is None:
             break  # stalled: no descent possible at rounding level
         val, f, fs, dens = hit
-        if not np.all(np.isfinite(f.view(np.float64))):
-            raise NonFiniteValue("iterate left the finite range")
         iters += 1
         refresh = iters % RESTART_EVERY == 0
         if refresh:
             # refresh the carried spectrum, action and density from the nodes
             fs = fft_forward(f)
-            val, dens = eng.action(f, fs, with_density=True)
+            val, dens = eng.action(f, fs)
         gs_old = gs
         gs, z, zs = eng.preconditioned_gradient(f, fs, dens)
         res = np.sqrt(eng.spectral_dot(gs, gs))
@@ -221,7 +215,7 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
             fresh = fft_forward(f)
             gs += eng.linear * (fresh - fs)
             fs = fresh
-            val = eng.action(f, fs)
+            val = eng.action(f, fs)[0]
             res = np.sqrt(eng.spectral_dot(gs, gs))
             refresh = True
             if res > tol:

@@ -185,7 +185,7 @@ def relax_path(path: Path, p: Params,
     ends = acts[0], acts[-1]
 
     def actions_of(vals):
-        return np.array([ends[0], *(eng.action(v) for v in vals[1:-1]), ends[1]])
+        return np.array([ends[0], *(eng.action(v)[0] for v in vals[1:-1]), ends[1]])
 
     gamma = float(acts.max())
     step_scale = STEP0

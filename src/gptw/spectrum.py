@@ -151,12 +151,13 @@ def lanczos_smallest(matvec, precondition, basis: np.ndarray, count: int, rng,
     components along it that would keep the residuals up. LOBPCG iterates
     to ITERATE_TOL_FRACTION * tol for at most MAX_BLOCK_ITERS iterations.
     Raises NoConvergence when a residual ||A x - lambda x|| of a returned
-    unit Ritz vector is above tol or a block product is not finite, and
-    ValueError unless count >= 1 and the
-    complement has 5 * count dimensions or more, below which lobpcg does not
-    iterate. scipy.sparse.linalg is imported on first use. The name is older
-    than LOBPCG; perfbench/tracer.py looks it up, so it stays until the trace
-    of ROADMAP item I replaces that tracer.
+    unit Ritz vector is above tol, a block product is not finite or lobpcg
+    breaks down with a ValueError (numpy's LinAlgError is one), and
+    ValueError unless count >= 1 and the complement has 5 * count
+    dimensions or more, below which lobpcg does not iterate.
+    scipy.sparse.linalg is imported on first use. The name is older than
+    LOBPCG; perfbench/tracer.py looks it up, so it stays until the trace of
+    ROADMAP item I replaces that tracer.
     """
     from scipy.sparse.linalg import lobpcg
 
@@ -180,10 +181,13 @@ def lanczos_smallest(matvec, precondition, basis: np.ndarray, count: int, rng,
         # the fraction of tol it iterates to; the returned pairs are checked
         # against tol below
         warnings.filterwarnings("ignore", "Exited (at iteration|postprocessing)", UserWarning)
-        vals, vecs, history = lobpcg(A, rng.standard_normal((dim, count)), M=M,
-                                     Y=basis if k else None, tol=ITERATE_TOL_FRACTION * tol,
-                                     maxiter=MAX_BLOCK_ITERS, largest=False,
-                                     retResidualNormsHistory=True)
+        try:
+            vals, vecs, history = lobpcg(A, rng.standard_normal((dim, count)), M=M,
+                                         Y=basis if k else None, tol=ITERATE_TOL_FRACTION * tol,
+                                         maxiter=MAX_BLOCK_ITERS, largest=False,
+                                         retResidualNormsHistory=True)
+        except ValueError as exc:  # e.g. Cholesky of an overflowing Gram matrix
+            raise NoConvergence(f"LOBPCG broke down: {exc}") from exc
     residual = float(np.max(history[-1]))
     if not residual <= tol:
         raise NoConvergence(f"LOBPCG: residual {residual:.3e} above {tol:.1e} "

@@ -24,6 +24,20 @@ def lobpcg_fails(monkeypatch):
 
 
 @pytest.fixture
+def lobpcg_raises(monkeypatch):
+    """A function that replaces scipy's lobpcg with one that raises the
+    exception it is given, as lobpcg does when it breaks down."""
+    import scipy.sparse.linalg as sla
+
+    def install(error):
+        def lobpcg(A, X, **kwargs):
+            raise error
+
+        monkeypatch.setattr(sla, "lobpcg", lobpcg)
+    return install
+
+
+@pytest.fixture
 def fft_calls(monkeypatch):
     """Count every call into a numpy.fft / scipy.fft transform entry point;
     returns the list the calls are appended to."""

@@ -80,6 +80,14 @@ class TestInfoAndCertify:
         assert abs(complex(float(row["cert_integral_re"]), float(row["cert_integral_im"]))) <= 1e-9
         assert float(row["tail"]) <= 1e-12
 
+    def test_certify_overflowing_gradient(self, pw_file, capsys):
+        # c * xi1 overflows: the residual reads as non-finite, the run exits 0
+        with np.errstate(all="ignore"):
+            assert main(["certify", str(pw_file), "--c", "1e308"]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        row = dict(zip(out[0].split(","), out[1].split(",")))
+        assert not np.isfinite(float(row["residual"]))
+
     def test_csv_row(self):
         grid16, p1 = TorusGrid((16, 16), 2 * np.pi), Params(c=1.0)
         header, row = cli._certificate_csv(constant(0.0, grid16), p1).splitlines()
@@ -145,6 +153,22 @@ class TestMinimizeCommand:
                      "--R", "2.0", "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_overflowing_start_exits_3(self, tmp_path, capsys):
+        # the action and gradient overflow at the start: the descent returns
+        # it unconverged, and every file is written
+        out = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            code = main(["minimize", "--size", "32", "--T", "13", "--R", "3",
+                         "--c", "1e308", "--out", str(out)])
+        assert code == 3
+        assert sorted(p.name for p in out.iterdir()) == [
+            "certificate.csv", "minimizer.gptw", "progress.log", "run_config.txt",
+            "summary.csv"]
+        assert (out / "progress.log").read_text() == ""
+        row = _csv_row(out / "summary.csv")
+        assert float(row["action"]) == -np.inf
+        assert np.isnan(float(row["residual"]))
+
     @pytest.mark.parametrize("c", ["nan", "inf"])
     def test_nonfinite_speed_exits_2(self, tmp_path, capsys, c):
         code = main(["minimize", "--c", c, "--T", "14", "--size", "32",
@@ -195,6 +219,13 @@ class TestMountainPassCommand:
         assert lobpcg_fails
         assert "mp:" in capsys.readouterr().err
         assert not (out / "saddle.csv").exists()
+
+    def test_witness_breakdown_exits_3(self, tmp_path, capsys, lobpcg_raises):
+        lobpcg_raises(ValueError("array must not contain infs or NaNs"))
+        out = tmp_path / "mp"
+        assert main(self.ARGS + ["--out", str(out)]) == 3
+        assert "mp:" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["run_config.txt"]
 
 
 class TestScanCommand:

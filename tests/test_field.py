@@ -13,6 +13,7 @@ from gptw.field import (
     TorusGrid,
     axis_windings,
     coarsest_grid,
+    fft_inverse,
     l2_norm,
     l2_product,
     read_field,
@@ -21,7 +22,6 @@ from gptw.field import (
     spectral_derivative,
     spectral_tail,
     transform_forward,
-    transform_inverse,
     vortex_count,
     write_field,
 )
@@ -110,8 +110,8 @@ class TestTransforms:
 
     def test_round_trip(self, grid16):
         f = random_field(grid16, 7)
-        back = transform_inverse(transform_forward(f), grid16)
-        assert np.linalg.norm(back.values - f.values) <= 1e-12 * np.linalg.norm(f.values)
+        back = fft_inverse(transform_forward(f))
+        assert np.linalg.norm(back - f.values) <= 1e-12 * np.linalg.norm(f.values)
 
 
 class TestSpectralDerivative:
@@ -156,7 +156,7 @@ class TestSpectralDerivative:
         m = grid16.sizes[0]
         spec = np.zeros(grid16.sizes, dtype=complex)
         spec[m // 2, 0] = 1.0
-        f = transform_inverse(spec, grid16)
+        f = ComplexField(grid16, fft_inverse(spec))
         d = spectral_derivative(f, 0)
         assert np.abs(d.values).max() < 1e-13
 
@@ -441,7 +441,7 @@ def _coarse_fields(draw, band_limited):
         index = [slice(None)] * len(sizes)
         index[ax] = m // 2
         spec[tuple(index)] = 0.0
-    return transform_inverse(spec, grid)
+    return ComplexField(grid, fft_inverse(spec))
 
 
 def _refined(grid, factors):

@@ -1,8 +1,8 @@
 """Package structure: no module reaches into another module's private
 names, every name the benchmark looks up exists, every option field and
-defaulted parameter is set by some caller, every exception class is raised,
-every module constant is read, and every public function and class is read
-by the package or the benchmark."""
+defaulted parameter is set by some caller, every exception class is raised
+and has an exit code, every module constant is read, and every public
+function and class is read by the package or the benchmark."""
 
 import ast
 import dataclasses
@@ -219,6 +219,70 @@ def test_detects_unraised_exception(tmp_path):
                      "class D:\n    pass\n"
                      "def f():\n    raise B('x')\n")
     assert _exceptions_and_raises([probe]) == ({"A", "B", "C"}, {"B"})
+
+
+def _class_bases(paths):
+    """{name: names of its bases} of every class defined in the files at `paths`."""
+    bases = {}
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {getattr(b, "id", None) or getattr(b, "attr", None)
+                                    for b in node.bases}
+    return bases
+
+
+def _derives(name, base, bases):
+    """Whether class `name` is `base` or derives from it, by the {name:
+    bases} map of _class_bases."""
+    return name == base or any(_derives(b, base, bases) for b in bases.get(name, ()))
+
+
+def _main_exit_codes(path):
+    """{exception name: returned constant} of the except clauses of the
+    function main in the file at `path`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    codes = {}
+    for handler in ast.walk(main):
+        if not isinstance(handler, ast.ExceptHandler):
+            continue
+        returned = [node.value.value for node in ast.walk(handler)
+                    if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)]
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        for t in types:
+            codes[getattr(t, "id", None) or getattr(t, "attr", None)] = returned[0]
+    return codes
+
+
+def test_every_failure_has_an_exit_code():
+    # cli.main alone maps failures to exit codes: a rejected input is a
+    # ValueError (exit 2), a failed solve one of the names it returns 3 for;
+    # any other exception would escape it as a traceback and exit 1
+    codes = _main_exit_codes(SRC / "cli.py")
+    assert codes["ValueError"] == 2
+    mapped = {"ValueError"} | {name for name, code in codes.items() if code == 3}
+    bases = _class_bases(MODULES)
+    defined, _ = _exceptions_and_raises(MODULES)
+    unmapped = [name for name in defined
+                if not any(_derives(name, base, bases) for base in mapped)]
+    assert sorted(unmapped) == []
+
+
+def test_detects_unmapped_failure(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("class A(ValueError):\n    pass\n"
+                     "class B(A):\n    pass\n"
+                     "class C(RuntimeError):\n    pass\n"
+                     "def main():\n    try:\n        return 0\n"
+                     "    except (C, mod.D) as exc:\n        return 3\n"
+                     "    except ValueError:\n        return 2\n")
+    bases = _class_bases([probe])
+    assert bases == {"A": {"ValueError"}, "B": {"A"}, "C": {"RuntimeError"}}
+    assert _derives("B", "ValueError", bases) and not _derives("C", "ValueError", bases)
+    assert _main_exit_codes(probe) == {"C": 3, "D": 3, "ValueError": 2}
 
 
 def _constants_and_loads(paths):

@@ -14,7 +14,6 @@ from gptw.ansatz import (
 from gptw.minimize import (
     CONSTANT_CLASSES,
     MinimizeOptions,
-    NonFiniteValue,
     classify,
     default_grad_tol,
     minimize_action,
@@ -163,10 +162,26 @@ class TestMinimize:
         assert point.converged
         assert abs(point.report.momentum) <= 1e-12
 
-    def test_nonfinite_raises(self, grid16, p1):
+    def test_non_finite_field_stops_unconverged(self, grid16, p1):
+        # |f|^2 overflows on this field: the descent returns it unconverged,
+        # untouched, as Newton does
         huge = ComplexField(grid16, np.full(grid16.sizes, 1e200 + 0j))
-        with pytest.raises(NonFiniteValue):
-            minimize_action(huge, p1)
+        with np.errstate(all="ignore"):
+            point = minimize_action(huge, p1)
+        assert not point.converged
+        assert point.iterations == 0
+        assert np.array_equal(point.field.values, huge.values)
+
+    def test_overflowing_step_stops_unconverged(self, grid16, p1, monkeypatch):
+        # a trial point whose action overflows is refused along both
+        # directions, so the descent stops where it began
+        monkeypatch.setattr(Kernel, "ray_minimum", staticmethod(lambda p: 1e300))
+        init = perturb(constant(0.0, grid16), 0.3, 3, 2)
+        with np.errstate(all="ignore"):
+            point = minimize_action(init, p1)
+        assert not point.converged
+        assert point.iterations == 0
+        assert np.array_equal(point.field.values, init.values)
 
     def test_three_dimensional_descent(self):
         g = TorusGrid((8, 8, 8), 3.0)

@@ -84,6 +84,17 @@ class TestLanczos:
             lanczos_smallest(lambda v: A @ v, lambda v: v, np.zeros((n, 0)), 3, rng)
         assert len(lobpcg_fails) == 1
 
+    @pytest.mark.parametrize("error", [ValueError("array must not contain infs or NaNs"),
+                                       np.linalg.LinAlgError("not positive definite")],
+                             ids=["ValueError", "LinAlgError"])
+    def test_breakdown_is_no_convergence(self, lobpcg_raises, error):
+        # a breakdown inside lobpcg is a failed solve, not a rejected input
+        lobpcg_raises(error)
+        with pytest.raises(NoConvergence, match="broke down") as info:
+            lanczos_smallest(lambda v: v, lambda v: v, np.zeros((40, 0)), 2,
+                             np.random.default_rng(0))
+        assert info.value.__cause__ is error
+
     def test_count_beyond_block_limit(self):
         # lobpcg iterates only while the complement of the basis has at
         # least 5 * count dimensions
