@@ -12,7 +12,6 @@ from .field import (
     read_field,
     read_header,
     resample,
-    spectral_derivative,
     spectral_tail,
     transform_forward,
     vortex_count,

@@ -242,10 +242,12 @@ def _cmd_mp(args, resolved: dict) -> int:
                                                  encoding="utf-8")
     if args.images:
         _field_images(out, "saddle", saddle.field)
-    coarse = "x".join(str(m) for m in result.relax_grid.sizes)
+    coarse, coarse_steps = ((grid, 0) if result.coarse is None
+                            else (result.coarse.field.grid, result.coarse.iterations))
     print(f"mp: gamma={_fmt(result.gamma)} M={_fmt(upper)} "
           f"saddle action={_fmt(saddle.report.action)} residual={_fmt(saddle.residual)} "
-          f"coarse={coarse} -> {out}")
+          f"relax={'x'.join(str(m) for m in result.relax_grid.sizes)} "
+          f"coarse={'x'.join(str(m) for m in coarse.sizes)} ({coarse_steps} steps) -> {out}")
     return 0 if saddle.converged else 3
 
 

@@ -309,18 +309,6 @@ def coarsest_grid(f: ComplexField) -> TorusGrid:
     return grid
 
 
-def spectral_derivative(f: ComplexField, axis: int) -> ComplexField:
-    """Partial derivative along one axis (0-based; axis 0 is x1).
-
-    Multiplies mode k by i*(2*pi*k/T) with the Nyquist mode zeroed, so
-    derivatives of real fields stay real.
-    """
-    if not 0 <= axis < f.grid.dim:
-        raise ValueError(f"axis {axis} out of range for dimension {f.grid.dim}")
-    sym = 1j * f.grid.deriv_symbols[axis]
-    return f.with_values(fft_inverse(fft_forward(f.values) * sym))
-
-
 def l2_product(a: ComplexField, b: ComplexField) -> float:
     """Real L2 pairing int a.b with a.b = Re(a)Re(b) + Im(a)Im(b)."""
     _same_grid(a, b)

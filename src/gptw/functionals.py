@@ -23,9 +23,7 @@ from .field import (
     TorusGrid,
     fft_forward,
     fft_inverse,
-    from_real,
     spectral_tail,
-    to_real,
 )
 
 
@@ -120,9 +118,11 @@ class Kernel:
     takes them, with the value and slope of its quartic. Sums are BLAS
     pairings (np.dot, np.vdot) of contiguous arrays. preconditioned_gradient
     forms grad I and (1 - Lap)^(-1) grad I in Fourier space from
-    fft_forward(v) in 2 transforms, where precondition(gradient(v)) costs four;
-    a string node step and a descent iteration cost these 2 (gptw.minimize
-    says what the descent carries).
+    fft_forward(v) in 2 transforms; a string node step and a descent
+    iteration cost these 2 (gptw.minimize says what the descent carries).
+
+    MINRES and LOBPCG work in spectral coordinates (hessian_real), where the
+    preconditioner is diagonal; hessian acts on node values.
     """
 
     def __init__(self, grid: TorusGrid, p: Params):
@@ -162,12 +162,14 @@ class Kernel:
         """Kinetic (1/2)int|grad v|^2, potential (1/4)int(1-|v|^2)^2 and
         momentum (1/2)int (i d_x1 v).v, from one forward transform, or none
         when spec = fft_forward(v) is given."""
-        return self._terms(v, spec)[:3]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._terms(v, spec)[:3]
 
     def action(self, v: np.ndarray, spec: np.ndarray | None = None) -> tuple[float, np.ndarray]:
         """(kinetic + potential - c * momentum, 1 - |v|^2) (see parts)."""
-        # overflow deliberately saturates to inf; callers treat a non-finite
-        # value as a rejected trial
+        # overflow deliberately saturates to inf, here and wherever np.errstate
+        # appears below; callers treat a non-finite value as a rejected trial
+        # or an unconverged point
         with np.errstate(over="ignore", invalid="ignore"):
             kinetic, potential, mom, dens = self._terms(v, spec)
             value = kinetic + potential - self.c * mom
@@ -175,51 +177,82 @@ class Kernel:
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
         """-Lap v - c*i*d_x1 v - (1-|v|^2) v, from two transforms."""
-        vhat = fft_forward(v)
-        vhat *= self.linear
-        return fft_inverse(vhat) - density(v) * v
+        with np.errstate(over="ignore", invalid="ignore"):
+            vhat = fft_forward(v)
+            vhat *= self.linear
+            return fft_inverse(vhat) - density(v) * v
+
+    def _gradient_spectrum(self, v: np.ndarray, spec: np.ndarray,
+                           dens: np.ndarray | None) -> np.ndarray:
+        # gradient_spectrum outside np.errstate, so that the descent's
+        # preconditioned_gradient enters it once per iteration
+        gs = self.linear * spec
+        gs -= fft_forward((density(v) if dens is None else dens) * v)
+        return gs
+
+    def gradient_spectrum(self, v: np.ndarray, spec: np.ndarray) -> np.ndarray:
+        """fft_forward(gradient(v)) from spec = fft_forward(v):
+        linear*spec - fft_forward((1-|v|^2) v), one forward transform."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._gradient_spectrum(v, spec, None)
 
     def preconditioned_gradient(self, v: np.ndarray, spec: np.ndarray,
                                 dens: np.ndarray | None = None
                                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(G, z, Z) at v from spec = fft_forward(v) and, when given, dens =
-        1 - |v|^2: G = fft_forward(gradient(v)), z = precondition(gradient(v))
-        and Z = fft_forward(z).
+        1 - |v|^2: G = fft_forward(gradient(v)), z = (1 - Lap)^(-1)
+        gradient(v) and Z = fft_forward(z).
 
-        G = linear*spec - fft_forward((1-|v|^2) v) takes one forward transform
-        and z one inverse transform of Z = G / (1 + |xi|^2).
+        G is gradient_spectrum's, one forward transform, and z one inverse
+        transform of Z = G / (1 + |xi|^2).
         """
-        gs = self.linear * spec
-        gs -= fft_forward((density(v) if dens is None else dens) * v)
-        zs = gs * self.preconditioner
-        return gs, fft_inverse(zs), zs
+        with np.errstate(over="ignore", invalid="ignore"):
+            gs = self._gradient_spectrum(v, spec, dens)
+            zs = gs * self.preconditioner
+            return gs, fft_inverse(zs), zs
 
-    def hessian(self, psi: np.ndarray):
-        """u -> -Lap u - c*i*d_x1 u - (1-|psi|^2) u + 2 (psi.u) psi, the
-        Hessian at psi, whose density is evaluated once, here. A product
-        costs 2 transforms and checks no finiteness: its callers do."""
+    def _cubic_hessian(self, psi: np.ndarray):
+        """u -> -(1-|psi|^2) u + 2 (psi.u) psi, the pointwise part of the
+        Hessian at psi, whose density is evaluated once, here."""
         neg_dens = -density(psi)
 
         def apply(u: np.ndarray) -> np.ndarray:
-            out = fft_inverse(self.linear * fft_forward(u))
-            out += neg_dens * u + 2.0 * _pairing(psi, u) * psi
+            out = neg_dens * u
+            out += 2.0 * _pairing(psi, u) * psi
             return out
         return apply
 
-    def precondition(self, g: np.ndarray) -> np.ndarray:
-        """Inverse Helmholtz operator (1 - Lap)^(-1), from two transforms."""
-        zs = fft_forward(g)
-        zs *= self.preconditioner
-        return fft_inverse(zs)
+    def hessian(self, psi: np.ndarray):
+        """u -> -Lap u - c*i*d_x1 u - (1-|psi|^2) u + 2 (psi.u) psi, the
+        Hessian at psi on node values. A product costs 2 transforms and
+        checks no finiteness: its callers do."""
+        cubic = self._cubic_hessian(psi)
 
-    def precondition_real(self, x: np.ndarray) -> np.ndarray:
-        """precondition on real coordinates (field.to_real), for MINRES and LOBPCG."""
-        return to_real(self.precondition(from_real(x, self.grid)))
+        def apply(u: np.ndarray) -> np.ndarray:
+            out = fft_inverse(self.linear * fft_forward(u))
+            out += cubic(u)
+            return out
+        return apply
 
     def hessian_real(self, psi: np.ndarray):
-        """hessian(psi) on real coordinates, for MINRES, LOBPCG and dense_hessian."""
-        apply = self.hessian(psi)
-        return lambda x: to_real(apply(from_real(x, self.grid)))
+        """hessian(psi) on spectral coordinates, for MINRES and LOBPCG: a
+        vector is fft_forward(u).view(np.float64), whose dot product is the
+        node L2 pairing over volume, so the operator stays symmetric with
+        the same spectrum. A product costs 2 transforms."""
+        cubic = self._cubic_hessian(psi)
+
+        def apply(x: np.ndarray) -> np.ndarray:
+            us = np.ascontiguousarray(x).view(np.complex128).reshape(self.grid.sizes)
+            out = self.linear * us
+            out += fft_forward(cubic(fft_inverse(us)))
+            return out.view(np.float64).ravel()
+        return apply
+
+    def precondition_real(self, x: np.ndarray) -> np.ndarray:
+        """(1 - Lap)^(-1) on spectral coordinates (hessian_real): each
+        (Re, Im) pair times preconditioner, no transform."""
+        pairs = x.reshape(*self.grid.sizes, 2)
+        return (pairs * self.preconditioner[..., None]).ravel()
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """Real L2 pairing int a.b."""
@@ -243,9 +276,10 @@ class Kernel:
         therefore agrees with action() along the whole ray. ds is
         fft_forward(d), so no transform is made.
         """
-        quad = 0.5 * self.volume * _sum_dot(self.linear, _abs2(ds))
-        b = _pairing(f, d)
-        cc = _abs2(d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            quad = 0.5 * self.volume * _sum_dot(self.linear, _abs2(ds))
+            b = _pairing(f, d)
+            cc = _abs2(d)
         w = self.weight
         return np.array([
             value,

@@ -12,25 +12,27 @@ negative Hessian direction off the symmetry directions
 (gptw.spectrum.smallest_direction) certifies the saddle index.
 
 Node actions are evaluated once per path, by the function that holds it:
-the pipeline evaluates the initial path's, for M; relax_path its start
-path's, for the first gamma and the fixed endpoints of every sweep; and
-find_saddle the relaxed path's, for gamma and the max node. The saddle is
-the CriticalPoint that Newton-MINRES returns, whose action costs one
-transform.
+relax_path its start path's and its relaxed path's, which it returns, and
+find_saddle the path it is handed, for gamma and the max node. The string
+carries each node's spectrum and density from sweep to sweep (relax_path
+states the budget), and the pipeline's bound M is the exact quartic of the
+straight path 1 + t*w_R. The saddle is the CriticalPoint that
+Newton-MINRES returns, whose action costs one transform.
 
-The pipeline relaxes the string by nested iteration (Brandt, Math. Comp. 31,
-1977): on field.coarsest_grid of the path's top node 1 + w_R, from the path
-restricted there by field.resample. The string costs about as many sweeps
-on every grid that resolves the path, so the coarse grid finds the pass at
-a fraction of the cost. The coarse string is only a start: its interior
-nodes are prolonged to the target grid between the path's own endpoints,
-and gamma, the saddle's Newton refinement and its index witness are all
-taken on the target grid. When the target grid is already the coarsest,
-restriction and prolongation return their field unchanged (field.resample),
-so the string relaxes on the target grid itself. A start near a basin
-boundary may reach a different saddle this way than a relaxation on the
-target grid alone. relax_path and find_saddle themselves run on whatever
-grid their path lives on.
+Both stages run by nested iteration (Brandt, Math. Comp. 31, 1977), as
+minimize.minimizer_experiment does, on field.coarsest_grid of what they
+start from. The pipeline relaxes the straight path sampled on the coarsest
+grid that resolves its top node 1 + w_R; the string costs about as many
+sweeps on every grid that resolves the path, so the coarse grid finds the
+pass at a fraction of the cost. Its interior nodes are then prolonged to
+the target grid between the path's own endpoints, where gamma is taken.
+find_saddle runs Newton-MINRES on the coarsest grid that resolves the max
+node, then on the path's grid from the prolonged point, where the saddle
+and its index witness are taken. On a grid that is already the coarsest,
+each stage runs there alone (field.resample returns its field unchanged).
+A start near a basin boundary may reach a different saddle this way than
+on the target grid alone. relax_path runs on whatever grid its path lives
+on.
 """
 
 from __future__ import annotations
@@ -99,19 +101,27 @@ class RelaxOptions:
 class SaddleResult:
     """A refined saddle; path_actions are the node actions of the path
     handed to find_saddle, gamma their max, and index_witness has Rayleigh
-    quotient witness_value < 0. relax_grid is the grid
-    mountain_pass_pipeline relaxed the string on, None when find_saddle was
-    handed a path relaxed elsewhere."""
+    quotient witness_value < 0. coarse is the Newton point that
+    find_saddle's coarse stage returned, None when it refined on the
+    path's grid only. relax_grid is the grid mountain_pass_pipeline relaxed
+    the string on, None when find_saddle was handed a path relaxed
+    elsewhere."""
 
     saddle: CriticalPoint
     path_actions: np.ndarray
     index_witness: ComplexField
     witness_value: float
+    coarse: CriticalPoint | None
     relax_grid: TorusGrid | None = None
 
     @property
     def gamma(self) -> float:
         return float(self.path_actions.max())
+
+
+def _straight_nodes(grid: TorusGrid, w: np.ndarray, ts) -> tuple[ComplexField, ...]:
+    """The fields 1 + t*w on `grid`, one per t."""
+    return tuple(ComplexField(grid, 1.0 + t * w) for t in ts)
 
 
 def init_path(grid: TorusGrid, R: float, node_count: int = 33,
@@ -121,16 +131,26 @@ def init_path(grid: TorusGrid, R: float, node_count: int = 33,
         raise ValueError("node_count must be >= 3")
     if ansatz is None:
         ansatz = fitted_vortex_ansatz(R, grid.period)
-    top = vortex_test_function(ansatz, grid)
-    w = top.values - 1.0
-    nodes = []
-    for t in np.linspace(0.0, 1.0, node_count):
-        nodes.append(ComplexField(grid, 1.0 + t * w))
-    return Path(tuple(nodes))
+    w = vortex_test_function(ansatz, grid).values - 1.0
+    return Path(_straight_nodes(grid, w, np.linspace(0.0, 1.0, node_count)))
 
 
-def _reparametrize(values: list[np.ndarray], weight: float) -> list[np.ndarray]:
-    """Linear interpolation onto uniform L2 arclength; endpoints untouched."""
+def _straight_path_max(kern: Kernel, w: np.ndarray, node_count: int) -> float:
+    """max over uniform t in [0, 1] of I(1 + t*w), the max node action of
+    init_path, from the exact quartic of the ray from the constant 1 along
+    w (Kernel.ray_coefficients), at one forward transform of w. The
+    constant 1 is a critical point of action 0 and density 0, so the
+    quartic's value and slope at t = 0 are 0."""
+    quartic = kern.ray_coefficients(np.ones_like(w), w, 0.0, 0.0, np.zeros(w.shape),
+                                    fft_forward(w))
+    return float(np.polyval(quartic[::-1], np.linspace(0.0, 1.0, node_count)).max())
+
+
+def _reparametrize(values: list[np.ndarray], spectra: list[np.ndarray],
+                   weight: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Linear interpolation of the nodes `values` onto uniform L2
+    arclength, applied with the same weights to their spectra; endpoints
+    untouched."""
     count = len(values)
     seg = np.array([
         np.linalg.norm(values[i + 1] - values[i]) for i in range(count - 1)
@@ -138,17 +158,19 @@ def _reparametrize(values: list[np.ndarray], weight: float) -> list[np.ndarray]:
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = cum[-1]
     if total <= 0:
-        return values
+        return values, spectra
     targets = np.linspace(0.0, total, count)
-    out = [values[0]]
+    out, out_spectra = [values[0]], [spectra[0]]
     for i in range(1, count - 1):
         s = targets[i]
         j = min(int(np.searchsorted(cum, s, side="right")) - 1, count - 2)
         span = cum[j + 1] - cum[j]
         t = 0.0 if span <= 0 else (s - cum[j]) / span
         out.append((1.0 - t) * values[j] + t * values[j + 1])
+        out_spectra.append((1.0 - t) * spectra[j] + t * spectra[j + 1])
     out.append(values[-1])
-    return out
+    out_spectra.append(spectra[-1])
+    return out, out_spectra
 
 
 def relax_path(path: Path, p: Params,
@@ -159,56 +181,63 @@ def relax_path(path: Path, p: Params,
     preconditioned descent steps v -> v - step * (1 - Lap)^(-1) grad I(v),
     starting at step STEP0, then reparametrizes the path. gamma never
     increases across accepted sweeps; a sweep whose gamma functionals.admits
-    refuses is rejected and the step halved. Returns (relaxed path, gamma estimate,
-    node actions of the relaxed path) after opts.sweeps sweeps, or earlier
-    once gamma has not improved by REL_TOL in opts.patience sweeps in a row
-    (the string has stalled). The node actions of `path` are evaluated
-    once, at the start: they give the first gamma, and the endpoints'
-    carry over to every sweep.
+    refuses is rejected and the step halved. Returns (relaxed path, gamma
+    estimate, node actions of the relaxed path) after opts.sweeps sweeps,
+    or earlier once gamma has not improved by REL_TOL in opts.patience
+    sweeps in a row (the string has stalled).
 
-    A node takes its spectrum once per sweep and carries it through its
-    steps by linearity, so a step costs the 2 transforms of
-    Kernel.preconditioned_gradient, and a node 2 * NODE_STEPS + 2 per sweep
-    with its action after the reparametrization. No spectrum outlives its
-    node's steps, so memory stays at one path and its trial copy.
+    Every node carries its spectrum and its density 1 - |v|^2 across
+    sweeps: a step updates the spectrum by linearity, _reparametrize
+    interpolates it with the node, and the node's action reads it and
+    returns the density for the next sweep's first step. So each interior
+    node costs the 2 transforms of a Kernel.preconditioned_gradient per
+    step: 2 * NODE_STEPS per sweep, and 2 * (NODE_STEPS - 1) on the retry
+    after a rejected sweep, which reuses the first-step gradients of the
+    accepted nodes. The start path costs one transform per node, and the
+    returned actions, evaluated on the returned nodes, one per interior
+    node.
     """
     opts = opts or RelaxOptions()
     grid = path.grid
     eng = Kernel(grid, p)
-    # nothing below writes a node array in place, so the path's frozen
-    # arrays are shared, not copied
+    interior = range(1, len(path.nodes) - 1)
+    # nothing below writes a node array or a spectrum in place, so the
+    # path's frozen arrays are shared, not copied
     nodes = [n.values for n in path.nodes]
-    endpoints = (path.nodes[0], path.nodes[-1])
-    acts = path.actions(p)
-
-    # the endpoints stay fixed, so their actions carry over to every sweep
-    ends = acts[0], acts[-1]
-
-    def actions_of(vals):
-        return np.array([ends[0], *(eng.action(v)[0] for v in vals[1:-1]), ends[1]])
+    specs = [fft_forward(v) for v in nodes]
+    start = [eng.action(v, spec) for v, spec in zip(nodes, specs)]
+    acts = np.array([value for value, _ in start])
+    dens = [d for _, d in start]
+    # the first-step (z, Z) of each interior node, at the accepted nodes
+    first = {}
 
     gamma = float(acts.max())
     step_scale = STEP0
     stall = 0
     for _ in range(opts.sweeps):
-        trial = list(nodes)
-        for i in range(1, len(trial) - 1):
-            v = trial[i]
-            spec = fft_forward(v)
-            for _ in range(NODE_STEPS):
-                _, z, zs = eng.preconditioned_gradient(v, spec)
+        trial, trial_specs = list(nodes), list(specs)
+        for i in interior:
+            if i not in first:
+                first[i] = eng.preconditioned_gradient(nodes[i], specs[i], dens[i])[1:]
+            v, spec = nodes[i], specs[i]
+            z, zs = first[i]
+            for k in range(NODE_STEPS):
+                if k:
+                    _, z, zs = eng.preconditioned_gradient(v, spec)
                 if eng.dot(z, z) == 0.0:
                     break
                 v = v - step_scale * z
-                zs *= step_scale
-                spec -= zs
-            trial[i] = v
-        trial = _reparametrize(trial, grid.quad_weight)
-        trial_acts = actions_of(trial)
+                spec = spec - step_scale * zs
+            trial[i], trial_specs[i] = v, spec
+        trial, trial_specs = _reparametrize(trial, trial_specs, grid.quad_weight)
+        trial_acts, trial_dens = acts.copy(), list(dens)
+        for i in interior:
+            trial_acts[i], trial_dens[i] = eng.action(trial[i], trial_specs[i])
         new_gamma = float(trial_acts.max())
         if admits(new_gamma, gamma):
             improved = gamma - new_gamma > REL_TOL * (1.0 + abs(gamma))
-            nodes, acts = trial, trial_acts
+            nodes, specs, acts, dens = trial, trial_specs, trial_acts, trial_dens
+            first = {}
             gamma = min(gamma, new_gamma)
             stall = 0 if improved else stall + 1
         else:
@@ -216,18 +245,21 @@ def relax_path(path: Path, p: Params,
             stall += 1
         if stall >= opts.patience:
             break
-    interior = tuple(ComplexField(grid, v) for v in nodes[1:-1])
-    return Path((endpoints[0],) + interior + (endpoints[1],)), gamma, acts
+    for i in interior:
+        acts[i] = eng.action(nodes[i])[0]
+    return Path(path.nodes[:1] + tuple(ComplexField(grid, nodes[i]) for i in interior)
+                + path.nodes[-1:]), gamma, acts
 
 
 @dataclass
 class SaddleOptions:
     """Refinement knobs for the Newton-MINRES refinement and the witness.
 
-    max_iters caps the Newton steps; grad_tol of None means the
-    volume-scaled default 1e-8 * T^(N/2), and the refinement target is
-    min(grad_tol, newton.CERT_TOL / T^(N/2)) (see find_saddle). seed draws the
-    start vector of the index witness's eigensolve.
+    max_iters caps the Newton steps of each refinement stage; grad_tol of
+    None means the volume-scaled default 1e-8 * T^(N/2), and the target of
+    both stages is min(grad_tol, newton.CERT_TOL / T^(N/2)) (see
+    find_saddle). seed draws the start vector of the index witness's
+    eigensolve.
     """
 
     max_iters: int = 50
@@ -250,24 +282,34 @@ def find_saddle(path: Path, p: Params, opts: SaddleOptions | None = None) -> Sad
     """Refine the max-action node of a relaxed path to a critical point and
     certify its index.
 
-    The refinement is Newton-MINRES from the max node (newton_minres). It
-    stops at ||grad I|| <= newton.certified_tol(grid, grad_tol), so a
-    converged saddle has |int (1-|f|^2) f| <= newton.CERT_TOL; its `iterations`
-    count Newton steps. The index witness is the smallest-eigenvalue Hessian
-    direction off the phase and translation directions, which carry the
-    zero modes of every critical point; when the quadratic form is
-    nonnegative there, the Hessian has no negative direction and NotASaddle
-    is raised (the path collapsed to a minimizer). The node actions of
-    `path` are evaluated once: they pick the max node and give
-    SaddleResult.path_actions, whose max is gamma. The saddle is the
-    CriticalPoint newton_minres returns: the residual its stopping rule
-    tested and the action from one transform.
+    The refinement is Newton-MINRES (newton_minres) by nested iteration, as
+    in minimize.minimizer_experiment: first on field.coarsest_grid of the
+    max node, from the node restricted there, then on the path's grid from
+    the coarse point prolonged, with the same tolerance and step cap and no
+    fallback; on a grid that is already the coarsest, from the max node
+    alone. Both stop at ||grad I|| <= newton.certified_tol(grid, grad_tol),
+    which reads the grid's T and N only, so a converged saddle has
+    |int (1-|f|^2) f| <= newton.CERT_TOL. The saddle is the path grid's
+    CriticalPoint, whose `iterations` count that grid's Newton steps;
+    SaddleResult.coarse is the coarse stage's. The index witness, taken
+    after both stages, is the smallest-eigenvalue Hessian direction off
+    the phase and translation directions, which carry the zero modes of
+    every critical point; when the quadratic form is nonnegative there,
+    NotASaddle is raised (the path collapsed to a minimizer). The node
+    actions of `path` are evaluated once: they pick the max node and give
+    SaddleResult.path_actions, whose max is gamma.
     """
     opts = opts or SaddleOptions()
-    tol = certified_tol(path.grid, opts.grad_tol)
+    grid = path.grid
+    tol = certified_tol(grid, opts.grad_tol)
     acts = path.actions(p)
-    idx = _pick_max_node(acts)
-    point = newton_minres(path.nodes[idx], p, tol, max_steps=opts.max_iters)
+    top = path.nodes[_pick_max_node(acts)]
+    coarse_grid = coarsest_grid(top)
+    coarse = None
+    if coarse_grid != grid:
+        coarse = newton_minres(resample(top, coarse_grid), p, tol, max_steps=opts.max_iters)
+        top = resample(coarse.field, grid)
+    point = newton_minres(top, p, tol, max_steps=opts.max_iters)
 
     # Index witness: only its Rayleigh quotient matters, a negative value
     # certifies the index.
@@ -283,6 +325,7 @@ def find_saddle(path: Path, p: Params, opts: SaddleOptions | None = None) -> Sad
         path_actions=acts,
         index_witness=witness,
         witness_value=witness_value,
+        coarse=coarse,
     )
 
 
@@ -293,25 +336,27 @@ def mountain_pass_pipeline(c: float, grid: TorusGrid, R: float,
                            saddle_opts: SaddleOptions | None = None):
     """init -> relax -> refine. Returns (SaddleResult, relaxed path, M).
 
-    M is the max action over the straight initial path on `grid`, the
-    T-independent upper bound for gamma, the max node action of the relaxed
-    path. The string relaxes on field.coarsest_grid of the path's top node
-    1 + w_R, from the path restricted there (see the module docstring). Its
-    interior nodes are then prolonged to `grid` between the path's own
-    endpoints, so the relaxed path, its node actions, gamma and the saddle
-    refined from its max node all live on `grid`; SaddleResult.relax_grid
-    names the grid the string relaxed on. When that grid is `grid`, the
-    restriction and prolongation return their fields unchanged and this is
-    relax_path and find_saddle on `grid`, bit for bit. Node actions are
-    evaluated for the initial path (M), the restricted path (relax_path's
-    first gamma) and the relaxed path (find_saddle).
+    M is the max node action of the straight path init_path(grid, ...), the
+    T-independent upper bound for gamma, read off the exact ray quartic of
+    1 + t*w_R at one forward transform of w_R; no straight path is built on
+    `grid`. The string relaxes from init_path on field.coarsest_grid of the
+    top node 1 + w_R, and its interior nodes are prolonged to `grid`
+    between the path's own endpoints, so the relaxed path, its node
+    actions, gamma and the saddle (find_saddle) all live on `grid`;
+    SaddleResult.relax_grid names the grid the string relaxed on. When that
+    grid is `grid`, this is relax_path and find_saddle on init_path(grid,
+    ...), bit for bit.
     """
     p = Params(c=c)
-    path = init_path(grid, R, node_count, ansatz)
-    coarse = coarsest_grid(path.nodes[-1])
-    start = Path(tuple(resample(n, coarse) for n in path.nodes))
+    if ansatz is None:
+        ansatz = fitted_vortex_ansatz(R, grid.period)
+    w = vortex_test_function(ansatz, grid).values - 1.0
+    ends = _straight_nodes(grid, w, (0.0, 1.0))
+    coarse = coarsest_grid(ends[-1])
+    start = init_path(coarse, R, node_count, ansatz)
+    upper = _straight_path_max(Kernel(grid, p), w, node_count)
     strung, _, _ = relax_path(start, p, relax_opts)
     interior = tuple(resample(n, grid) for n in strung.nodes[1:-1])
-    relaxed = Path((path.nodes[0],) + interior + (path.nodes[-1],))
+    relaxed = Path(ends[:1] + interior + ends[1:])
     result = replace(find_saddle(relaxed, p, saddle_opts), relax_grid=coarse)
-    return result, relaxed, float(path.actions(p).max())
+    return result, relaxed, upper

@@ -2,14 +2,19 @@
 
 Each Newton step solves H[s] = -grad I by MINRES on the symmetric,
 indefinite Hessian, preconditioned by the inverse Helmholtz symbol
-(1 + |xi|^2)^(-1), on the Kernel's Hessian held at the step's iterate
-(Kernel.hessian_real). The Hessian is singular along the symmetry directions
+(1 + |xi|^2)^(-1), on the Kernel's Hessian held at the step's iterate, in
+spectral coordinates (Kernel.hessian_real): a MINRES iteration costs the 2
+transforms of its product. The Hessian is singular along the symmetry directions
 i*psi (global phase) and d_j psi (translations) at every nonconstant
 critical point, but the gradient is orthogonal to them at every field, so
 the system stays consistent and MINRES solves it without projecting them out
 (Choi, Paige & Saunders, SIAM J. Sci. Comput. 33, 2011). Steps backtrack on
 the L2 residual ||grad I|| (Knoll & Keyes, J. Comput. Phys. 193, 2004).
 Newton converges to unstable critical points as well as to minimizers.
+
+The iterate carries its spectrum: a trial point is the inverse transform of
+fs + alpha*s_hat, and its gradient's spectrum, the right-hand side and the
+residual by Parseval, takes one forward transform.
 
 The solve returns the descent's record, a minimize.CriticalPoint: the
 residual its stopping rule tested, the action from one transform, the
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import ComplexField, TorusGrid, from_real, to_real
+from .field import ComplexField, TorusGrid, fft_forward, fft_inverse
 from .functionals import Kernel, Params, action, default_grad_tol, equation_integral
 from .minimize import CriticalPoint, classify
 
@@ -65,8 +70,12 @@ def newton_minres(init: ComplexField, p: Params, tol: float,
     H = LinearOperator((dim, dim), matvec=lambda x: hess(x), dtype=np.float64)
     M = LinearOperator((dim, dim), matvec=kern.precondition_real, dtype=np.float64)
 
-    g = kern.gradient(f)
-    res = np.sqrt(kern.dot(g, g))
+    def gradient_spectrum(values, spec):
+        gs = kern.gradient_spectrum(values, spec)
+        return gs, np.sqrt(kern.spectral_dot(gs, gs))
+
+    fs = fft_forward(f)
+    gs, res = gradient_spectrum(f, fs)
     res0 = max(res, tol)
     steps = 0
     while res > tol and steps < max_steps:
@@ -75,24 +84,24 @@ def newton_minres(init: ComplexField, p: Params, tol: float,
         # the condition number, hence the small prefactor.
         eta = 1e-3 * np.sqrt(min(1.0, res / res0))
         hess = kern.hessian_real(f)
-        x, _ = minres(H, to_real(-g), rtol=eta, maxiter=KRYLOV_MAX, M=M)
+        x, _ = minres(H, -gs.view(np.float64).ravel(), rtol=eta, maxiter=KRYLOV_MAX, M=M)
         if not np.all(np.isfinite(x)):
             break
-        s = from_real(x, grid)
+        ss = x.view(np.complex128).reshape(grid.sizes)
         alpha = 1.0
         hit = None
         for _ in range(MAX_BACKTRACKS):
-            values = f + alpha * s
+            spec = fs + alpha * ss
+            values = fft_inverse(spec)
             if np.all(np.isfinite(values)):
-                tg = kern.gradient(values)
-                tres = np.sqrt(kern.dot(tg, tg))
+                tgs, tres = gradient_spectrum(values, spec)
                 if tres <= (1.0 - 1e-4 * alpha) * res:
-                    hit = (values, tg, tres)
+                    hit = (values, spec, tgs, tres)
                     break
             alpha *= 0.5
         if hit is None:
             break
-        f, g, res = hit
+        f, fs, gs, res = hit
         steps += 1
     final = init.with_values(f)
     return CriticalPoint(field=final, report=action(final, p), residual=res,

@@ -12,7 +12,9 @@ symmetry directions (symmetry_basis; no other module removes them). At a
 constant it gives the spectrum off the phase direction, cross-checked
 against the symbol formula and a dense eigensolve on small grids; at a
 saddle it gives the index witness (smallest_direction) and, with a larger
-block, the Morse count. The Hessian is Newton-MINRES's (Kernel.hessian_real).
+block, the Morse count. The Hessian is Newton-MINRES's (Kernel.hessian_real),
+in spectral coordinates; the dense check (dense_hessian) is assembled on
+node values from Kernel.hessian, apart from them.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import SupportTooLarge, constant, fitted_vortex_ansatz, perturb, vortex_test_function
-from .field import (ComplexField, TorusGrid, fft_forward, fft_inverse, from_real, l2_norm,
-                    spectral_derivative, to_real)
+from .field import ComplexField, TorusGrid, fft_forward, fft_inverse, from_real, l2_norm, to_real
 from .functionals import Kernel, Params, hessian_apply
 from .minimize import CONSTANT_CLASSES, minimize_action
 
@@ -196,49 +197,58 @@ def lanczos_smallest(matvec, precondition, basis: np.ndarray, count: int, rng,
 
 
 def symmetry_basis(f: ComplexField) -> np.ndarray:
-    """Orthonormal columns spanning i*f and d_j f, flattened to real
-    coordinates; directions that vanish (at constants, at 0) are dropped.
+    """Orthonormal columns spanning i*f and d_j f in spectral coordinates
+    (Kernel.hessian_real), built as i*f_hat and i*xi_j*f_hat (xi_j from
+    grid.deriv_symbols, Nyquist-zeroed) from one forward transform;
+    directions that vanish (at constants, at 0) are dropped.
 
     These are the directions of the global phase and the translations, along
     which the Hessian of the action is singular at every critical point.
     """
-    v = f.values
-    columns = [1j * v] + [spectral_derivative(f, ax).values for ax in range(f.grid.dim)]
-    scale = float(np.linalg.norm(v))
+    spec = fft_forward(f.values)
+    grid = f.grid
+    columns = [1j * spec] + [(1j * xi) * spec for xi in grid.deriv_symbols]
+    scale = float(np.linalg.norm(spec))
     basis: list[np.ndarray] = []
     for col in columns:
-        q = to_real(col)
+        q = col.view(np.float64).ravel()
         for b in basis:
             q -= b * float(b @ q)
         norm = float(np.linalg.norm(q))
         if norm > 1e-8 * scale:
             basis.append(q / norm)
-    return np.column_stack(basis) if basis else np.zeros((2 * v.size, 0))
+    return np.column_stack(basis) if basis else np.zeros((2 * spec.size, 0))
 
 
 def hessian_operator(base: ComplexField, p: Params):
-    """Matrix-free Hessian held at `base` on flattened real coordinates
-    (field.to_real layout), as a function of one vector (Kernel.hessian_real)."""
+    """Matrix-free Hessian held at `base` on spectral coordinates, as a
+    function of one vector (Kernel.hessian_real)."""
     return Kernel(base.grid, p).hessian_real(base.values)
 
 
 def _smallest_pairs(base: ComplexField, p: Params, count: int, rng, tol: float = 1e-6):
-    """lanczos_smallest of the Hessian at `base`, off symmetry_basis(base)."""
+    """lanczos_smallest of the Hessian at `base`, off symmetry_basis(base),
+    in spectral coordinates."""
     return lanczos_smallest(hessian_operator(base, p), Kernel(base.grid, p).precondition_real,
                             symmetry_basis(base), count, rng, tol=tol)
 
 
+def _spectrum_of(vec: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The spectrum whose spectral coordinates are `vec`."""
+    return np.ascontiguousarray(vec).view(np.complex128).reshape(grid.sizes)
+
+
 def smallest_direction(base: ComplexField, p: Params, rng) -> tuple[float, ComplexField]:
-    """Smallest Hessian eigenvalue at `base` and its direction, off the
-    symmetry directions i*base and d_j base (symmetry_basis), which carry
-    the zero modes of every critical point.
+    """Smallest Hessian eigenvalue at `base` and its direction on the
+    nodes, off the symmetry directions i*base and d_j base
+    (symmetry_basis), which carry the zero modes of every critical point.
 
     The residual tolerance 1e-3 keeps this cheap on large grids, as an
     index witness needs only the sign; the eigenvalue is still accurate to
     about the square of that over the spectral gap.
     """
     vals, vecs = _smallest_pairs(base, p, 1, rng, tol=1e-3)
-    return float(vals[0]), ComplexField(base.grid, from_real(vecs[:, 0], base.grid))
+    return float(vals[0]), ComplexField(base.grid, fft_inverse(_spectrum_of(vecs[:, 0], base.grid)))
 
 
 def _dense(matvec, dim: int) -> np.ndarray:
@@ -255,18 +265,21 @@ def _dense(matvec, dim: int) -> np.ndarray:
 
 def dense_hessian(base: ComplexField, p: Params) -> np.ndarray:
     """Assemble the full Hessian, symmetry directions included, as a
-    2n x 2n real matrix from the columns of hessian_operator.
+    2n x 2n real matrix on node values (field.to_real layout) from the
+    columns of Kernel.hessian.
 
-    Independent cross-check for the iterative path; limited to small grids.
+    Independent cross-check for the iterative path, which runs in spectral
+    coordinates; limited to small grids.
     """
-    n = base.grid.node_count
+    grid = base.grid
+    n = grid.node_count
     if n > DENSE_NODE_LIMIT:
         raise ValueError(f"dense assembly limited to {DENSE_NODE_LIMIT} nodes, grid has {n}")
-    return _dense(hessian_operator(base, p), 2 * n)
+    apply = Kernel(grid, p).hessian(base.values)
+    return _dense(lambda x: to_real(apply(from_real(x, grid))), 2 * n)
 
 
-def _dominant_mode(grid: TorusGrid, values: np.ndarray) -> tuple[int, ...]:
-    spec = fft_forward(values)
+def _dominant_mode(grid: TorusGrid, spec: np.ndarray) -> tuple[int, ...]:
     power = spec.real**2 + spec.imag**2
     # fold k with -k so a conjugate pair carries one label
     neg = power[np.ix_(*[(-np.arange(m)) % m for m in grid.sizes])]
@@ -296,7 +309,7 @@ def hessian_spectrum_at_constant(theta: float, p: Params, grid: TorusGrid,
     analytic_min = float(min(plus.min(), minus.ravel()[1:].min()))
     entries = []
     for value, vec in zip(vals.tolist(), vecs.T):
-        mode = _dominant_mode(grid, from_real(vec, grid))
+        mode = _dominant_mode(grid, _spectrum_of(vec, grid))
         at = tuple(m % size for m, size in zip(mode, grid.sizes))
         branch = "-" if abs(value - minus[at]) <= abs(value - plus[at]) else "+"
         entries.append((value, mode, branch))

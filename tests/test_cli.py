@@ -1,6 +1,9 @@
 """Command-line surface: artifacts, exit codes, determinism, config handling."""
 
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -169,6 +172,21 @@ class TestMinimizeCommand:
         assert float(row["action"]) == -np.inf
         assert np.isnan(float(row["residual"]))
 
+    def test_overflowing_start_prints_no_warning(self, tmp_path):
+        # the overflow saturates inside np.errstate, so the run's stderr
+        # holds no numpy RuntimeWarning; a fresh interpreter shows what a
+        # user of the command sees
+        src = str(Path(cli.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from gptw.cli import main; sys.exit(main(sys.argv[1:]))",
+             "minimize", "--size", "32", "--T", "13", "--R", "3", "--c", "1e308",
+             "--out", str(tmp_path / "run")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+        assert run.returncode == 3, run.stderr
+        assert "action=-inf residual=nan" in run.stdout
+        assert "RuntimeWarning" not in run.stderr, run.stderr
+
     @pytest.mark.parametrize("c", ["nan", "inf"])
     def test_nonfinite_speed_exits_2(self, tmp_path, capsys, c):
         code = main(["minimize", "--c", c, "--T", "14", "--size", "32",
@@ -190,7 +208,10 @@ class TestMountainPassCommand:
     def test_run_and_artifacts(self, tmp_path, capsys):
         out = tmp_path / "mp"
         assert main(self.ARGS + ["--out", str(out)]) == 0
-        assert "coarse=32x32" in capsys.readouterr().out
+        # the string relaxes on 32^2, and Newton's coarse stage reports its
+        # grid and steps as minimize's coarse descent does
+        stdout = capsys.readouterr().out
+        assert "relax=32x32 coarse=" in stdout and " steps) -> " in stdout
         for name in ("saddle.csv", "path_actions.csv", "saddle_certificate.csv",
                      "run_config.txt", "saddle.gptw"):
             assert (out / name).exists()

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gptw.field import (ComplexField, GridMismatch, TorusGrid, fft_forward, l2_norm,
-                        l2_product)
+from gptw.field import (ComplexField, GridMismatch, TorusGrid, fft_forward, fft_inverse,
+                        l2_norm, l2_product)
 from gptw.functionals import (
     ActionReport,
     Kernel,
@@ -248,6 +248,24 @@ class TestTransformCount:
         fft_calls.clear()
         kernel.preconditioned_gradient(v, spec)
         assert len(fft_calls) == 2
+        fft_calls.clear()
+        kernel.gradient_spectrum(v, spec)
+        assert len(fft_calls) == 1
+
+    @pytest.mark.parametrize("sizes", [(16, 16), (32, 32), (8, 8, 8)])
+    def test_spectral_hessian_costs_two_and_preconditioner_none(self, sizes, p1, fft_calls):
+        # the Krylov operators in spectral coordinates: a product is one
+        # inverse and one forward transform, the preconditioner a multiply
+        grid = TorusGrid(sizes, 2 * np.pi)
+        kernel = Kernel(grid, p1)
+        held = kernel.hessian_real(random_field(grid, 4).values)
+        x = fft_forward(random_field(grid, 5).values).view(np.float64).ravel()
+        fft_calls.clear()
+        held(x)
+        assert len(fft_calls) == 2
+        fft_calls.clear()
+        kernel.precondition_real(x)
+        assert fft_calls == []
 
 
 class TestCertify:
@@ -457,7 +475,7 @@ class TestSuppliedSpectrum:
         assert abs(value - exact) <= 1e-13 * abs(exact)
         assert np.abs(dens - (1.0 - np.abs(f) ** 2)).max() <= 1e-13 * (1.0 + np.abs(f).max() ** 2)
         g = kernel.gradient(f)
-        z = kernel.precondition(g)
+        z = fft_inverse(fft_forward(g) * kernel.preconditioner)
         gs, zz, zs = kernel.preconditioned_gradient(f, fs, dens)
         for got, want in ((gs, fft_forward(g)), (zz, z), (zs, fft_forward(z))):
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gptw.field import (ComplexField, TorusGrid, l2_product, resample, spectral_tail,
-                        vortex_count)
+from gptw.field import (ComplexField, TorusGrid, coarsest_grid, fft_forward, fft_inverse,
+                        l2_product, resample, spectral_tail, vortex_count)
 from gptw.functionals import Kernel, Params, action, certify, hessian_apply
 from gptw.ansatz import VortexAnsatz, constant
 from gptw.minimize import OTHER_NONCONSTANT, VORTEXFUL, classify
@@ -16,6 +16,7 @@ from gptw.mountainpass import (
     RelaxOptions,
     SaddleOptions,
     _reparametrize,
+    _straight_path_max,
     find_saddle,
     init_path,
     mountain_pass_pipeline,
@@ -44,6 +45,28 @@ def small_pipeline(small_grid):
         relax_opts=RelaxOptions(sweeps=40, patience=6),
         saddle_opts=SaddleOptions(grad_tol=1e-8 * SMALL["T"]),
     )
+
+
+@pytest.fixture(scope="module")
+def coarse_string():
+    """TestCoarseString's 128^2 pipeline, with the grids relax_path ran on."""
+    from gptw import mountainpass
+
+    cls = TestCoarseString
+    grids = []
+    original = mountainpass.relax_path
+
+    def spy(path, *args):
+        grids.append(path.grid)
+        return original(path, *args)
+
+    mountainpass.relax_path = spy
+    try:
+        out = mountain_pass_pipeline(1.0, TorusGrid((128, 128), cls.T), cls.R,
+                                     node_count=cls.NODES, saddle_opts=cls.SADDLE)
+    finally:
+        mountainpass.relax_path = original
+    return out, grids
 
 
 class TestInitPath:
@@ -118,14 +141,49 @@ class TestRelaxPath:
         assert gammas[-1] < gammas[0]
 
     def test_transform_budget(self, fft_calls):
-        # one spectrum per node and sweep, carried through its steps: the
-        # endpoint and initial interior actions, then per interior node
-        # 2 transforms a step plus its spectrum and its action
+        # every node carries its spectrum across sweeps: one transform per
+        # node for the start path's actions and spectra, 2 per step of each
+        # interior node, and one per interior node for the returned actions
         g = TorusGrid((32, 32), SMALL["T"])
         path = init_path(g, SMALL["R"], node_count=5)
         fft_calls.clear()
         relax_path(path, P1, RelaxOptions(sweeps=1))
-        assert len(fft_calls) == 2 + 3 + 3 * (2 * NODE_STEPS + 2)
+        assert len(fft_calls) == 5 + 3 * 2 * NODE_STEPS + 3
+
+    @pytest.mark.parametrize("size", [16, 32])
+    def test_transform_budget_per_sweep(self, size, fft_calls, monkeypatch):
+        # a scripted acceptance test rejects the first sweep: its retry
+        # reuses the first-step gradients of the accepted nodes, and the
+        # start path is transformed once, with no second actions pass
+        from gptw import mountainpass
+
+        g = TorusGrid((size, size), SMALL["T"])
+        path = init_path(g, SMALL["R"], node_count=6)
+        interior = 4
+        decisions = iter([False, True, True])
+        marks, first_gradient = [], []
+
+        def scripted(trial, value):
+            marks.append(len(fft_calls))
+            return next(decisions)
+
+        original = Kernel.preconditioned_gradient
+
+        def counted(self, *args):
+            if not first_gradient:
+                first_gradient.append(len(fft_calls))
+            return original(self, *args)
+
+        monkeypatch.setattr(mountainpass, "admits", scripted)
+        monkeypatch.setattr(Kernel, "preconditioned_gradient", counted)
+        fft_calls.clear()
+        relax_path(path, P1, RelaxOptions(sweeps=3))
+        assert first_gradient == [6]
+        per_sweep = np.diff([first_gradient[0]] + marks + [len(fft_calls)]).tolist()
+        assert per_sweep == [interior * 2 * NODE_STEPS,         # rejected
+                             interior * 2 * (NODE_STEPS - 1),   # its retry
+                             interior * 2 * NODE_STEPS,         # a fresh sweep
+                             interior]                          # returned actions
 
     def test_node_actions_evaluated_once(self):
         # the returned actions are those of the returned path
@@ -145,9 +203,14 @@ class TestRelaxPath:
         moved = [n.values for n in path.nodes]
         for i in range(1, len(moved) - 1):
             for _ in range(NODE_STEPS):
-                moved[i] = moved[i] - STEP0 * kern.precondition(kern.gradient(moved[i]))
-        for got, want in zip(relaxed.nodes, _reparametrize(moved, g.quad_weight)):
+                z = fft_inverse(fft_forward(kern.gradient(moved[i])) * kern.preconditioner)
+                moved[i] = moved[i] - STEP0 * z
+        nodes, spectra = _reparametrize(moved, [fft_forward(v) for v in moved], g.quad_weight)
+        for got, want in zip(relaxed.nodes, nodes):
             assert np.abs(got.values - want).max() <= 1e-12
+        # the spectra are interpolated with the nodes' weights
+        for v, spec in zip(nodes, spectra):
+            assert np.abs(fft_forward(v) - spec).max() <= 1e-15
 
     def test_endpoints_bit_for_bit(self, small_pipeline):
         _, relaxed, _ = small_pipeline
@@ -264,6 +327,62 @@ class TestFindSaddle:
         assert result.gamma <= upper + 1e-12
 
 
+class TestNestedNewton:
+    """find_saddle refines the max node on its coarsest resolving grid
+    first, then on the path's grid from the prolonged result."""
+
+    def test_coarsest_grid_is_the_direct_newton(self, small_pipeline):
+        # on a grid that is already the coarsest the nested refinement is
+        # one Newton solve from the max node, bit for bit; SMALL's relaxed
+        # path, restricted to 32^2, has its max node there
+        grid = TorusGrid((32, 32), SMALL["T"])
+        path = Path(tuple(resample(n, grid) for n in small_pipeline[1].nodes))
+        opts = SaddleOptions(grad_tol=1e-8 * SMALL["T"])
+        result = find_saddle(path, P1, opts)
+        top = path.nodes[int(np.argmax(result.path_actions))]
+        assert coarsest_grid(top) == grid
+        direct = newton_minres(top, P1, certified_tol(grid, opts.grad_tol))
+        got = result.saddle
+        assert result.coarse is None and direct.converged
+        assert np.array_equal(got.field.values, direct.field.values)
+        assert got.report.action == direct.report.action
+        assert got.iterations == direct.iterations
+
+    def test_nested_matches_direct_at_128(self, coarse_string):
+        (result, relaxed, _), _ = coarse_string
+        grid = relaxed.grid
+        top = relaxed.nodes[int(np.argmax(result.path_actions))]
+        direct = newton_minres(top, P1, certified_tol(grid, TestCoarseString.SADDLE.grad_tol))
+        got = result.saddle
+        assert result.coarse.field.grid == TorusGrid((64, 64), TestCoarseString.T)
+        assert result.coarse.converged and got.converged and direct.converged
+        assert abs(got.report.action - direct.report.action) <= 1e-10
+        assert np.abs(got.field.values - direct.field.values).max() <= 1e-8
+        assert got.classification == direct.classification
+        assert result.witness_value < 0.0
+        # the target grid takes the last steps only
+        assert got.iterations <= 3 < direct.iterations
+
+
+class TestUpperBound:
+    def test_quartic_matches_node_actions(self, small_grid, small_pipeline, coarse_string):
+        # M is read off the ray quartic, not from a straight path's nodes
+        (_, relaxed, M), _ = coarse_string
+        for grid, R, nodes, upper in ((small_grid, SMALL["R"], 17, small_pipeline[2]),
+                                      (relaxed.grid, TestCoarseString.R,
+                                       TestCoarseString.NODES, M)):
+            want = float(init_path(grid, R, nodes).actions(P1).max())
+            assert abs(upper - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("size", [32, 64])
+    def test_costs_one_forward_transform(self, size, fft_calls):
+        g = TorusGrid((size, size), SMALL["T"])
+        w = init_path(g, SMALL["R"], node_count=3).nodes[-1].values - 1.0
+        fft_calls.clear()
+        _straight_path_max(Kernel(g, P1), w, 17)
+        assert [fn.__name__ for fn in fft_calls] == ["fftn"]
+
+
 class TestVortexBirth:
     def test_pair_is_born_between_c_0_9_and_0_85(self, small_grid, small_pipeline):
         # the c = 1 saddle continued down in c by Newton: at c = 0.9 the
@@ -325,23 +444,8 @@ class TestCoarseString:
         return TorusGrid((128, 128), self.T)
 
     @pytest.fixture(scope="class")
-    def nested(self, grid):
-        from gptw import mountainpass
-
-        grids = []
-        original = mountainpass.relax_path
-
-        def spy(path, *args):
-            grids.append(path.grid)
-            return original(path, *args)
-
-        mountainpass.relax_path = spy
-        try:
-            out = mountain_pass_pipeline(1.0, grid, self.R, node_count=self.NODES,
-                                         saddle_opts=self.SADDLE)
-        finally:
-            mountainpass.relax_path = original
-        return out, grids
+    def nested(self, coarse_string):
+        return coarse_string
 
     def test_relaxes_coarse_returns_target(self, grid, nested):
         (result, relaxed, M), grids = nested
@@ -379,4 +483,3 @@ class TestCoarseString:
             assert np.array_equal(a.values, b.values)
         assert np.array_equal(result.path_actions, want.path_actions)
         assert np.array_equal(result.saddle.field.values, want.saddle.field.values)
-        assert M == float(path.actions(P1).max())

@@ -11,9 +11,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gptw
 from gptw import functionals, spectrum
-from gptw.field import ComplexField, TorusGrid, from_real, l2_product, to_real
+from gptw.field import (ComplexField, TorusGrid, fft_forward, fft_inverse, from_real,
+                        l2_product, to_real)
 from gptw.functionals import Params, hessian_apply
-from gptw.ansatz import constant, perturb
+from gptw.ansatz import constant, perturb, plane_wave
 from gptw.spectrum import (
     NoConvergence,
     WeightOutOfRange,
@@ -119,7 +120,8 @@ class TestLanczos:
         value, witness = smallest_direction(f, Params(c=1.0), np.random.default_rng(0))
         quad = l2_product(hessian_apply(f, witness, Params(c=1.0)), witness)
         assert quad / l2_product(witness, witness) == pytest.approx(value, rel=1e-9)
-        assert np.all(np.abs(symmetry_basis(f).T @ to_real(witness.values)) <= 1e-10)
+        coordinates = fft_forward(witness.values).view(np.float64).ravel()
+        assert np.all(np.abs(symmetry_basis(f).T @ coordinates) <= 1e-10)
 
     def test_non_finite_product_fails_fast(self, grid16, monkeypatch):
         # |f|^2 overflows on this field: the first block product is not
@@ -160,9 +162,20 @@ class TestLanczos:
 _HELD_GRIDS = [((16, 16), 2 * np.pi), ((8, 8, 8), 3.0)]
 
 
+def _nodes(x, grid):
+    """The node values whose spectral coordinates are x."""
+    return fft_inverse(np.ascontiguousarray(x).view(np.complex128).reshape(grid.sizes))
+
+
+def _coordinates(values):
+    """The spectral coordinates of node values."""
+    return fft_forward(values).view(np.float64).ravel()
+
+
 class TestHeldHessian:
-    """The Kernel's Hessian held at a base, the one product behind
-    Newton-MINRES, LOBPCG, the dense check and hessian_apply."""
+    """The Kernel's Hessian held at a base in spectral coordinates, the one
+    product behind Newton-MINRES and LOBPCG, against hessian_apply and the
+    dense check on node values."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=8,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -189,12 +202,32 @@ class TestHeldHessian:
         assert len(densities) == 1
 
         for x, hx in zip(directions, products):
-            want = to_real(hessian_apply(base, ComplexField(grid, from_real(x, grid)), p).values)
+            want = _coordinates(hessian_apply(base, ComplexField(grid, _nodes(x, grid)), p).values)
             assert np.linalg.norm(hx - want) <= 1e-13 * np.linalg.norm(want)
+        # a column of the dense node-value matrix is the held product of
+        # that unit vector's spectral coordinates, read back on the nodes
         j = column % (2 * grid.node_count)
         dense_column = dense_hessian(base, p)[:, j]
-        hx = held(np.eye(1, 2 * grid.node_count, j)[0])
+        unit = from_real(np.eye(1, 2 * grid.node_count, j)[0], grid)
+        hx = to_real(_nodes(held(_coordinates(unit)), grid))
         assert np.linalg.norm(hx - dense_column) <= 1e-13 * np.linalg.norm(dense_column)
+
+    @pytest.mark.parametrize("size", [8, 10])
+    @pytest.mark.parametrize("kind", ["constant", "plane_wave"])
+    def test_spectral_matrix_is_symmetric_with_the_dense_spectrum(self, size, kind):
+        # the spectral coordinates are a multiple of an orthogonal map of
+        # the node values, so the held operator's matrix is symmetric and
+        # has the eigenvalues of dense_hessian
+        grid = TorusGrid((size, size), 6.0)
+        p = Params(c=1.0)
+        base = constant(0.0, grid) if kind == "constant" else plane_wave(-1, 1.0, grid)
+        held = hessian_operator(base, p)
+        dim = 2 * grid.node_count
+        A = np.column_stack([held(e) for e in np.eye(dim)])
+        assert np.abs(A - A.T).max() <= 1e-12 * np.abs(A).max()
+        spectral = np.linalg.eigvalsh(0.5 * (A + A.T))
+        nodal = np.linalg.eigvalsh(dense_hessian(base, p))
+        assert np.abs(spectral - nodal).max() <= 1e-10 * np.abs(nodal).max()
 
 
 class TestSpectrumAtConstant:
