@@ -18,6 +18,20 @@ it on a field's own grid, for functionals.certify, reading resolution off
 the decay of the Fourier coefficients (Boyd, Chebyshev and Fourier
 Spectral Methods, 2nd ed., 2001, ch. 2).
 
+The reflection class H = {psi : psi(-x) = conj psi(x)}, with x -> -x the
+grid reflection i -> -i mod M on every axis, holds every field of the
+mountain pass: the constant 1, the vortex test function, the string and the
+saddle. in_class tests membership to rounding (REFLECTION_TOL). A field of
+H has a real normalized spectrum, and is stored as the conjugate of its
+values on the half grid, last axis 0..M/2 (half_values; mirror restores
+the full grid with no transform). The class transform pair is the real one:
+class_forward(half) = scipy.fft.irfftn(half, s=sizes) is the normalized
+spectrum, class_inverse(spec) = scipy.fft.rfftn(spec) the half-grid values,
+each on half the data of a complex transform. A sum over the nodes of a
+quantity even under the reflection (|psi|^2, psi.phi) is the half-grid sum
+with the interior last-axis columns weighted twice and columns 0 and M/2,
+which the reflection maps into themselves, once (functionals.Kernel).
+
 Vortices are counted, not inferred from a small modulus: vortex_count sums
 the phase increments around each grid cell, the discrete winding number of
 the lattice, which is an exact integer on node values with no zero and
@@ -44,6 +58,15 @@ GPTW_VERSION = 1
 # 1 + w_R has a tail of 4e-4, instead of 64^2 (1.2e-6) moves its 128^2
 # gamma by 7.7e-4.
 TAIL_BOUND = 1e-5
+# Largest sup-norm deviation |psi(-x) - conj psi(x)|, relative to max |psi|,
+# of a field in_class accepts. Fields built in the class and moved through
+# transforms deviate by rounding: 1.6e-15 on the string's nodes, 2.1e-14 on
+# the 128^2 saddle of a full-space Newton solve, whose zero modes i*psi and
+# d_j psi lie outside H and so drift freely by rounding. A node translated
+# by one grid node or rotated by a phase deviates at order one. The class
+# route projects onto H, which moves the action only at second order in
+# the deviation.
+REFLECTION_TOL = 1e-12
 
 
 class GridMismatch(ValueError):
@@ -106,7 +129,7 @@ class TorusGrid:
     def integer_modes(self, axis: int) -> np.ndarray:
         """Integer wave numbers k in [-M/2, M/2) in FFT storage order."""
         m = self.sizes[axis]
-        return np.rint(np.fft.fftfreq(m, d=1.0 / m)).astype(int)
+        return (np.arange(m) + m // 2) % m - m // 2
 
     def frequency(self, axis: int, zero_nyquist: bool) -> np.ndarray:
         """Broadcastable angular frequency 2*pi*k/T along one axis.
@@ -176,7 +199,8 @@ def fft_forward(values: np.ndarray) -> np.ndarray:
     """Normalized forward DFT fft(values) / node_count over every axis of a
     raw node array, so the mode-0 coefficient is the mean.
 
-    With fft_inverse, the only transforms of the package. The 1/node_count
+    With fft_inverse, the full-space transforms of the package (the class
+    pair is class_forward and class_inverse). The 1/node_count
     factor is applied inside the transform (norm="forward"), which costs
     nothing next to a separate pass over the array. scipy.fft is imported
     on first use, since it loads scipy.special (about 0.1 s and 5 MB), and
@@ -192,6 +216,54 @@ def fft_inverse(spec: np.ndarray) -> np.ndarray:
     import scipy.fft
 
     return scipy.fft.ifftn(spec, norm="forward")
+
+
+def class_forward(half: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
+    """The real normalized spectrum of the class field stored as `half`
+    (half_values), shape `sizes`: irfftn(half, s=sizes), whose 1/node_count
+    normalization is fft_forward's. Looked up at call time, as fft_forward."""
+    import scipy.fft
+
+    return scipy.fft.irfftn(half, s=sizes)
+
+
+def class_inverse(spec: np.ndarray) -> np.ndarray:
+    """Inverse of class_forward: the half-grid storage rfftn(spec) of the
+    class field whose real normalized spectrum is `spec`, the plain sum
+    over the modes of conj psi = sum spec(k) e^{-ikx}."""
+    import scipy.fft
+
+    return scipy.fft.rfftn(spec)
+
+
+def _reflected(values: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """values at the reflected indices i -> -i mod M along `axes`."""
+    return np.roll(np.flip(values, axes), 1, axes)
+
+
+def in_class(f: ComplexField) -> bool:
+    """Whether f lies in H, f(-x) = conj f(x), to REFLECTION_TOL relative
+    to max |f|; no transform."""
+    v = f.values
+    deviation = np.abs(_reflected(v, tuple(range(v.ndim))).conj() - v).max()
+    return bool(deviation <= REFLECTION_TOL * np.abs(v).max())
+
+
+def half_values(values: np.ndarray) -> np.ndarray:
+    """The class storage of node values: their conjugate on the half grid,
+    last axis 0..M/2, a new array."""
+    return np.conj(values[..., : values.shape[-1] // 2 + 1])
+
+
+def mirror(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Full node values of the class field stored as `half`, no transform:
+    psi = conj(half) on the half grid, and psi(x) = half(-x) beyond it."""
+    m = grid.sizes[-1] // 2
+    out = np.empty(grid.sizes, dtype=np.complex128)
+    np.conjugate(half, out=out[..., : m + 1])
+    # last-axis column j > m reflects to column M - j, in 1..m-1
+    out[..., m + 1:] = _reflected(half[..., m - 1:0:-1], tuple(range(grid.dim - 1)))
+    return out
 
 
 def to_real(values: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ resolves the field.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,8 +22,12 @@ from .field import (
     ComplexField,
     GridMismatch,
     TorusGrid,
+    class_forward,
+    class_inverse,
     fft_forward,
     fft_inverse,
+    half_values,
+    mirror,
     spectral_tail,
 )
 
@@ -102,7 +107,8 @@ def _sum_dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class Kernel:
-    """Action, L2 gradient and Hessian of I = E - c*P on raw node arrays.
+    """Action, L2 gradient and Hessian of I = E - c*P on raw node arrays,
+    in one of two bases.
 
     Every linear operator is a Fourier symbol on the grid: -Lap - c*i*d_x1
     is the real multiplier |xi|^2 + c*xi1 (xi1 Nyquist-zeroed), so a
@@ -111,27 +117,52 @@ class Kernel:
     2/3-rule filter: solutions are smooth, and at the recommended
     resolutions aliasing sits below the solver tolerances.
 
-    action and preconditioned_gradient also take what the caller holds, and
-    then skip its computation: the normalized spectrum fft_forward(v) of
-    their argument, which saves a forward transform, and the density
-    1 - |v|^2, which action returns with the value; ray_coefficients always
-    takes them, with the value and slope of its quartic. Sums are BLAS
-    pairings (np.dot, np.vdot) of contiguous arrays. preconditioned_gradient
-    forms grad I and (1 - Lap)^(-1) grad I in Fourier space from
-    fft_forward(v) in 2 transforms; a string node step and a descent
-    iteration cost these 2 (gptw.minimize says what the descent carries).
+    The full basis (half=False) holds node values of shape grid.sizes and
+    complex normalized spectra (fft_forward, fft_inverse). The class basis
+    (half=True) holds a field of the reflection class H of gptw.field as
+    field.half_values, the conjugate of its values on the half grid, and its
+    real normalized spectrum (field.class_forward, field.class_inverse), so
+    arrays and transforms are half the size; sums over the nodes weight the
+    half grid's interior last-axis columns twice. The pointwise terms are
+    the same formulas on conjugated values, as |v|^2 and the pairing u.v
+    are unchanged by conjugating both. Both bases implement every method;
+    store and field convert from and to a ComplexField. The solvers that
+    start in H run in the class basis (mountainpass.relax_path,
+    newton.newton_minres, spectrum.smallest_direction); the descent, the
+    module wrappers below, Morse counts and the spectra at constants use
+    the full basis.
 
-    MINRES and LOBPCG work in spectral coordinates (hessian_real), where the
-    preconditioner is diagonal; hessian acts on node values.
+    action and preconditioned_gradient also take what the caller holds, and
+    then skip its computation: the normalized spectrum forward(v) of their
+    argument, which saves a forward transform, and the density 1 - |v|^2,
+    which action returns with the value; ray_coefficients always takes
+    them, with the value and slope of its quartic. Sums are BLAS pairings
+    (np.dot, np.vdot) of contiguous arrays. preconditioned_gradient forms
+    grad I and (1 - Lap)^(-1) grad I in Fourier space from forward(v) in 2
+    transforms; a string node step and a descent iteration cost these 2
+    (gptw.minimize says what the descent carries).
+
+    MINRES and LOBPCG work in spectral coordinates (hessian_real,
+    to_coords), where the preconditioner is diagonal: the interleaved
+    (Re, Im) view of the spectrum in the full basis, the real spectrum
+    itself in the class basis (`dimension` floats, 2 or 1 per node), whose
+    dot product is the node L2 pairing over volume. hessian acts on node
+    arrays.
+
+    No method enters np.errstate: overflow saturates to inf, which callers
+    treat as a rejected trial or an unconverged point, and the callers own
+    the error state, entering it once per solve or call (quiet_overflow).
     """
 
-    def __init__(self, grid: TorusGrid, p: Params):
+    def __init__(self, grid: TorusGrid, p: Params, *, half: bool):
         self.grid = grid
         self.c = p.c
+        self.half = half
         self.lap = grid.laplacian_symbol
         self.xi1 = grid.deriv_symbols[0]
         self.weight = grid.quad_weight
         self.volume = grid.cell_volume
+        self.dimension = grid.node_count if half else 2 * grid.node_count
 
     @cached_property
     def linear(self) -> np.ndarray:
@@ -143,73 +174,98 @@ class Kernel:
         """1 / (1 + |xi|^2), the symbol of (1 - Lap)^(-1)."""
         return 1.0 / (1.0 + self.lap)
 
+    def store(self, f: ComplexField) -> np.ndarray:
+        """f's node array in this basis: f.values, or its half-grid storage."""
+        return half_values(f.values) if self.half else f.values
+
+    def field(self, v: np.ndarray) -> ComplexField:
+        """The ComplexField of the node array v of this basis; a class field
+        is mirrored to the full grid, with no transform."""
+        return ComplexField(self.grid, mirror(v, self.grid) if self.half else v)
+
+    def forward(self, v: np.ndarray) -> np.ndarray:
+        """The normalized spectrum of the node array v, one transform."""
+        return class_forward(v, self.grid.sizes) if self.half else fft_forward(v)
+
+    def inverse(self, spec: np.ndarray) -> np.ndarray:
+        """The node array of the spectrum spec, one transform."""
+        return class_inverse(spec) if self.half else fft_inverse(spec)
+
+    def to_coords(self, spec: np.ndarray) -> np.ndarray:
+        """The spectral coordinates of spec, a flat float64 view."""
+        return (spec if self.half else spec.view(np.float64)).ravel()
+
+    def from_coords(self, x: np.ndarray) -> np.ndarray:
+        """The spectrum whose spectral coordinates are x, a view of a
+        contiguous x."""
+        x = np.ascontiguousarray(x)
+        return (x if self.half else x.view(np.complex128)).reshape(self.grid.sizes)
+
+    def _power(self, spec: np.ndarray) -> np.ndarray:
+        """|spec|^2 as a new real array."""
+        return np.square(spec) if self.half else _abs2(spec)
+
+    def _node_sum(self, a: np.ndarray, b: np.ndarray) -> float:
+        """The sum of a*b over the grid's nodes, for real node arrays."""
+        total = _sum_dot(a, b)
+        if self.half:
+            total = 2.0 * total - _sum_dot(a[..., 0], b[..., 0]) - _sum_dot(a[..., -1], b[..., -1])
+        return total
+
     def _terms(self, v: np.ndarray, spec: np.ndarray | None
                ) -> tuple[float, float, float, np.ndarray]:
         """Kinetic, potential and momentum parts with the density 1 - |v|^2."""
         if spec is None:
-            spec = fft_forward(v)
-        p2 = _abs2(spec)
+            spec = self.forward(v)
+        p2 = self._power(spec)
         kinetic = 0.5 * self.volume * _sum_dot(self.lap, p2)
         # xi1 varies along the first axis only: one matrix-vector product
         # sums |spec|^2 against it
         xi1 = self.xi1.ravel()
         mom = -0.5 * self.volume * float(np.dot(xi1, p2.reshape(xi1.size, -1)).sum())
         dens = density(v)
-        potential = 0.25 * self.weight * _sum_dot(dens, dens)
+        potential = 0.25 * self.weight * self._node_sum(dens, dens)
         return kinetic, potential, mom, dens
 
     def parts(self, v: np.ndarray, spec: np.ndarray | None = None) -> tuple[float, float, float]:
         """Kinetic (1/2)int|grad v|^2, potential (1/4)int(1-|v|^2)^2 and
         momentum (1/2)int (i d_x1 v).v, from one forward transform, or none
-        when spec = fft_forward(v) is given."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._terms(v, spec)[:3]
+        when spec = forward(v) is given."""
+        return self._terms(v, spec)[:3]
 
     def action(self, v: np.ndarray, spec: np.ndarray | None = None) -> tuple[float, np.ndarray]:
         """(kinetic + potential - c * momentum, 1 - |v|^2) (see parts)."""
-        # overflow deliberately saturates to inf, here and wherever np.errstate
-        # appears below; callers treat a non-finite value as a rejected trial
-        # or an unconverged point
-        with np.errstate(over="ignore", invalid="ignore"):
-            kinetic, potential, mom, dens = self._terms(v, spec)
-            value = kinetic + potential - self.c * mom
-        return value, dens
+        kinetic, potential, mom, dens = self._terms(v, spec)
+        return kinetic + potential - self.c * mom, dens
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
         """-Lap v - c*i*d_x1 v - (1-|v|^2) v, from two transforms."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            vhat = fft_forward(v)
-            vhat *= self.linear
-            return fft_inverse(vhat) - density(v) * v
+        vhat = self.forward(v)
+        vhat *= self.linear
+        return self.inverse(vhat) - density(v) * v
 
-    def _gradient_spectrum(self, v: np.ndarray, spec: np.ndarray,
-                           dens: np.ndarray | None) -> np.ndarray:
-        # gradient_spectrum outside np.errstate, so that the descent's
-        # preconditioned_gradient enters it once per iteration
+    def gradient_spectrum(self, v: np.ndarray, spec: np.ndarray,
+                          dens: np.ndarray | None = None) -> np.ndarray:
+        """forward(gradient(v)) from spec = forward(v) and, when given,
+        dens = 1 - |v|^2: linear*spec - forward((1-|v|^2) v), one forward
+        transform."""
         gs = self.linear * spec
-        gs -= fft_forward((density(v) if dens is None else dens) * v)
+        gs -= self.forward((density(v) if dens is None else dens) * v)
         return gs
-
-    def gradient_spectrum(self, v: np.ndarray, spec: np.ndarray) -> np.ndarray:
-        """fft_forward(gradient(v)) from spec = fft_forward(v):
-        linear*spec - fft_forward((1-|v|^2) v), one forward transform."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._gradient_spectrum(v, spec, None)
 
     def preconditioned_gradient(self, v: np.ndarray, spec: np.ndarray,
                                 dens: np.ndarray | None = None
                                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(G, z, Z) at v from spec = fft_forward(v) and, when given, dens =
-        1 - |v|^2: G = fft_forward(gradient(v)), z = (1 - Lap)^(-1)
-        gradient(v) and Z = fft_forward(z).
+        """(G, z, Z) at v from spec = forward(v) and, when given, dens =
+        1 - |v|^2: G = forward(gradient(v)), z = (1 - Lap)^(-1)
+        gradient(v) and Z = forward(z).
 
         G is gradient_spectrum's, one forward transform, and z one inverse
         transform of Z = G / (1 + |xi|^2).
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            gs = self._gradient_spectrum(v, spec, dens)
-            zs = gs * self.preconditioner
-            return gs, fft_inverse(zs), zs
+        gs = self.gradient_spectrum(v, spec, dens)
+        zs = gs * self.preconditioner
+        return gs, self.inverse(zs), zs
 
     def _cubic_hessian(self, psi: np.ndarray):
         """u -> -(1-|psi|^2) u + 2 (psi.u) psi, the pointwise part of the
@@ -224,39 +280,45 @@ class Kernel:
 
     def hessian(self, psi: np.ndarray):
         """u -> -Lap u - c*i*d_x1 u - (1-|psi|^2) u + 2 (psi.u) psi, the
-        Hessian at psi on node values. A product costs 2 transforms and
+        Hessian at psi on node arrays. A product costs 2 transforms and
         checks no finiteness: its callers do."""
         cubic = self._cubic_hessian(psi)
 
         def apply(u: np.ndarray) -> np.ndarray:
-            out = fft_inverse(self.linear * fft_forward(u))
+            out = self.inverse(self.linear * self.forward(u))
             out += cubic(u)
             return out
         return apply
 
     def hessian_real(self, psi: np.ndarray):
-        """hessian(psi) on spectral coordinates, for MINRES and LOBPCG: a
-        vector is fft_forward(u).view(np.float64), whose dot product is the
-        node L2 pairing over volume, so the operator stays symmetric with
-        the same spectrum. A product costs 2 transforms."""
+        """hessian(psi) on spectral coordinates (to_coords), for MINRES and
+        LOBPCG, whose dot product is the node L2 pairing over volume, so the
+        operator stays symmetric with the same spectrum. A product costs 2
+        transforms."""
         cubic = self._cubic_hessian(psi)
 
         def apply(x: np.ndarray) -> np.ndarray:
-            us = np.ascontiguousarray(x).view(np.complex128).reshape(self.grid.sizes)
+            us = self.from_coords(x)
             out = self.linear * us
-            out += fft_forward(cubic(fft_inverse(us)))
-            return out.view(np.float64).ravel()
+            out += self.forward(cubic(self.inverse(us)))
+            return self.to_coords(out)
         return apply
 
     def precondition_real(self, x: np.ndarray) -> np.ndarray:
         """(1 - Lap)^(-1) on spectral coordinates (hessian_real): each
-        (Re, Im) pair times preconditioner, no transform."""
+        coordinate times the preconditioner of its mode, no transform."""
+        if self.half:
+            return (x.reshape(self.grid.sizes) * self.preconditioner).ravel()
         pairs = x.reshape(*self.grid.sizes, 2)
         return (pairs * self.preconditioner[..., None]).ravel()
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Real L2 pairing int a.b."""
-        return float(np.vdot(a, b).real) * self.weight
+        """Real L2 pairing int a.b of two node arrays."""
+        total = np.vdot(a, b).real
+        if self.half:
+            total = (2.0 * total - np.vdot(a[..., 0], b[..., 0]).real
+                     - np.vdot(a[..., -1], b[..., -1]).real)
+        return float(total) * self.weight
 
     def spectral_dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """dot of the fields whose spectra are a and b, by Parseval:
@@ -274,19 +336,18 @@ class Kernel:
         sums of dens, b = f.d and cc = |d|^2, since
         1 - |f + alpha d|^2 = dens - 2 alpha b - alpha^2 cc; the polynomial
         therefore agrees with action() along the whole ray. ds is
-        fft_forward(d), so no transform is made.
+        forward(d), so no transform is made.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            quad = 0.5 * self.volume * _sum_dot(self.linear, _abs2(ds))
-            b = _pairing(f, d)
-            cc = _abs2(d)
+        quad = 0.5 * self.volume * _sum_dot(self.linear, self._power(ds))
+        b = _pairing(f, d)
+        cc = _abs2(d)
         w = self.weight
         return np.array([
             value,
             slope,
-            quad + w * (_sum_dot(b, b) - 0.5 * _sum_dot(dens, cc)),
-            w * _sum_dot(b, cc),
-            0.25 * w * _sum_dot(cc, cc),
+            quad + w * (self._node_sum(b, b) - 0.5 * self._node_sum(dens, cc)),
+            w * self._node_sum(b, cc),
+            0.25 * w * self._node_sum(cc, cc),
         ])
 
     @staticmethod
@@ -340,19 +401,33 @@ class Kernel:
         return best
 
 
+def quiet_overflow(solve):
+    """solve, run inside np.errstate(over="ignore", invalid="ignore"): the
+    one entry into the error state of a solve or module call, inside which
+    Kernel's overflow saturates to inf silently."""
+    @functools.wraps(solve)
+    def run(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return solve(*args, **kwargs)
+    return run
+
+
+@quiet_overflow
 def action(f: ComplexField, p: Params) -> ActionReport:
-    return ActionReport.assemble(*Kernel(f.grid, p).parts(f.values), p.c)
+    return ActionReport.assemble(*Kernel(f.grid, p, half=False).parts(f.values), p.c)
 
 
+@quiet_overflow
 def gradient(f: ComplexField, p: Params) -> ComplexField:
     """L2 gradient of the action: -Lap f - c*i*d_x1 f - (1-|f|^2) f.
 
     This is the negative left-hand side of the traveling-wave equation, so
     l2_norm(gradient) is the equation residual.
     """
-    return f.with_values(Kernel(f.grid, p).gradient(f.values))
+    return f.with_values(Kernel(f.grid, p, half=False).gradient(f.values))
 
 
+@quiet_overflow
 def hessian_apply(base: ComplexField, direction: ComplexField, p: Params) -> ComplexField:
     """Second variation of the action at `base` applied to `direction`:
 
@@ -363,7 +438,8 @@ def hessian_apply(base: ComplexField, direction: ComplexField, p: Params) -> Com
     """
     if base.grid != direction.grid:
         raise GridMismatch("hessian_apply needs base and direction on one grid")
-    return base.with_values(Kernel(base.grid, p).hessian(base.values)(direction.values))
+    apply = Kernel(base.grid, p, half=False).hessian(base.values)
+    return base.with_values(apply(direction.values))
 
 
 def equation_integral(f: ComplexField) -> complex:
@@ -373,6 +449,7 @@ def equation_integral(f: ComplexField) -> complex:
     return complex(np.sum(density(v) * v)) * f.grid.quad_weight
 
 
+@quiet_overflow
 def certify(f: ComplexField, p: Params) -> Certificate:
     """Certificates of f at speed c, from 3 transforms.
 
@@ -390,6 +467,6 @@ def certify(f: ComplexField, p: Params) -> Certificate:
     certificate CSVs.
     """
     # a raw array, not a ComplexField, which would reject an overflow
-    residual = float(np.linalg.norm(Kernel(f.grid, p).gradient(f.values)))
+    residual = float(np.linalg.norm(Kernel(f.grid, p, half=False).gradient(f.values)))
     return Certificate(residual * np.sqrt(f.grid.quad_weight), equation_integral(f),
                        spectral_tail(f))

@@ -79,7 +79,7 @@ import numpy as np
 from .ansatz import fitted_vortex_ansatz, vortex_test_function
 from .field import (ComplexField, TorusGrid, axis_windings, coarsest_grid, fft_forward,
                     fft_inverse, resample, vortex_count)
-from .functionals import ActionReport, Kernel, Params, admits, default_grad_tol
+from .functionals import ActionReport, Kernel, Params, admits, default_grad_tol, quiet_overflow
 
 ZERO_CONSTANT = "ZeroConstant"
 UNIT_CONSTANT = "UnitConstant"
@@ -140,6 +140,7 @@ class CriticalPoint:
     iterations: int
 
 
+@quiet_overflow
 def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None = None) -> CriticalPoint:
     """Descend the action from `init` until the L2 residual meets grad_tol.
 
@@ -155,7 +156,7 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
     opts = opts or MinimizeOptions()
     grid = init.grid
     tol = opts.grad_tol if opts.grad_tol is not None else default_grad_tol(grid)
-    eng = Kernel(grid, p)
+    eng = Kernel(grid, p, half=False)
     log = opts.log_stream
 
     # fs, gs, zs and ds are the spectra (fft_forward) of f, of its

@@ -8,8 +8,20 @@ preconditioned descent steps, then the path is reparametrized to uniform L2
 arclength; endpoints stay fixed. A stalled string returns like a spent sweep
 budget. The max node is refined by Newton-MINRES on the action gradient
 (gptw.newton), whose stopping rule implies the integrated certificate, and a
-negative Hessian direction off the symmetry directions
-(gptw.spectrum.smallest_direction) certifies the saddle index.
+negative Hessian direction (gptw.spectrum.smallest_direction) certifies the
+saddle index.
+
+The straight path, the string and the saddle lie in the reflection class
+H = {psi : psi(-x) = conj psi(x)} of gptw.field, which the action's
+symmetries (conjugation and x -> -x each flip the momentum) make a class
+whose critical points are critical points of I (Palais, Comm. Math. Phys.
+69, 1979). relax_path, newton_minres and smallest_direction run in the
+Kernel's class basis when their path, start or base lies in H
+(field.in_class), on half the arrays and real transforms of half the size,
+and return full ComplexFields by mirroring; on H the Hessian has no
+symmetry zero mode, so the witness is the smallest eigenvalue on H. A path
+or start off H, such as a translated or phase-rotated copy, runs on the
+full grid, with the same control flow and transform counts.
 
 Node actions are evaluated once per path, by the function that holds it:
 relax_path its start path's and its relaxed path's, which it returns, and
@@ -42,8 +54,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ansatz import VortexAnsatz, fitted_vortex_ansatz, vortex_test_function
-from .field import ComplexField, TorusGrid, coarsest_grid, fft_forward, resample
-from .functionals import Kernel, Params, action, admits
+from .field import ComplexField, TorusGrid, coarsest_grid, fft_forward, in_class, resample
+from .functionals import Kernel, Params, action, admits, quiet_overflow
 from .minimize import CriticalPoint
 from .newton import certified_tol, newton_minres
 from .spectrum import smallest_direction
@@ -135,6 +147,7 @@ def init_path(grid: TorusGrid, R: float, node_count: int = 33,
     return Path(_straight_nodes(grid, w, np.linspace(0.0, 1.0, node_count)))
 
 
+@quiet_overflow
 def _straight_path_max(kern: Kernel, w: np.ndarray, node_count: int) -> float:
     """max over uniform t in [0, 1] of I(1 + t*w), the max node action of
     init_path, from the exact quartic of the ray from the constant 1 along
@@ -147,14 +160,12 @@ def _straight_path_max(kern: Kernel, w: np.ndarray, node_count: int) -> float:
 
 
 def _reparametrize(values: list[np.ndarray], spectra: list[np.ndarray],
-                   weight: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Linear interpolation of the nodes `values` onto uniform L2
-    arclength, applied with the same weights to their spectra; endpoints
-    untouched."""
+                   dot) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Linear interpolation of the nodes `values` onto uniform arclength in
+    the L2 pairing `dot` (Kernel.dot), applied with the same weights to
+    their spectra; endpoints untouched."""
     count = len(values)
-    seg = np.array([
-        np.linalg.norm(values[i + 1] - values[i]) for i in range(count - 1)
-    ]) * np.sqrt(weight)
+    seg = np.sqrt([dot(d, d) for d in (values[i + 1] - values[i] for i in range(count - 1))])
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = cum[-1]
     if total <= 0:
@@ -173,6 +184,7 @@ def _reparametrize(values: list[np.ndarray], spectra: list[np.ndarray],
     return out, out_spectra
 
 
+@quiet_overflow
 def relax_path(path: Path, p: Params,
                opts: RelaxOptions | None = None) -> tuple[Path, float, np.ndarray]:
     """String-method relaxation of the interior nodes.
@@ -196,15 +208,21 @@ def relax_path(path: Path, p: Params,
     accepted nodes. The start path costs one transform per node, and the
     returned actions, evaluated on the returned nodes, one per interior
     node.
+
+    When every node lies in H (field.in_class) the string runs in the
+    Kernel's class basis: the transforms above are class_forward and
+    class_inverse, the returned actions are evaluated there, and the
+    relaxed interior nodes are mirrored to the full grid. Otherwise it runs
+    on the full grid.
     """
     opts = opts or RelaxOptions()
     grid = path.grid
-    eng = Kernel(grid, p)
+    eng = Kernel(grid, p, half=all(in_class(n) for n in path.nodes))
     interior = range(1, len(path.nodes) - 1)
     # nothing below writes a node array or a spectrum in place, so the
-    # path's frozen arrays are shared, not copied
-    nodes = [n.values for n in path.nodes]
-    specs = [fft_forward(v) for v in nodes]
+    # full path's frozen arrays are shared, not copied
+    nodes = [eng.store(n) for n in path.nodes]
+    specs = [eng.forward(v) for v in nodes]
     start = [eng.action(v, spec) for v, spec in zip(nodes, specs)]
     acts = np.array([value for value, _ in start])
     dens = [d for _, d in start]
@@ -224,12 +242,12 @@ def relax_path(path: Path, p: Params,
             for k in range(NODE_STEPS):
                 if k:
                     _, z, zs = eng.preconditioned_gradient(v, spec)
-                if eng.dot(z, z) == 0.0:
+                if eng.spectral_dot(zs, zs) == 0.0:
                     break
                 v = v - step_scale * z
                 spec = spec - step_scale * zs
             trial[i], trial_specs[i] = v, spec
-        trial, trial_specs = _reparametrize(trial, trial_specs, grid.quad_weight)
+        trial, trial_specs = _reparametrize(trial, trial_specs, eng.dot)
         trial_acts, trial_dens = acts.copy(), list(dens)
         for i in interior:
             trial_acts[i], trial_dens[i] = eng.action(trial[i], trial_specs[i])
@@ -247,7 +265,7 @@ def relax_path(path: Path, p: Params,
             break
     for i in interior:
         acts[i] = eng.action(nodes[i])[0]
-    return Path(path.nodes[:1] + tuple(ComplexField(grid, nodes[i]) for i in interior)
+    return Path(path.nodes[:1] + tuple(eng.field(nodes[i]) for i in interior)
                 + path.nodes[-1:]), gamma, acts
 
 
@@ -291,11 +309,13 @@ def find_saddle(path: Path, p: Params, opts: SaddleOptions | None = None) -> Sad
     which reads the grid's T and N only, so a converged saddle has
     |int (1-|f|^2) f| <= newton.CERT_TOL. The saddle is the path grid's
     CriticalPoint, whose `iterations` count that grid's Newton steps;
-    SaddleResult.coarse is the coarse stage's. The index witness, taken
-    after both stages, is the smallest-eigenvalue Hessian direction off
-    the phase and translation directions, which carry the zero modes of
-    every critical point; when the quadratic form is nonnegative there,
-    NotASaddle is raised (the path collapsed to a minimizer). The node
+    SaddleResult.coarse is the coarse stage's. Each stage runs in H when
+    its start lies there (newton_minres). The index witness, taken after
+    both stages, is spectrum.smallest_direction's: the smallest Hessian
+    eigenvalue on H for a saddle in H, else the smallest off the phase and
+    translation directions, which carry the zero modes of every critical
+    point; when the quadratic form is nonnegative there, NotASaddle is
+    raised (the path collapsed to a minimizer). The node
     actions of `path` are evaluated once: they pick the max node and give
     SaddleResult.path_actions, whose max is gamma.
     """
@@ -354,7 +374,7 @@ def mountain_pass_pipeline(c: float, grid: TorusGrid, R: float,
     ends = _straight_nodes(grid, w, (0.0, 1.0))
     coarse = coarsest_grid(ends[-1])
     start = init_path(coarse, R, node_count, ansatz)
-    upper = _straight_path_max(Kernel(grid, p), w, node_count)
+    upper = _straight_path_max(Kernel(grid, p, half=False), w, node_count)
     strung, _, _ = relax_path(start, p, relax_opts)
     interior = tuple(resample(n, grid) for n in strung.nodes[1:-1])
     relaxed = Path(ends[:1] + interior + ends[1:])

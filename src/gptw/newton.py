@@ -12,6 +12,14 @@ the system stays consistent and MINRES solves it without projecting them out
 the L2 residual ||grad I|| (Knoll & Keyes, J. Comput. Phys. 193, 2004).
 Newton converges to unstable critical points as well as to minimizers.
 
+A start in the reflection class H of gptw.field (field.in_class) is solved
+in the Kernel's class basis, on its real spectrum: the iterates stay in H,
+where i*psi and d_j psi, odd under the reflection, do not lie, so the
+Hessian has no symmetry zero mode there, and MINRES works on half the
+coordinates with real transforms of half the size. The point is returned on
+the full grid, mirrored from the half grid. Any other start is solved on the
+full grid.
+
 The iterate carries its spectrum: a trial point is the inverse transform of
 fs + alpha*s_hat, and its gradient's spectrum, the right-hand side and the
 residual by Parseval, takes one forward transform.
@@ -26,8 +34,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import ComplexField, TorusGrid, fft_forward, fft_inverse
-from .functionals import Kernel, Params, action, default_grad_tol, equation_integral
+from .field import ComplexField, TorusGrid, in_class
+from .functionals import (Kernel, Params, action, default_grad_tol, equation_integral,
+                          quiet_overflow)
 from .minimize import CriticalPoint, classify
 
 # MINRES iterations allowed per Newton step.
@@ -51,9 +60,11 @@ def certified_tol(grid: TorusGrid, grad_tol: float | None = None) -> float:
     return min(base, CERT_TOL / grid.period ** (grid.dim / 2.0))
 
 
+@quiet_overflow
 def newton_minres(init: ComplexField, p: Params, tol: float,
                   max_steps: int = 50) -> CriticalPoint:
-    """Newton iteration from `init` until ||grad I|| <= tol.
+    """Newton iteration from `init` until ||grad I|| <= tol, in the class
+    basis of the Kernel when field.in_class(init), else on the full grid.
 
     Returns the point at the last iterate (see the module docstring), with
     converged=False when max_steps is spent, when a MINRES solution is not
@@ -62,10 +73,9 @@ def newton_minres(init: ComplexField, p: Params, tol: float,
     """
     from scipy.sparse.linalg import LinearOperator, minres
 
-    grid = init.grid
-    kern = Kernel(grid, p)
-    dim = 2 * grid.node_count
-    f = init.values
+    kern = Kernel(init.grid, p, half=in_class(init))
+    dim = kern.dimension
+    f = kern.store(init)
     # the Hessian held at the current iterate, set before each MINRES solve
     H = LinearOperator((dim, dim), matvec=lambda x: hess(x), dtype=np.float64)
     M = LinearOperator((dim, dim), matvec=kern.precondition_real, dtype=np.float64)
@@ -74,7 +84,7 @@ def newton_minres(init: ComplexField, p: Params, tol: float,
         gs = kern.gradient_spectrum(values, spec)
         return gs, np.sqrt(kern.spectral_dot(gs, gs))
 
-    fs = fft_forward(f)
+    fs = kern.forward(f)
     gs, res = gradient_spectrum(f, fs)
     res0 = max(res, tol)
     steps = 0
@@ -84,15 +94,15 @@ def newton_minres(init: ComplexField, p: Params, tol: float,
         # the condition number, hence the small prefactor.
         eta = 1e-3 * np.sqrt(min(1.0, res / res0))
         hess = kern.hessian_real(f)
-        x, _ = minres(H, -gs.view(np.float64).ravel(), rtol=eta, maxiter=KRYLOV_MAX, M=M)
+        x, _ = minres(H, -kern.to_coords(gs), rtol=eta, maxiter=KRYLOV_MAX, M=M)
         if not np.all(np.isfinite(x)):
             break
-        ss = x.view(np.complex128).reshape(grid.sizes)
+        ss = kern.from_coords(x)
         alpha = 1.0
         hit = None
         for _ in range(MAX_BACKTRACKS):
             spec = fs + alpha * ss
-            values = fft_inverse(spec)
+            values = kern.inverse(spec)
             if np.all(np.isfinite(values)):
                 tgs, tres = gradient_spectrum(values, spec)
                 if tres <= (1.0 - 1e-4 * alpha) * res:
@@ -103,7 +113,7 @@ def newton_minres(init: ComplexField, p: Params, tol: float,
             break
         f, fs, gs, res = hit
         steps += 1
-    final = init.with_values(f)
+    final = kern.field(f)
     return CriticalPoint(field=final, report=action(final, p), residual=res,
                          classification=classify(final), integral=equation_integral(final),
                          converged=res <= tol, iterations=steps)

@@ -14,7 +14,9 @@ against the symbol formula and a dense eigensolve on small grids; at a
 saddle it gives the index witness (smallest_direction) and, with a larger
 block, the Morse count. The Hessian is Newton-MINRES's (Kernel.hessian_real),
 in spectral coordinates; the dense check (dense_hessian) is assembled on
-node values from Kernel.hessian, apart from them.
+node values from Kernel.hessian, apart from them. The witness at a saddle in
+the reflection class H (field.in_class) is solved in H, where no symmetry
+direction lies; Morse counts and the spectra at constants stay full-space.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import SupportTooLarge, constant, fitted_vortex_ansatz, perturb, vortex_test_function
-from .field import ComplexField, TorusGrid, fft_forward, fft_inverse, from_real, l2_norm, to_real
-from .functionals import Kernel, Params, hessian_apply
+from .field import (ComplexField, TorusGrid, fft_forward, fft_inverse, from_real, in_class,
+                    l2_norm, to_real)
+from .functionals import Kernel, Params, hessian_apply, quiet_overflow
 from .minimize import CONSTANT_CLASSES, minimize_action
 
 DENSE_NODE_LIMIT = 4096
@@ -220,35 +223,43 @@ def symmetry_basis(f: ComplexField) -> np.ndarray:
     return np.column_stack(basis) if basis else np.zeros((2 * spec.size, 0))
 
 
-def hessian_operator(base: ComplexField, p: Params):
+def hessian_operator(base: ComplexField, p: Params, half: bool = False):
     """Matrix-free Hessian held at `base` on spectral coordinates, as a
-    function of one vector (Kernel.hessian_real)."""
-    return Kernel(base.grid, p).hessian_real(base.values)
+    function of one vector (Kernel.hessian_real): on H's real spectra when
+    half, for a base in field.in_class, else on the full grid."""
+    kern = Kernel(base.grid, p, half=half)
+    return kern.hessian_real(kern.store(base))
 
 
-def _smallest_pairs(base: ComplexField, p: Params, count: int, rng, tol: float = 1e-6):
-    """lanczos_smallest of the Hessian at `base`, off symmetry_basis(base),
-    in spectral coordinates."""
-    return lanczos_smallest(hessian_operator(base, p), Kernel(base.grid, p).precondition_real,
-                            symmetry_basis(base), count, rng, tol=tol)
+def _smallest_pairs(base: ComplexField, p: Params, count: int, rng, half: bool,
+                    tol: float = 1e-6):
+    """(kernel, values, vectors): lanczos_smallest of the Hessian at
+    `base` in the kernel's spectral coordinates, on the full grid off
+    symmetry_basis(base), or on H, where no symmetry direction lies."""
+    kern = Kernel(base.grid, p, half=half)
+    basis = np.zeros((kern.dimension, 0)) if half else symmetry_basis(base)
+    vals, vecs = lanczos_smallest(hessian_operator(base, p, half), kern.precondition_real,
+                                  basis, count, rng, tol=tol)
+    return kern, vals, vecs
 
 
-def _spectrum_of(vec: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """The spectrum whose spectral coordinates are `vec`."""
-    return np.ascontiguousarray(vec).view(np.complex128).reshape(grid.sizes)
-
-
+@quiet_overflow
 def smallest_direction(base: ComplexField, p: Params, rng) -> tuple[float, ComplexField]:
     """Smallest Hessian eigenvalue at `base` and its direction on the
-    nodes, off the symmetry directions i*base and d_j base
-    (symmetry_basis), which carry the zero modes of every critical point.
+    nodes. For a base in the reflection class H (field.in_class) it is the
+    smallest eigenvalue on H, in the Kernel's class basis: i*psi and d_j psi are
+    odd under the reflection, so no symmetry zero mode lies in H, and a
+    negative value still certifies index >= 1, as a direction in H is one
+    in the full space. Any other base is solved on the full grid off the
+    symmetry directions i*base and d_j base (symmetry_basis), which carry
+    the zero modes of every critical point.
 
     The residual tolerance 1e-3 keeps this cheap on large grids, as an
     index witness needs only the sign; the eigenvalue is still accurate to
     about the square of that over the spectral gap.
     """
-    vals, vecs = _smallest_pairs(base, p, 1, rng, tol=1e-3)
-    return float(vals[0]), ComplexField(base.grid, fft_inverse(_spectrum_of(vecs[:, 0], base.grid)))
+    kern, vals, vecs = _smallest_pairs(base, p, 1, rng, in_class(base), tol=1e-3)
+    return float(vals[0]), kern.field(kern.inverse(kern.from_coords(vecs[:, 0])))
 
 
 def _dense(matvec, dim: int) -> np.ndarray:
@@ -275,44 +286,79 @@ def dense_hessian(base: ComplexField, p: Params) -> np.ndarray:
     n = grid.node_count
     if n > DENSE_NODE_LIMIT:
         raise ValueError(f"dense assembly limited to {DENSE_NODE_LIMIT} nodes, grid has {n}")
-    apply = Kernel(grid, p).hessian(base.values)
+    apply = Kernel(grid, p, half=False).hessian(base.values)
     return _dense(lambda x: to_real(apply(from_real(x, grid))), 2 * n)
 
 
-def _dominant_mode(grid: TorusGrid, spec: np.ndarray) -> tuple[int, ...]:
-    power = spec.real**2 + spec.imag**2
-    # fold k with -k so a conjugate pair carries one label
-    neg = power[np.ix_(*[(-np.arange(m)) % m for m in grid.sizes])]
-    idx = np.unravel_index(int(np.argmax(power + neg)), grid.sizes)
-    mode = tuple(int(grid.integer_modes(ax)[idx[ax]]) for ax in range(grid.dim))
-    for m in mode:
-        if m > 0:
+def _cluster_modes(grid: TorusGrid, spectra: list[np.ndarray]) -> list[tuple[int, ...]]:
+    """Mode labels of the Ritz vectors of one cluster of equal eigenvalues,
+    whose spectra are `spectra`, in ascending order.
+
+    A label names a mode pair {k, -k} by its member whose first nonzero
+    entry is positive. The labels come from the cluster's summed power
+    sum_j |spectra_j|^2, which does not depend on the basis LOBPCG picked
+    in the eigenspace: a pair holds power[k] + power[-k] copies and a mode
+    with k = -k holds power[k]. Pairs are taken by decreasing power, each
+    with that many copies rounded (at least one), until every vector has a
+    label. A cluster that the count cuts short is labeled from the copies it
+    holds, which depend on the start block.
+    """
+    power = sum(np.square(s.real) + np.square(s.imag) for s in spectra)
+    reflect = np.ix_(*[(-np.arange(m)) % m for m in grid.sizes])
+    ids = np.arange(power.size).reshape(grid.sizes)
+    pair = np.where(ids[reflect] == ids, power, power + power[reflect])
+    labels: list[tuple[int, ...]] = []
+    for flat in np.argsort(-pair, axis=None, kind="stable").tolist():
+        if len(labels) >= len(spectra):
             break
-        if m < 0:
-            mode = tuple(-x for x in mode)
-            break
-    return mode
+        idx = np.unravel_index(flat, grid.sizes)
+        mode = tuple(int(grid.integer_modes(ax)[idx[ax]]) for ax in range(grid.dim))
+        lead = next((m for m in mode if m), 0)
+        if lead < 0:
+            mode = tuple(-m for m in mode)
+        if mode not in labels:
+            labels += [mode] * max(1, int(np.rint(pair.flat[flat])))
+    return sorted(labels[:len(spectra)])
 
 
 def hessian_spectrum_at_constant(theta: float, p: Params, grid: TorusGrid,
                                  count: int = 5, seed: int = 0) -> SpectrumReport:
     """Iterative smallest Hessian eigenvalues at exp(i*theta) on the
     complement of the phase direction, labeled by Fourier mode and branch
-    and compared with the analytic symbol."""
+    and compared with the analytic symbol.
+
+    Values within a relative 1e-8 of the first of their run are one
+    cluster, the copies of one multiple eigenvalue: 1e-8 is far above the
+    spread of the copies (1e-14 measured; LOBPCG's Ritz values err by about
+    the square of its residual tolerance) and far below the spacing of the
+    symbol's values on the supported grids. A cluster keeps its values in
+    ascending order and lists its labels (_cluster_modes) by mode and
+    branch, so its rows do not depend on the seed when the count holds the
+    whole cluster.
+    """
     base = constant(theta, grid)
     hphase = hessian_apply(base, ComplexField(grid, 1j * base.values), p)
     degenerate_residual = l2_norm(hphase)
-    vals, vecs = _smallest_pairs(base, p, count, np.random.default_rng(seed))
+    kern, vals, vecs = _smallest_pairs(base, p, count, np.random.default_rng(seed), False)
     plus, minus = _symbol_branches(grid, p.c)
     # the smallest symbol entry off the phase direction, the lower branch at
     # flat index 0 (k = 0)
     analytic_min = float(min(plus.min(), minus.ravel()[1:].min()))
+    values = vals.tolist()
     entries = []
-    for value, vec in zip(vals.tolist(), vecs.T):
-        mode = _dominant_mode(grid, _spectrum_of(vec, grid))
-        at = tuple(m % size for m, size in zip(mode, grid.sizes))
-        branch = "-" if abs(value - minus[at]) <= abs(value - plus[at]) else "+"
-        entries.append((value, mode, branch))
+    start = 0
+    while start < len(values):
+        end = start + 1
+        while end < len(values) and abs(values[end] - values[start]) <= 1e-8 * abs(values[start]):
+            end += 1
+        modes = _cluster_modes(grid, [kern.from_coords(v) for v in vecs.T[start:end]])
+        for value, mode in zip(values[start:end], modes):
+            # the two branches of a mode differ by 2 sqrt(1 + c^2 xi1^2) >= 2,
+            # so a cluster's rows, in mode order, are in (mode, branch) order
+            at = tuple(m % size for m, size in zip(mode, grid.sizes))
+            branch = "-" if abs(value - minus[at]) <= abs(value - plus[at]) else "+"
+            entries.append((value, mode, branch))
+        start = end
     return SpectrumReport(
         speed=p.c,
         period=grid.period,

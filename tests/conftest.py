@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+# The numpy.fft and scipy.fft entry points that fft_calls counts.
+COUNTED_TRANSFORMS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+                      "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
+
 
 @pytest.fixture
 def lobpcg_fails(monkeypatch):
@@ -53,7 +57,6 @@ def fft_calls(monkeypatch):
         return wrapper
 
     for module in (numpy.fft, scipy.fft):
-        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
-                     "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn"):
+        for name in COUNTED_TRANSFORMS:
             monkeypatch.setattr(module, name, counting(getattr(module, name)))
     return calls

@@ -12,10 +12,15 @@ from gptw.field import (
     GridMismatch,
     TorusGrid,
     axis_windings,
+    class_forward,
+    class_inverse,
     coarsest_grid,
     fft_forward,
     fft_inverse,
+    half_values,
+    in_class,
     l2_norm,
+    mirror,
     l2_product,
     read_field,
     read_header,
@@ -26,6 +31,7 @@ from gptw.field import (
     write_field,
 )
 from gptw.functionals import Kernel, Params
+from gptw.mountainpass import init_path
 
 
 def random_field(grid, seed, scale=1.0):
@@ -482,8 +488,8 @@ class TestResample:
     def test_prolongation_keeps_kinetic_energy_and_momentum(self, f, c):
         fine = resample(f, _refined(f.grid, (2, 2, 2)))
         p = Params(c=c)
-        kin, _, mom = Kernel(f.grid, p).parts(f.values)
-        kin_fine, _, mom_fine = Kernel(fine.grid, p).parts(fine.values)
+        kin, _, mom = Kernel(f.grid, p, half=False).parts(f.values)
+        kin_fine, _, mom_fine = Kernel(fine.grid, p, half=False).parts(fine.values)
         assert abs(kin_fine - kin) <= 1e-12 * kin
         assert abs(mom_fine - mom) <= 1e-12 * kin
 
@@ -565,3 +571,68 @@ class TestCoarsestGrid:
         # than that
         halved = [n // 2 for n in got.sizes]
         assert any(n < 8 or n % 2 for n in halved) or min(halved) < 3 * band
+
+
+_CLASS_PROPERTY = settings(derandomize=True, database=None, max_examples=20, deadline=None)
+
+
+class TestReflectionClass:
+    """H = {psi : psi(-x) = conj psi(x)}: membership to rounding, and the
+    class transform pair with its half-grid storage and node weights."""
+
+    def test_path_nodes_are_in_class(self):
+        g = TorusGrid((64, 64), 29.0)
+        assert all(in_class(n) for n in init_path(g, 3.5, node_count=9).nodes)
+
+    @_CLASS_PROPERTY
+    @given(a=st.floats(0.1, 2.0), k=st.integers(-3, 3), size=st.sampled_from([8, 16, 32]),
+           dim=st.sampled_from([2, 3]))
+    def test_plane_wave_is_in_class(self, a, k, size, dim):
+        g = TorusGrid((size,) * dim, 11.0)
+        f = ComplexField(g, a * np.exp(1j * k * 2.0 * np.pi / g.period * g.coords[0])
+                         * np.ones(g.sizes))
+        assert in_class(f)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_translated_node_leaves_class(self, axis):
+        g = TorusGrid((64, 64), 29.0)
+        node = init_path(g, 3.5, node_count=5).nodes[2]
+        assert in_class(node)
+        assert not in_class(node.with_values(np.roll(node.values, 1, axis=axis)))
+
+    def test_rotated_node_leaves_class(self):
+        g = TorusGrid((64, 64), 29.0)
+        node = init_path(g, 3.5, node_count=5).nodes[2]
+        assert not in_class(node.with_values(np.exp(0.7j) * node.values))
+
+    @_CLASS_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), one=st.booleans(),
+           amplitude=st.sampled_from([0.1, 0.5, 1.0]))
+    def test_scan_start_leaves_class(self, seed, one, amplitude):
+        # a band-4 start of the constancy scan, about the constant 1 or 0
+        g = TorusGrid((32, 32), 5.0)
+        base = constant(0.0, g) if one else ComplexField(g, np.zeros(g.sizes))
+        assert not in_class(perturb(base, amplitude, 4, seed))
+
+    @pytest.mark.parametrize("sizes", [(16, 16), (64, 64), (8, 8, 8)])
+    @_CLASS_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_transform_pair(self, sizes, seed):
+        # class_inverse and class_forward invert each other; the mirrored
+        # field is fft_inverse of the real spectrum, and its node sum over
+        # the half grid with the column weights is Parseval's
+        grid = TorusGrid(sizes, 7.0)
+        spec = np.random.default_rng(seed).standard_normal(sizes)
+        half = class_inverse(spec)
+        assert half.shape == sizes[:-1] + (sizes[-1] // 2 + 1,)
+        assert np.abs(class_forward(half, sizes) - spec).max() <= 1e-13 * np.abs(spec).max()
+        full = ComplexField(grid, mirror(half, grid))
+        assert in_class(full)
+        assert np.array_equal(half_values(full.values), half)
+        assert np.abs(full.values - fft_inverse(spec)).max() <= 1e-13 * np.abs(full.values).max()
+        back = fft_forward(full.values)
+        assert np.abs(back - spec).max() <= 1e-13 * np.abs(spec).max()
+        kern = Kernel(grid, Params(c=1.0), half=True)
+        energy = l2_norm(full) ** 2
+        assert kern.spectral_dot(spec, spec) == pytest.approx(energy, rel=1e-13)
+        assert kern.dot(half, half) == pytest.approx(energy, rel=1e-13)

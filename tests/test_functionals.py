@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gptw.field import (ComplexField, GridMismatch, TorusGrid, fft_forward, fft_inverse,
-                        l2_norm, l2_product)
+from gptw.field import (ComplexField, GridMismatch, TorusGrid, class_inverse, fft_forward,
+                        fft_inverse, l2_norm, l2_product, mirror)
 from gptw.functionals import (
     ActionReport,
     Kernel,
@@ -24,6 +24,7 @@ from gptw.ansatz import constant, plane_wave
 
 # Speed 0: the energy and momentum parts of action(f, p) do not depend on c.
 P0 = Params(c=0.0)
+P1 = Params(c=1.0)
 
 
 def random_field(grid, seed, scale=1.0):
@@ -242,7 +243,7 @@ class TestTransformCount:
         assert len(fft_calls) == 2
 
     def test_preconditioned_gradient_costs_two_transforms(self, grid16, p1, fft_calls):
-        kernel = Kernel(grid16, p1)
+        kernel = Kernel(grid16, p1, half=False)
         v = random_field(grid16, 3).values
         spec = fft_forward(v)
         fft_calls.clear()
@@ -257,12 +258,81 @@ class TestTransformCount:
         # the Krylov operators in spectral coordinates: a product is one
         # inverse and one forward transform, the preconditioner a multiply
         grid = TorusGrid(sizes, 2 * np.pi)
-        kernel = Kernel(grid, p1)
+        kernel = Kernel(grid, p1, half=False)
         held = kernel.hessian_real(random_field(grid, 4).values)
         x = fft_forward(random_field(grid, 5).values).view(np.float64).ravel()
         fft_calls.clear()
         held(x)
         assert len(fft_calls) == 2
+        fft_calls.clear()
+        kernel.precondition_real(x)
+        assert fft_calls == []
+
+
+def _class_field(grid, seed):
+    """A field of H with a smooth random real spectrum and modulus near 1."""
+    rng = np.random.default_rng(seed)
+    spec = rng.standard_normal(grid.sizes) / (1.0 + grid.laplacian_symbol) ** 2
+    spec *= 0.3 / np.abs(spec).sum()
+    spec.flat[0] = 1.0
+    return ComplexField(grid, mirror(class_inverse(spec), grid))
+
+
+_CLASS_GRIDS = [(16, 16), (32, 32), (8, 8, 8)]
+_CLASS_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=10)
+
+
+class TestClassBasis:
+    """The class basis of Kernel on fields of H agrees with the full basis."""
+
+    @pytest.mark.parametrize("sizes", _CLASS_GRIDS)
+    @_CLASS_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_hessian_product_symmetric_and_full(self, sizes, seed):
+        grid = TorusGrid(sizes, 7.0)
+        psi = _class_field(grid, (seed, 0))
+        half, full = Kernel(grid, P1, half=True), Kernel(grid, P1, half=False)
+        held, held_full = half.hessian_real(half.store(psi)), full.hessian_real(psi.values)
+        rng = np.random.default_rng((seed, 1))
+        x, y = rng.standard_normal((2, grid.node_count))
+        hx, hy = held(x), held(y)
+        scale = np.linalg.norm(x) * np.linalg.norm(hy) + np.linalg.norm(y) * np.linalg.norm(hx)
+        assert abs(x @ hy - y @ hx) <= 1e-12 * scale
+        # the class vector x is the full spectrum x + 0i
+        wide = full.from_coords(full.to_coords(x.reshape(sizes).astype(complex)))
+        got = full.from_coords(held_full(full.to_coords(wide)))
+        assert np.abs(got.real - half.from_coords(hx)).max() <= 1e-12 * np.abs(hx).max()
+        assert np.abs(got.imag).max() <= 1e-12 * np.abs(hx).max()
+
+    @pytest.mark.parametrize("sizes", _CLASS_GRIDS)
+    @_CLASS_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_action_and_gradient_match_full(self, sizes, seed):
+        grid = TorusGrid(sizes, 7.0)
+        psi = _class_field(grid, seed)
+        half, full = Kernel(grid, P1, half=True), Kernel(grid, P1, half=False)
+        v = half.store(psi)
+        spec = half.forward(v)
+        value, dens = half.action(v, spec)
+        want = action(psi, P1).action
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+        gs, z, zs = half.preconditioned_gradient(v, spec, dens)
+        fgs, fz, fzs = full.preconditioned_gradient(psi.values, fft_forward(psi.values))
+        for got, ref in ((gs, fgs), (zs, fzs), (half.field(z).values, fz)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert half.spectral_dot(gs, gs) == pytest.approx(full.spectral_dot(fgs, fgs), rel=1e-12)
+        g = half.gradient(v)
+        assert half.dot(g, g) == pytest.approx(l2_norm(gradient(psi, P1)) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("sizes", _CLASS_GRIDS)
+    def test_class_hessian_costs_two_real_transforms(self, sizes, fft_calls):
+        grid = TorusGrid(sizes, 7.0)
+        kernel = Kernel(grid, P1, half=True)
+        held = kernel.hessian_real(kernel.store(_class_field(grid, 4)))
+        x = np.random.default_rng(5).standard_normal(grid.node_count)
+        fft_calls.clear()
+        held(x)
+        assert [fn.__name__ for fn in fft_calls] == ["rfftn", "irfftn"]
         fft_calls.clear()
         kernel.precondition_real(x)
         assert fft_calls == []
@@ -311,7 +381,7 @@ class TestRay:
     @pytest.mark.parametrize("sizes,period", _RAY_GRIDS)
     def test_quartic_matches_action(self, sizes, period):
         grid = TorusGrid(sizes, period)
-        kernel = Kernel(grid, Params(c=1.0))
+        kernel = Kernel(grid, Params(c=1.0), half=False)
         f = random_field(grid, 31).values
         d = random_field(grid, 32).values
         p = kernel.ray_coefficients(f, d, *_ray_inputs(kernel, f, d))
@@ -322,7 +392,7 @@ class TestRay:
     @pytest.mark.parametrize("sizes,period", _RAY_GRIDS)
     def test_minimum_not_beaten_by_samples(self, sizes, period):
         grid = TorusGrid(sizes, period)
-        kernel = Kernel(grid, Params(c=1.0))
+        kernel = Kernel(grid, Params(c=1.0), half=False)
         f = random_field(grid, 33).values
         d = -kernel.gradient(f)
         p = kernel.ray_coefficients(f, d, *_ray_inputs(kernel, f, d))
@@ -465,7 +535,7 @@ class TestSuppliedSpectrum:
            alpha=st.floats(-1.5, 1.5))
     def test_matches_from_scratch(self, sizes, period, seed, scale, alpha):
         grid = TorusGrid(sizes, period)
-        kernel = Kernel(grid, Params(c=1.0))
+        kernel = Kernel(grid, Params(c=1.0), half=False)
         f = random_field(grid, (seed, 0), scale).values
         d = random_field(grid, (seed, 1), scale).values
         fs, ds = fft_forward(f), fft_forward(d)

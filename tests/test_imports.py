@@ -100,6 +100,63 @@ def test_benchmark_names_resolve():
     assert missing == []
 
 
+FFT_MODULES = ("numpy.fft", "scipy.fft")
+
+
+def _fft_calls(path):
+    """(line, name) of every call of numpy.fft.<name> or scipy.fft.<name>
+    in the file at `path`, written through the module (numpy imported as np
+    counts) or through a name imported from it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    aliases = {"numpy": "numpy", "np": "numpy", "scipy": "scipy"}
+    imported = {}  # local name: name in the module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in FFT_MODULES:
+            imported.update((alias.asname or alias.name, alias.name) for alias in node.names)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in imported:
+            found.append((node.lineno, imported[func.id]))
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute)
+              and func.value.attr == "fft" and isinstance(func.value.value, ast.Name)
+              and aliases.get(func.value.value.id) in ("numpy", "scipy")):
+            found.append((node.lineno, func.attr))
+    return found
+
+
+def _tuple_constant(path, name):
+    """The tuple of strings assigned to `name` at module level in `path`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name
+                                                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no {name} in {path}")
+
+
+def test_every_transform_is_counted():
+    # a transform outside the names the tests' fft_calls fixture and the
+    # benchmark's tracer wrap would escape every budget test and the
+    # field.fft_calls metric
+    counted = set(_tuple_constant(ROOT / "tests" / "conftest.py", "COUNTED_TRANSFORMS"))
+    traced = set(_tuple_constant(PERFBENCH / "tracer.py", "FFT_NAMES"))
+    calls = {name for path in MODULES for _, name in _fft_calls(path)}
+    assert {"fftn", "ifftn", "rfftn", "irfftn"} <= calls
+    assert sorted(calls - counted) == [] and sorted(calls - traced) == []
+
+
+def test_detects_fft_call(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\nimport scipy.fft\n"
+                     "from scipy.fft import dctn as d\nfrom numpy.fft import hfft\n"
+                     "def f(x):\n    np.fft.fftfreq(4)\n    scipy.fft.rfftn(x)\n"
+                     "    d(x)\n    hfft(x)\n    np.linalg.norm(x)\n    x.fft.y()\n")
+    assert sorted(_fft_calls(probe)) == [(6, "fftfreq"), (7, "rfftn"), (8, "dctn"), (9, "hfft")]
+
+
 # Option classes whose every field some caller outside the tests must set
 OPTION_CLASSES = [("gptw.functionals", "Params"), ("gptw.minimize", "MinimizeOptions"),
                   ("gptw.mountainpass", "RelaxOptions"), ("gptw.mountainpass", "SaddleOptions")]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gptw.field import (ComplexField, TorusGrid, coarsest_grid, fft_forward, fft_inverse,
-                        l2_product, resample, spectral_tail, vortex_count)
+                        in_class, l2_product, resample, spectral_tail, vortex_count)
 from gptw.functionals import Kernel, Params, action, certify, hessian_apply
 from gptw.ansatz import VortexAnsatz, constant
 from gptw.minimize import OTHER_NONCONSTANT, VORTEXFUL, classify
@@ -27,10 +27,18 @@ from gptw.spectrum import hessian_operator, lanczos_smallest, symmetry_basis
 
 
 P1 = Params(c=1.0)
+# A global phase: an exact symmetry of the action that takes the paths and
+# saddles of the reflection class H out of it, onto the full-grid route.
+PHASE = np.exp(0.7j)
 
 # shared small-scale setting: R=3.5 with default cutoffs (10.5, 14) fits
 # T=29 and carries negative endpoint action at c=1
 SMALL = dict(T=29.0, size=64, R=3.5)
+
+
+def _rotated(path):
+    """`path` with every node times PHASE."""
+    return Path(tuple(n.with_values(PHASE * n.values) for n in path.nodes))
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +53,28 @@ def small_pipeline(small_grid):
         relax_opts=RelaxOptions(sweeps=40, patience=6),
         saddle_opts=SaddleOptions(grad_tol=1e-8 * SMALL["T"]),
     )
+
+
+@pytest.fixture(scope="module")
+def rotated_pipeline(small_grid):
+    """small_pipeline with every node of its straight path times PHASE, so
+    the string, Newton and the witness run on the full grid."""
+    from gptw import mountainpass
+
+    original = mountainpass._straight_nodes
+
+    def rotated(*args):
+        return tuple(n.with_values(PHASE * n.values) for n in original(*args))
+
+    mountainpass._straight_nodes = rotated
+    try:
+        return mountain_pass_pipeline(
+            1.0, small_grid, SMALL["R"], node_count=17,
+            relax_opts=RelaxOptions(sweeps=40, patience=6),
+            saddle_opts=SaddleOptions(grad_tol=1e-8 * SMALL["T"]),
+        )
+    finally:
+        mountainpass._straight_nodes = original
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +147,40 @@ def test_option_guards(make):
         make()
 
 
+def _sweep_budget(path, fft_calls, monkeypatch):
+    """Relax the 6-node `path` for 3 sweeps, the first rejected, and check
+    the transforms of the start path, of each sweep and of the returned
+    actions; returns the names of the transforms made."""
+    from gptw import mountainpass
+
+    interior = 4
+    decisions = iter([False, True, True])
+    marks, first_gradient = [], []
+
+    def scripted(trial, value):
+        marks.append(len(fft_calls))
+        return next(decisions)
+
+    original = Kernel.preconditioned_gradient
+
+    def counted(self, *args):
+        if not first_gradient:
+            first_gradient.append(len(fft_calls))
+        return original(self, *args)
+
+    monkeypatch.setattr(mountainpass, "admits", scripted)
+    monkeypatch.setattr(Kernel, "preconditioned_gradient", counted)
+    fft_calls.clear()
+    relax_path(path, P1, RelaxOptions(sweeps=3))
+    assert first_gradient == [6]
+    per_sweep = np.diff([first_gradient[0]] + marks + [len(fft_calls)]).tolist()
+    assert per_sweep == [interior * 2 * NODE_STEPS,         # rejected
+                         interior * 2 * (NODE_STEPS - 1),   # its retry
+                         interior * 2 * NODE_STEPS,         # a fresh sweep
+                         interior]                          # returned actions
+    return [fn.__name__ for fn in fft_calls]
+
+
 class TestRelaxPath:
     def test_constants_path_is_stationary_then_stalls(self):
         g = TorusGrid((16, 16), 2 * np.pi)
@@ -154,42 +218,32 @@ class TestRelaxPath:
     def test_transform_budget_per_sweep(self, size, fft_calls, monkeypatch):
         # a scripted acceptance test rejects the first sweep: its retry
         # reuses the first-step gradients of the accepted nodes, and the
-        # start path is transformed once, with no second actions pass
-        from gptw import mountainpass
+        # start path is transformed once, with no second actions pass; the
+        # path lies in H, so every transform is a class one
+        g = TorusGrid((size, size), SMALL["T"])
+        names = _sweep_budget(init_path(g, SMALL["R"], node_count=6), fft_calls, monkeypatch)
+        assert names[:6] == ["irfftn"] * 6
+        assert set(names) == {"irfftn", "rfftn"}
 
+    @pytest.mark.parametrize("size", [16, 32])
+    def test_transform_budget_per_sweep_off_class(self, size, fft_calls, monkeypatch):
+        # the same budget on the full grid, for the path rotated out of H
         g = TorusGrid((size, size), SMALL["T"])
         path = init_path(g, SMALL["R"], node_count=6)
-        interior = 4
-        decisions = iter([False, True, True])
-        marks, first_gradient = [], []
-
-        def scripted(trial, value):
-            marks.append(len(fft_calls))
-            return next(decisions)
-
-        original = Kernel.preconditioned_gradient
-
-        def counted(self, *args):
-            if not first_gradient:
-                first_gradient.append(len(fft_calls))
-            return original(self, *args)
-
-        monkeypatch.setattr(mountainpass, "admits", scripted)
-        monkeypatch.setattr(Kernel, "preconditioned_gradient", counted)
-        fft_calls.clear()
-        relax_path(path, P1, RelaxOptions(sweeps=3))
-        assert first_gradient == [6]
-        per_sweep = np.diff([first_gradient[0]] + marks + [len(fft_calls)]).tolist()
-        assert per_sweep == [interior * 2 * NODE_STEPS,         # rejected
-                             interior * 2 * (NODE_STEPS - 1),   # its retry
-                             interior * 2 * NODE_STEPS,         # a fresh sweep
-                             interior]                          # returned actions
+        names = _sweep_budget(_rotated(path), fft_calls, monkeypatch)
+        assert names[:6] == ["fftn"] * 6
+        assert set(names) == {"fftn", "ifftn"}
 
     def test_node_actions_evaluated_once(self):
-        # the returned actions are those of the returned path
+        # the returned actions are those of the returned path, evaluated in
+        # the basis the string ran in: the class basis for init_path, whose
+        # nodes lie in H, the full grid for the path rotated out of it
         g = TorusGrid((32, 32), SMALL["T"])
         path = init_path(g, SMALL["R"], node_count=5)
         relaxed, _, acts = relax_path(path, P1, RelaxOptions(sweeps=3))
+        kern = Kernel(g, P1, half=True)
+        assert np.array_equal(acts, [kern.action(kern.store(n))[0] for n in relaxed.nodes])
+        relaxed, _, acts = relax_path(_rotated(path), P1, RelaxOptions(sweeps=3))
         assert np.array_equal(acts, relaxed.actions(P1))
 
     def test_sweep_matches_steps_from_scratch(self):
@@ -199,13 +253,13 @@ class TestRelaxPath:
         path = init_path(g, SMALL["R"], node_count=5)
         relaxed, gamma, _ = relax_path(path, P1, RelaxOptions(sweeps=1))
         assert gamma < path.actions(P1).max()  # the sweep was accepted
-        kern = Kernel(g, P1)
+        kern = Kernel(g, P1, half=False)
         moved = [n.values for n in path.nodes]
         for i in range(1, len(moved) - 1):
             for _ in range(NODE_STEPS):
                 z = fft_inverse(fft_forward(kern.gradient(moved[i])) * kern.preconditioner)
                 moved[i] = moved[i] - STEP0 * z
-        nodes, spectra = _reparametrize(moved, [fft_forward(v) for v in moved], g.quad_weight)
+        nodes, spectra = _reparametrize(moved, [fft_forward(v) for v in moved], kern.dot)
         for got, want in zip(relaxed.nodes, nodes):
             assert np.abs(got.values - want).max() <= 1e-12
         # the spectra are interpolated with the nodes' weights
@@ -282,7 +336,7 @@ class TestFindSaddle:
             products += 1
             return hess(vec)
 
-        vals, _ = lanczos_smallest(matvec, Kernel(s.grid, P1).precondition_real,
+        vals, _ = lanczos_smallest(matvec, Kernel(s.grid, P1, half=False).precondition_real,
                                    symmetry_basis(s), 2, np.random.default_rng(0))
         assert np.sum(vals < 0.0) == 1
         assert products <= 1000
@@ -325,6 +379,56 @@ class TestFindSaddle:
     def test_gamma_bounded_by_initial_max(self, small_pipeline):
         result, _, upper = small_pipeline
         assert result.gamma <= upper + 1e-12
+
+
+class TestClassRoute:
+    """The string, Newton and the witness run in the reflection class H when
+    their input lies in it, and give the full route's results there."""
+
+    def test_relax_path_matches_full_route(self, small_grid):
+        path = init_path(small_grid, SMALL["R"], node_count=17)
+        opts = RelaxOptions(sweeps=40, patience=6)
+        got, gamma, acts = relax_path(path, P1, opts)
+        want, want_gamma, want_acts = relax_path(_rotated(path), P1, opts)
+        assert gamma == pytest.approx(want_gamma, rel=1e-12)
+        assert np.allclose(acts, want_acts, rtol=1e-12, atol=1e-12)
+        for a, b in zip(got.nodes, want.nodes):
+            assert np.abs(a.values - np.conj(PHASE) * b.values).max() <= 1e-12
+
+    def test_pipeline_matches_full_route(self, small_pipeline, rotated_pipeline):
+        (got, relaxed, M), (want, rotated, want_M) = small_pipeline, rotated_pipeline
+        assert in_class(relaxed.nodes[1]) and not in_class(rotated.nodes[1])
+        assert got.gamma == pytest.approx(want.gamma, rel=1e-12)
+        assert np.allclose(got.path_actions, want.path_actions, rtol=1e-12, atol=1e-12)
+        assert abs(got.saddle.report.action - want.saddle.report.action) <= 1e-12
+        # both Newton stages take the same steps
+        assert got.coarse is not None and want.coarse is not None
+        assert got.coarse.iterations == want.coarse.iterations
+        assert got.saddle.iterations == want.saddle.iterations
+        assert got.saddle.converged and want.saddle.converged
+        saddle = np.conj(PHASE) * want.saddle.field.values
+        assert np.abs(got.saddle.field.values - saddle).max() <= 1e-10
+        assert got.witness_value < 0.0 and want.witness_value < 0.0
+        assert abs(got.witness_value - want.witness_value) <= 1e-6
+        assert M == want_M
+
+    def test_find_saddle_matches_full_route(self, small_pipeline):
+        _, relaxed, _ = small_pipeline
+        opts = SaddleOptions(grad_tol=1e-8 * SMALL["T"])
+        got, want = find_saddle(relaxed, P1, opts), find_saddle(_rotated(relaxed), P1, opts)
+        assert got.gamma == pytest.approx(want.gamma, rel=1e-12)
+        assert abs(got.saddle.report.action - want.saddle.report.action) <= 1e-12
+        assert got.saddle.iterations == want.saddle.iterations
+        assert abs(got.witness_value - want.witness_value) <= 1e-6
+
+    def test_witness_is_in_class_without_zero_modes(self, small_pipeline):
+        # on H the Hessian has no symmetry zero mode: the witness direction
+        # lies in H, and its Rayleigh quotient is the full Hessian's
+        result, _, _ = small_pipeline
+        w = result.index_witness
+        assert in_class(result.saddle.field) and in_class(w)
+        quad = l2_product(hessian_apply(result.saddle.field, w, P1), w)
+        assert quad / l2_product(w, w) == pytest.approx(result.witness_value, rel=1e-9)
 
 
 class TestNestedNewton:
@@ -379,7 +483,7 @@ class TestUpperBound:
         g = TorusGrid((size, size), SMALL["T"])
         w = init_path(g, SMALL["R"], node_count=3).nodes[-1].values - 1.0
         fft_calls.clear()
-        _straight_path_max(Kernel(g, P1), w, 17)
+        _straight_path_max(Kernel(g, P1, half=False), w, 17)
         assert [fn.__name__ for fn in fft_calls] == ["fftn"]
 
 

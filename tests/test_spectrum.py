@@ -131,8 +131,8 @@ class TestLanczos:
         products = []
         original = spectrum.hessian_operator
 
-        def counting(base, p):
-            matvec = original(base, p)
+        def counting(*args):
+            matvec = original(*args)
 
             def counted(x):
                 products.append(x)
@@ -246,6 +246,20 @@ class TestSpectrumAtConstant:
         assert rep.eigenvalues[0][1] in ((1, 0), (-1, 0))
         assert rep.eigenvalues[0][2] == "-"
         assert rep.positivity
+
+    def test_cluster_rows_do_not_depend_on_the_seed(self, grid16):
+        # count 8 holds the four copies at 2 - sqrt(2) + 1 whole: modes
+        # (1, 1) and (1, -1), lower branch, twice each; seeds 0 and 3 used
+        # to list them in different orders, and seed 9 labeled three of
+        # them (1, 1)
+        rows = []
+        for seed in range(4):
+            rep = hessian_spectrum_at_constant(0.0, Params(c=1.0), grid16, count=8, seed=seed)
+            rows.append([(mode, branch) for _, mode, branch in rep.eigenvalues])
+        assert rows[1:] == rows[:1] * 3
+        assert rows[0][4:] == [((1, -1), "-")] * 2 + [((1, 1), "-")] * 2
+        rep = hessian_spectrum_at_constant(0.0, Params(c=1.0), grid16, count=8, seed=9)
+        assert [(mode, branch) for _, mode, branch in rep.eigenvalues] == rows[0]
 
     def test_degenerate_direction(self, grid16):
         for theta in (0.0, 1.0, np.pi):
