@@ -1,9 +1,11 @@
 """Command-line front end: experiment orchestration, CSV export, GPTW files.
 
-Commands: minimize (global-minimizer experiment), mp (mountain-pass
-pipeline), spectrum (Hessian spectrum report), scan (small-period constancy
-scan), testfn (vortex test-function scaling table), certify (certificates of
-a stored field), info (GPTW file metadata).
+Commands: minimize (minimizer experiment: descent from 1 + w_R to a local
+minimizer, at T = 40, c = 1 the k = -1 plane wave of action -112.937, above
+the k = -3 plane wave's -224.173), mp (mountain-pass pipeline), spectrum
+(Hessian spectrum report), scan (small-period constancy scan), testfn
+(vortex test-function scaling table), certify (certificates of a stored
+field), info (GPTW file metadata).
 
 Configuration comes from flags plus an optional `key = value` file
 (# comments allowed); flags override file values. A command accepts only
@@ -352,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     commands = (
-        ("minimize", "global-minimizer experiment from 1 + w_R", _cmd_minimize, True),
+        ("minimize", "descent from 1 + w_R to a local minimizer (at T=40, c=1 the "
+                     "k=-1 plane wave, action -112.937; the k=-3 wave has -224.173)",
+         _cmd_minimize, True),
         ("mp", "mountain-pass pipeline: path, relax, saddle", _cmd_mp, True),
         ("spectrum", "Hessian spectrum at the constant solution", _cmd_spectrum, True),
         ("scan", "small-period constancy scan", _cmd_scan, False),

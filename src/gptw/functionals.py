@@ -127,10 +127,10 @@ class Kernel:
     the same formulas on conjugated values, as |v|^2 and the pairing u.v
     are unchanged by conjugating both. Both bases implement every method;
     store and field convert from and to a ComplexField. The solvers that
-    start in H run in the class basis (mountainpass.relax_path,
-    newton.newton_minres, spectrum.smallest_direction); the descent, the
-    module wrappers below, Morse counts and the spectra at constants use
-    the full basis.
+    start in H run in the class basis (minimize.minimize_action,
+    mountainpass.relax_path, newton.newton_minres,
+    spectrum.smallest_direction); the module wrappers below, Morse counts
+    and the spectra at constants use the full basis.
 
     action and preconditioned_gradient also take what the caller holds, and
     then skip its computation: the normalized spectrum forward(v) of their

@@ -35,20 +35,42 @@ gradient's linear part (its cubic part already uses the nodes' density),
 and the descent converges only if the refreshed residual meets grad_tol,
 else it restarts. It stalls, unconverged, when a refresh (the start, a
 restart or a confirm) lowers neither the residual of the previous refresh
-nor its action beyond admits' allowance: the floor, at c = 1 from the
-criterion-5 start (T = 40, R = 8), about 3-5e-13 at 64^2 and 6e-12 at
-256^2. It also stalls when neither direction gives an admitted step, as at
-a start whose action or gradient is not finite, which it returns after 0
+nor its action beyond admits' allowance: the floor. At c = 1 from the
+criterion-5 start (T = 40, R = 8) it is 4.6e-13 at 64^2 and, from the
+prolonged 64^2 minimizer, 6.2e-12 at 256^2 in the class basis; 5.1e-13
+and 5.0e-12 on the full grid, from the same starts rotated by e^{0.7i}.
+It also stalls when neither direction gives an admitted step, as at a
+start whose action or gradient is not finite, which it returns after 0
 iterations, as newton.newton_minres does: the descent never raises.
+
+The descent runs in the basis of functionals.Kernel that its start picks:
+the class basis of the reflection class H when the start lies in H
+(field.in_class), the full grid otherwise. H holds criterion 5's start
+1 + w_R, its coarse minimizer and that minimizer prolonged; every perturbed
+start of the constancy scan and every translated or phase-rotated start
+lie off H. H is a symmetry class of the action, so a critical point in it
+is a critical point of I (Palais, Comm. Math. Phys. 69, 1979), and in it
+every array and transform is half the size (irfftn and rfftn for fftn and
+ifftn). From the 32^2 (T = 13, R = 3) and 64^2 criterion-5 starts the
+class descent takes the iterations of the full descent from the start
+rotated by e^{0.7i}, to the same action within 1e-15 relative. The
+returned field is mirrored to the full grid, with no transform.
+
+A start that meets grad_tol costs 2 transforms, its spectrum and its
+gradient spectrum, and builds no preconditioned image or direction; the
+prolonged criterion-5 minimizer is such a start on the 256^2 target grid.
+Otherwise the loop (_descend) holds the directions, the preconditioned
+images and the previous gradient spectrum, which die when it returns.
 
 The critical point is built from what the descent holds when it stops, at
 no transform: the action report from the spectrum (Kernel.parts), which
 at convergence is the nodes', the residual that the stopping rule tested,
 so converged implies residual <= grad_tol exactly, and int (1-|f|^2) f =
 -volume * G_0, where G_0 is the k = 0 entry of the gradient's spectrum
-(the linear symbol vanishes there). Only classify runs on the final field.
-The spectral tail is not computed: functionals.certify reports it, for
-`gptw certify` and the certificate CSVs.
+(the linear symbol vanishes there). The spectra and the density are
+released before classify runs on the final field, alone. The spectral
+tail is not computed: functionals.certify reports it, for `gptw certify`
+and the certificate CSVs.
 
 minimizer_experiment descends by nested iteration, the "full multigrid"
 start (Brandt, Math. Comp. 31, 1977): first on field.coarsest_grid of its
@@ -77,8 +99,8 @@ from typing import TextIO
 import numpy as np
 
 from .ansatz import fitted_vortex_ansatz, vortex_test_function
-from .field import (ComplexField, TorusGrid, axis_windings, coarsest_grid, fft_forward,
-                    fft_inverse, resample, vortex_count)
+from .field import (ComplexField, TorusGrid, axis_windings, coarsest_grid, in_class, resample,
+                    vortex_count)
 from .functionals import ActionReport, Kernel, Params, admits, default_grad_tol, quiet_overflow
 
 ZERO_CONSTANT = "ZeroConstant"
@@ -151,27 +173,57 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
     on a residual from the nodes' spectrum, or the last iterate with
     converged=False when the descent stalls (see the module docstring),
     the start among them when its action or gradient is not finite, or
-    after max_iters.
+    after max_iters. A start in the reflection class H (field.in_class)
+    descends in the class basis of the Kernel, any other on the full grid.
     """
     opts = opts or MinimizeOptions()
     grid = init.grid
     tol = opts.grad_tol if opts.grad_tol is not None else default_grad_tol(grid)
-    eng = Kernel(grid, p, half=False)
-    log = opts.log_stream
+    eng = Kernel(grid, p, half=in_class(init))
 
-    # fs, gs, zs and ds are the spectra (fft_forward) of f, of its
-    # gradient g, of z = (1 - Lap)^(-1) g and of d; dens is 1 - |f|^2 and
-    # val the action at f. f is never written in place: each accepted step
-    # takes over the trial arrays.
-    f = init.values
-    fs = fft_forward(f)
+    # fs and gs are the spectra (Kernel.forward) of f and of its gradient;
+    # dens is 1 - |f|^2 and val the action at f
+    f = eng.store(init)
+    fs = eng.forward(f)
     val, dens = eng.action(f, fs)
-    gs, z, zs = eng.preconditioned_gradient(f, fs, dens)
+    gs = eng.gradient_spectrum(f, fs, dens)
     res = np.sqrt(eng.spectral_dot(gs, gs))
+    iters = 0
+    converged = res <= tol
+    if not converged:
+        f, fs, dens, gs, res, converged, iters = _descend(
+            eng, f, fs, val, dens, gs, res, tol, opts)
+
+    report = ActionReport.assemble(*eng.parts(f, fs), p.c)
+    integral = complex(-eng.volume * gs.flat[0])
+    final = eng.field(f)
+    del eng, f, fs, gs, dens  # classify holds the final field alone
+    return CriticalPoint(
+        field=final,
+        report=report,
+        residual=res,
+        classification=classify(final),
+        integral=integral,
+        converged=converged,
+        iterations=iters,
+    )
+
+
+def _descend(eng: Kernel, f, fs, val, dens, gs, res, tol, opts: MinimizeOptions):
+    """The descent loop of minimize_action from an iterate f that misses
+    tol, with its spectrum fs, action val, density dens, gradient spectrum
+    gs and residual res. Returns (f, fs, dens, gs, res, converged,
+    iterations) at the last iterate; the directions and preconditioned
+    images die with the call."""
+    log = opts.log_stream
+    # z = (1 - Lap)^(-1) g and d, with their spectra zs and ds. f is never
+    # written in place: each accepted step takes over the trial arrays.
+    zs = gs * eng.preconditioner
+    z = eng.inverse(zs)
     gz = eng.spectral_dot(gs, zs)
     d, ds = -z, -zs
     iters = 0
-    converged = res <= tol
+    converged = False
     steepest = True
     # residual and action at the last refresh (start, restart or confirm)
     refresh_res, refresh_val = res, val
@@ -191,7 +243,7 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
             return tv, tf, tfs, tdens
         return None
 
-    while not converged and iters < opts.max_iters:
+    while iters < opts.max_iters:
         slope = eng.spectral_dot(gs, ds)
         if slope >= 0:
             d, ds, steepest, slope = -z, -zs, True, -gz
@@ -206,14 +258,14 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
         refresh = iters % RESTART_EVERY == 0
         if refresh:
             # refresh the carried spectrum, action and density from the nodes
-            fs = fft_forward(f)
+            fs = eng.forward(f)
             val, dens = eng.action(f, fs)
         gs_old = gs
         gs, z, zs = eng.preconditioned_gradient(f, fs, dens)
         res = np.sqrt(eng.spectral_dot(gs, gs))
         if res <= tol and not refresh:
             # confirm: gs's cubic part already comes from the nodes' dens
-            fresh = fft_forward(f)
+            fresh = eng.forward(f)
             gs += eng.linear * (fresh - fs)
             fs = fresh
             val = eng.action(f, fs)[0]
@@ -221,7 +273,7 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
             refresh = True
             if res > tol:
                 zs = gs * eng.preconditioner
-                z = fft_inverse(zs)
+                z = eng.inverse(zs)
         gz_new = eng.spectral_dot(gs, zs)
         if log is not None:
             log.write(f"{iters} {val:.17g} {res:.17g}\n")
@@ -239,17 +291,7 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
         ds -= zs
         steepest = beta == 0.0
         gz = gz_new
-
-    final = ComplexField(grid, f)
-    return CriticalPoint(
-        field=final,
-        report=ActionReport.assemble(*eng.parts(f, fs), p.c),
-        residual=res,
-        classification=classify(final),
-        integral=complex(-eng.volume * gs.flat[0]),
-        converged=converged,
-        iterations=iters,
-    )
+    return f, fs, dens, gs, res, converged, iters
 
 
 def classify(f: ComplexField) -> str:

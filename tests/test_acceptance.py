@@ -132,7 +132,11 @@ def test_criterion_4_constant_spectrum():
 
 
 def test_criterion_5_global_minimizer_desk_scale():
-    """Descent from 1 + w_R at c=1, T=40, 256^2, R=8: negative nonconstant."""
+    """Descent from 1 + w_R at c=1, T=40, 256^2, R=8: negative nonconstant.
+
+    The point is a minimizer, not the global one: the k = -1 plane wave,
+    whose action -112.937 lies above the k = -3 plane wave's
+    plane_wave_action_density(-3, 1, 40) * 40**2 = -224.173."""
 
     def check():
         T = 40.0
@@ -146,7 +150,8 @@ def test_criterion_5_global_minimizer_desk_scale():
         # frozen regression value (k=-1 winding branch on this grid)
         assert point.report.action == pytest.approx(-112.93699680205742, rel=1e-9)
 
-    report(5, "global-minimizer experiment: nonconstant, action < 0, certificates pass", check)
+    report(5, "minimizer experiment: a nonconstant minimizer (k=-1 plane wave; k=-3 has "
+              "-224.173), action < 0, certificates pass", check)
 
 
 def test_criterion_6_mountain_pass_desk_scale():

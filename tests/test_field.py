@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gptw.ansatz import (VortexAnsatz, constant, fitted_vortex_ansatz, perturb, plane_wave,
                          vortex_test_function)
 from gptw.field import (
+    REFLECTION_TOL,
     ComplexField,
     FieldFormatError,
     GridMismatch,
@@ -31,6 +32,7 @@ from gptw.field import (
     write_field,
 )
 from gptw.functionals import Kernel, Params
+from gptw.minimize import MinimizeOptions, minimize_action
 from gptw.mountainpass import init_path
 
 
@@ -636,3 +638,98 @@ class TestReflectionClass:
         energy = l2_norm(full) ** 2
         assert kern.spectral_dot(spec, spec) == pytest.approx(energy, rel=1e-13)
         assert kern.dot(half, half) == pytest.approx(energy, rel=1e-13)
+
+
+def _full_deviation_in_class(v):
+    """in_class by its definition: the sup-norm deviation of the reflected
+    conjugate over the whole grid, REFLECTION_TOL relative to max |v|."""
+    reflected = np.roll(np.flip(v), 1, tuple(range(v.ndim)))
+    return bool(np.abs(reflected.conj() - v).max() <= REFLECTION_TOL * np.abs(v).max())
+
+
+def _class_field(grid, seed, band):
+    """A random field of H with modes |k_j| <= band: a real spectrum."""
+    rng = np.random.default_rng(seed)
+    spec = np.zeros(grid.sizes)
+    index = tuple(np.r_[0:band + 1, m - band:m] for m in grid.sizes)
+    spec[np.ix_(*index)] = rng.standard_normal(tuple(2 * band + 1 for _ in grid.sizes))
+    return ComplexField(grid, fft_inverse(spec))
+
+
+def _criterion5_pair():
+    """The criterion-5 start 1 + w_R (T = 40, R = 8) on 64^2, where its
+    descent finds the basin, and the minimizer reached from it."""
+    g = TorusGrid((64, 64), 40.0)
+    start = vortex_test_function(fitted_vortex_ansatz(8.0, 40.0), g)
+    return start, minimize_action(start, Params(c=1.0),
+                                  MinimizeOptions(grad_tol=2e-7)).field
+
+
+class TestClassVerdict:
+    """in_class rejects on the mean of f before it forms any deviation, and
+    otherwise forms it on half the nodes; its verdict is the definition's."""
+
+    def test_named_fields(self):
+        g = TorusGrid((64, 64), 29.0)
+        node = init_path(g, 3.5, node_count=9).nodes[4]
+        start, minimizer = _criterion5_pair()
+        members = list(init_path(g, 3.5, node_count=9).nodes) + [
+            plane_wave(-1, 1.0, g), start, minimizer, ComplexField(g, np.zeros(g.sizes))]
+        others = [node.with_values(np.roll(node.values, 1, axis=0)),
+                  start.with_values(np.roll(start.values, 1, axis=1)),
+                  node.with_values(np.exp(0.7j) * node.values),
+                  minimizer.with_values(np.exp(0.7j) * minimizer.values),
+                  perturb(constant(0.0, g), 0.5, 4, 7)]
+        for f in members:
+            assert in_class(f) and _full_deviation_in_class(f.values)
+        for f in others:
+            assert not in_class(f) and not _full_deviation_in_class(f.values)
+
+    @_CLASS_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), band=st.integers(1, 3),
+           sizes=st.sampled_from([(8, 8), (16, 16), (16, 8), (8, 8, 8)]),
+           theta=st.floats(0.0, 2.0 * np.pi))
+    def test_random_class_fields_and_rotations(self, seed, band, sizes, theta):
+        f = _class_field(TorusGrid(sizes, 9.0), seed, band)
+        assert in_class(f)
+        rotated = f.with_values(np.exp(1j * theta) * f.values)
+        assert in_class(rotated) == _full_deviation_in_class(rotated.values)
+
+    @staticmethod
+    def _scan_start():
+        return perturb(constant(0.0, TorusGrid((32, 32), 5.0)), 0.5, 4, 11)
+
+    @staticmethod
+    def _seeded_criterion5_start():
+        # translated and rotated, as perfbench's seeds >= 1 move it
+        start = vortex_test_function(fitted_vortex_ansatz(8.0, 40.0), TorusGrid((64, 64), 40.0))
+        return start.with_values(np.exp(0.7j) * np.roll(start.values, (5, 9), (0, 1)))
+
+    @pytest.mark.parametrize("build", ["_scan_start", "_seeded_criterion5_start"])
+    def test_rejects_from_the_mean(self, build, monkeypatch):
+        from gptw import field
+
+        def forbidden(values):
+            raise AssertionError("in_class formed the deviation")
+
+        f = getattr(self, build)()
+        monkeypatch.setattr(field, "_reflected_head", forbidden)
+        assert not in_class(f)
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_one_temporary_of_half_an_array(self, n):
+        # |f| for the scale, n reals, then the reflected values on half the
+        # nodes, n/2 + n/M complex: each about half a full complex array
+        import tracemalloc
+
+        g = TorusGrid((n, n), 40.0)
+        start = vortex_test_function(fitted_vortex_ansatz(8.0, 40.0), g)
+        full_array = 16 * g.node_count
+        for f in (start, start.with_values(np.exp(0.7j) * start.values)):
+            tracemalloc.start()
+            try:
+                in_class(f)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 0.52 * full_array

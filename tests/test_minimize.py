@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gptw import minimize, newton
-from gptw.field import ComplexField, TorusGrid, l2_norm, vortex_count
+from gptw.field import ComplexField, TorusGrid, in_class, l2_norm, resample, vortex_count
 from gptw.functionals import Kernel, Params, action, certify, gradient
 from gptw.ansatz import (
     constant, fitted_vortex_ansatz, perturb, plane_wave, vortex_test_function, VortexAnsatz,
@@ -218,6 +218,14 @@ def _stall_start(n, T, R):
     return vortex_test_function(fitted_vortex_ansatz(R, T), g)
 
 
+def _nodes_residual(f, p, half):
+    """The L2 residual of f recomputed from its nodes in one basis of the
+    Kernel, through node values rather than Parseval."""
+    kern = Kernel(f.grid, p, half=half)
+    g = kern.gradient(kern.store(f))
+    return float(np.sqrt(kern.dot(g, g)))
+
+
 class TestDescentFloor:
     """Every descent result comes from the descent: the ray step keeps drops
     below one ulp of the action, convergence is read off the nodes'
@@ -247,16 +255,28 @@ class TestDescentFloor:
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-11, 1e-13])
     def test_converged_residual_is_the_nodes(self, tol):
+        # On both routes: the start lies in H, its e^{0.7i} rotation does
+        # not. Each route's floor on this start: the class route converged
+        # at 3e-13 and stalled at 2e-13 (residual 2.4e-13); the full route,
+        # from the rotated start, converged at 2e-13 and stalled at 1e-13
+        # (1.5e-13). 1e-13 lies below both.
         p = Params(c=1.0)
-        point = minimize_action(_stall_start(32, 13.0, 3.0), p, MinimizeOptions(grad_tol=tol))
-        true = certify(point.field, p).residual
-        if point.converged:
-            assert true <= tol
-        # 1e-13 lies below the floor of the 32^2 descent (about 2.7e-13)
-        assert point.converged == (tol > 1e-13)
-        # the two residuals round apart by about 1e-17; the carried
-        # spectrum's drift read 5.3e-14 where the nodes' gave 3.3e-13
-        assert abs(point.residual - true) <= 1e-3 * true
+        start = _stall_start(32, 13.0, 3.0)
+        for theta in (0.0, 0.7):
+            init = start.with_values(np.exp(1j * theta) * start.values)
+            point = minimize_action(init, p, MinimizeOptions(grad_tol=tol))
+            cert = certify(point.field, p).residual
+            if point.converged:
+                assert cert <= tol
+            assert point.converged == (tol > 1e-13)
+            # the residual of the returned nodes in the basis the descent
+            # ran in: certify's in the full basis, where the two round apart
+            # by about 1e-17; the carried spectrum's drift read 5.3e-14
+            # where the nodes' gave 3.3e-13. The two bases' transforms round
+            # apart by up to 3.3e-14 on residuals near the floor.
+            true = _nodes_residual(point.field, p, half=theta == 0.0)
+            assert abs(point.residual - true) <= 1e-3 * true
+            assert abs(point.residual - cert) <= 1e-3 * true + 5e-14
 
     def test_below_the_floor_stops_unconverged(self):
         start = _stall_start(64, 40.0, 8.0)
@@ -371,22 +391,26 @@ class TestMinimizerExperiment:
 
 
 def _transform_shapes(monkeypatch):
-    """Record the shape of every array handed to field.fft_forward or
-    field.fft_inverse, through each gptw module that binds them."""
+    """Record the grid sizes of every transform made through field's
+    fft_forward, fft_inverse, class_forward and class_inverse, through each
+    gptw module that binds them."""
     import gptw
     from gptw import field
 
     shapes = []
-    for name in ("fft_forward", "fft_inverse"):
+
+    def counting(fn):
+        # class_forward(half, sizes) transforms to the grid sizes it is given
+        def wrapper(data, *sizes):
+            shapes.append(sizes[0] if sizes else data.shape)
+            return fn(data, *sizes)
+        return wrapper
+
+    for name in ("fft_forward", "fft_inverse", "class_forward", "class_inverse"):
         original = getattr(field, name)
-
-        def counting(values, _fn=original):
-            shapes.append(values.shape)
-            return _fn(values)
-
         for module in vars(gptw).values():
             if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counting)
+                monkeypatch.setattr(module, name, counting(original))
     return shapes
 
 
@@ -405,8 +429,9 @@ class TestNestedDescent:
         assert point.converged and point.field.grid == g
         assert start.field.grid.sizes == (64, 64) and start.iterations > 0
         # the coarse grid's tail, the restriction, the prolongation, and the
-        # target descent's set-up: no target-grid iteration is left
-        assert shapes.count((256, 256)) <= 6
+        # target descent's spectrum and gradient spectrum: no target-grid
+        # iteration is left
+        assert shapes.count((256, 256)) == 5
         assert shapes.count((64, 64)) >= 2 * start.iterations
         # the log is the target-grid descent's
         assert len(log.getvalue().splitlines()) == point.iterations
@@ -436,3 +461,101 @@ class TestNestedDescent:
                             lambda init, *a: calls.append(init.grid) or minimize_action(init, *a))
         spectrum.constancy_scan(1.0, [1.0, 1.5], starts=3, resolution=16, seed=0)
         assert calls == [TorusGrid((16, 16), 1.0)] * 3 + [TorusGrid((16, 16), 1.5)] * 3
+
+
+def _rotated(f, theta=0.7):
+    """e^{i theta} f: an exact symmetry of the action, which takes a field
+    of the reflection class H out of it unless theta is 0 or pi."""
+    return f.with_values(np.exp(1j * theta) * f.values)
+
+
+@pytest.fixture(scope="module")
+def criterion5_coarse():
+    """The minimizer of the criterion-5 descent on 64^2 (T = 40, R = 8,
+    grad_tol 2e-7), where minimizer_experiment finds the basin."""
+    point = minimize_action(_stall_start(64, 40.0, 8.0), Params(c=1.0),
+                            MinimizeOptions(grad_tol=2e-7))
+    assert point.converged
+    return point.field
+
+
+class TestClassRoute:
+    """A start in the reflection class H (field.in_class) descends in the
+    Kernel's class basis; its e^{0.7i} rotation, the same start up to a
+    symmetry of the action, leaves H and descends on the full grid."""
+
+    @pytest.mark.parametrize("n,T,R,grad_tol", [(32, 13.0, 3.0, None), (64, 40.0, 8.0, 2e-7)],
+                             ids=["stall-start-32", "criterion-5-64"])
+    def test_class_descent_matches_full_descent(self, n, T, R, grad_tol):
+        p = Params(c=1.0)
+        start = _stall_start(n, T, R)
+        assert in_class(start) and not in_class(_rotated(start))
+        opts = MinimizeOptions(grad_tol=grad_tol)
+        cls = minimize_action(start, p, opts)
+        full = minimize_action(_rotated(start), p, opts)
+        tol = default_grad_tol(start.grid) if grad_tol is None else grad_tol
+        assert cls.converged and full.converged
+        assert cls.iterations == full.iterations
+        assert cls.report.action == pytest.approx(full.report.action, rel=1e-12)
+        assert cls.residual <= tol and full.residual <= tol
+        assert cls.classification == full.classification == "PlaneWave"
+        assert abs(full.integral - np.exp(0.7j) * cls.integral) <= 1e-5 * abs(cls.integral)
+        assert np.abs(_rotated(full.field, -0.7).values - cls.field.values).max() <= 1e-9
+
+    def test_criterion_5(self):
+        # both stages run in H, and meet the full-grid descent's action and
+        # its 109 coarse iterations
+        point, start = minimizer_experiment(1.0, 40.0, 256, 8.0,
+                                            opts=MinimizeOptions(grad_tol=2e-7))
+        assert point.converged and point.residual <= 2e-7
+        assert point.report.action == pytest.approx(-112.93699680205735, rel=1e-10)
+        assert point.classification == "PlaneWave"
+        assert start.iterations == 109 and point.iterations == 0
+
+    def test_scan_starts_descend_on_the_full_grid(self, monkeypatch):
+        from gptw import spectrum
+
+        halves = []
+
+        class Recording(Kernel):
+            def __init__(self, grid, p, *, half):
+                halves.append(half)
+                super().__init__(grid, p, half=half)
+
+        monkeypatch.setattr(minimize, "Kernel", Recording)
+        spectrum.constancy_scan(1.0, [1.5, 8.0], starts=4, resolution=16, seed=7)
+        assert len(halves) == 8 and not any(halves)
+
+    def test_converged_start_costs_two_transforms(self, criterion5_coarse, fft_calls):
+        # the prolonged criterion-5 minimizer meets grad_tol: the descent
+        # forms its spectrum and its gradient spectrum, and nothing else
+        fine = resample(criterion5_coarse, TorusGrid((128, 128), 40.0))
+        for f, name in ((fine, "irfftn"), (_rotated(fine), "fftn")):
+            fft_calls.clear()
+            point = minimize_action(f, Params(c=1.0), MinimizeOptions(grad_tol=2e-7))
+            assert point.converged and point.iterations == 0
+            assert [fn.__name__ for fn in fft_calls] == [name, name]
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_finish_memory(self, criterion5_coarse, n):
+        # the traced peak of the finish on the prolonged criterion-5 point,
+        # in full-size complex arrays: the full route's is its gradient
+        # spectrum (spectrum, density, gradient spectrum, cubic term and
+        # its transform, with the symbol), the class route's is classify
+        # (3 arrays) next to the mirrored field
+        import tracemalloc
+
+        grid = TorusGrid((n, n), 40.0)
+        fine = resample(criterion5_coarse, grid)
+        full_array = 16 * grid.node_count
+        p, opts = Params(c=1.0), MinimizeOptions(grad_tol=2e-7)
+        for f, arrays in ((fine, 4.25), (_rotated(fine), 5.25)):
+            minimize_action(f, p, opts)  # the grid's symbols are cached on it
+            tracemalloc.start()
+            try:
+                point = minimize_action(f, p, opts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert point.converged and point.iterations == 0
+            assert peak <= arrays * full_array
