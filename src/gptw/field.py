@@ -243,22 +243,6 @@ def _reflected(values: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return np.roll(np.flip(values, axes), 1, axes)
 
 
-def _reflected_head(values: np.ndarray) -> np.ndarray:
-    """values at the reflected nodes -x of the nodes x whose first index is
-    0..M/2, as one new array. Along each axis index 0 stays and index
-    i >= 1 reads M - i, so the array is assembled from 2^N reversed blocks
-    of `values`, with no other temporary."""
-    m = values.shape[0] // 2
-    out = np.empty((m + 1,) + values.shape[1:], dtype=values.dtype)
-    spans = [((slice(0, 1), slice(0, 1)), (slice(1, None), slice(2 * m - 1, m - 1, -1)))]
-    spans += [((slice(0, 1), slice(0, 1)), (slice(1, None), slice(size - 1, 0, -1)))
-              for size in values.shape[1:]]
-    for block in itertools.product(*spans):
-        dst, src = zip(*block)
-        out[dst] = values[src]
-    return out
-
-
 def in_class(f: ComplexField) -> bool:
     """Whether f lies in H, f(-x) = conj f(x), to REFLECTION_TOL relative
     to max |f|: whether the deviation d(x) = f(-x) - conj f(x) has
@@ -274,27 +258,18 @@ def in_class(f: ComplexField) -> bool:
     rotated by a phase theta with |m sin theta| above the bound, such as
     the translated and rotated criterion-5 starts of perfbench.
 
-    Otherwise max |d| is computed on the nodes whose first index is
-    0..M/2, which meet every pair {x, -x}: |d| is even, since
-    |d(-x)| = |f(x) - conj f(-x)| = |d(x)|. Its squares, relative to
-    max |f|^2, are formed in place in the one array of reflected values,
-    so the call holds one temporary at a time, of n reals or n/2 + n/M
-    complex entries: about half a full complex array.
+    Otherwise d is formed in place in the one full-size temporary, the
+    reflected copy of the values, and max |d| read from its modulus, a real
+    array of half that size.
     """
     v = f.values
     top = float(np.abs(v).max())
     if abs(float(v.sum().imag)) > 0.5 * REFLECTION_TOL * top * v.size:
         return False
-    if top == 0.0:
-        return True
-    d = _reflected_head(v)
+    d = _reflected(v, tuple(range(v.ndim)))
     np.conjugate(d, out=d)
-    d -= v[: len(d)]
-    x = d.view(np.float64)
-    x *= 1.0 / top
-    np.square(x, out=x)
-    square = np.add(x[..., 0::2], x[..., 1::2], out=x[..., 0::2])
-    return bool(square.max() <= REFLECTION_TOL**2)
+    d -= v
+    return bool(np.abs(d).max() <= REFLECTION_TOL * top)
 
 
 def half_values(values: np.ndarray) -> np.ndarray:

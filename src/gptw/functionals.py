@@ -27,6 +27,7 @@ from .field import (
     fft_forward,
     fft_inverse,
     half_values,
+    in_class,
     mirror,
     spectral_tail,
 )
@@ -129,8 +130,9 @@ class Kernel:
     store and field convert from and to a ComplexField. The solvers that
     start in H run in the class basis (minimize.minimize_action,
     mountainpass.relax_path, newton.newton_minres,
-    spectrum.smallest_direction); the module wrappers below, Morse counts
-    and the spectra at constants use the full basis.
+    spectrum.smallest_direction), and certify computes the residual of a
+    field of H there; the other module wrappers below, Morse counts and the
+    spectra at constants use the full basis.
 
     action and preconditioned_gradient also take what the caller holds, and
     then skip its computation: the normalized spectrum forward(v) of their
@@ -464,9 +466,15 @@ def certify(f: ComplexField, p: Params) -> Certificate:
 
     The solvers report residual and integral from what they hold
     (gptw.minimize.CriticalPoint); certify runs for `gptw certify` and the
-    certificate CSVs.
+    certificate CSVs. The residual is computed in the basis of Kernel that
+    f picks, as the solvers pick theirs from a start: the class basis for a
+    field of H (field.in_class), such as every field a solver returns from
+    a start in H, else the full grid. It therefore repeats the arithmetic
+    of the solver that found f: near the descent floor the two bases round
+    a residual apart by a few 1e-14, from the linear symbol acting on the
+    different rounding of their transforms.
     """
+    kern = Kernel(f.grid, p, half=in_class(f))
     # a raw array, not a ComplexField, which would reject an overflow
-    residual = float(np.linalg.norm(Kernel(f.grid, p, half=False).gradient(f.values)))
-    return Certificate(residual * np.sqrt(f.grid.quad_weight), equation_integral(f),
-                       spectral_tail(f))
+    g = kern.gradient(kern.store(f))
+    return Certificate(math.sqrt(kern.dot(g, g)), equation_integral(f), spectral_tail(f))

@@ -59,8 +59,8 @@ returned field is mirrored to the full grid, with no transform.
 A start that meets grad_tol costs 2 transforms, its spectrum and its
 gradient spectrum, and builds no preconditioned image or direction; the
 prolonged criterion-5 minimizer is such a start on the 256^2 target grid.
-Otherwise the loop (_descend) holds the directions, the preconditioned
-images and the previous gradient spectrum, which die when it returns.
+Otherwise the loop holds the directions, the preconditioned images and
+the previous gradient spectrum, and releases them when it ends.
 
 The critical point is built from what the descent holds when it stops, at
 no transform: the action report from the spectrum (Kernel.parts), which
@@ -180,6 +180,7 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
     grid = init.grid
     tol = opts.grad_tol if opts.grad_tol is not None else default_grad_tol(grid)
     eng = Kernel(grid, p, half=in_class(init))
+    log = opts.log_stream
 
     # fs and gs are the spectra (Kernel.forward) of f and of its gradient;
     # dens is 1 - |f|^2 and val the action at f
@@ -190,43 +191,6 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
     res = np.sqrt(eng.spectral_dot(gs, gs))
     iters = 0
     converged = res <= tol
-    if not converged:
-        f, fs, dens, gs, res, converged, iters = _descend(
-            eng, f, fs, val, dens, gs, res, tol, opts)
-
-    report = ActionReport.assemble(*eng.parts(f, fs), p.c)
-    integral = complex(-eng.volume * gs.flat[0])
-    final = eng.field(f)
-    del eng, f, fs, gs, dens  # classify holds the final field alone
-    return CriticalPoint(
-        field=final,
-        report=report,
-        residual=res,
-        classification=classify(final),
-        integral=integral,
-        converged=converged,
-        iterations=iters,
-    )
-
-
-def _descend(eng: Kernel, f, fs, val, dens, gs, res, tol, opts: MinimizeOptions):
-    """The descent loop of minimize_action from an iterate f that misses
-    tol, with its spectrum fs, action val, density dens, gradient spectrum
-    gs and residual res. Returns (f, fs, dens, gs, res, converged,
-    iterations) at the last iterate; the directions and preconditioned
-    images die with the call."""
-    log = opts.log_stream
-    # z = (1 - Lap)^(-1) g and d, with their spectra zs and ds. f is never
-    # written in place: each accepted step takes over the trial arrays.
-    zs = gs * eng.preconditioner
-    z = eng.inverse(zs)
-    gz = eng.spectral_dot(gs, zs)
-    d, ds = -z, -zs
-    iters = 0
-    converged = False
-    steepest = True
-    # residual and action at the last refresh (start, restart or confirm)
-    refresh_res, refresh_val = res, val
 
     def search(direction, direction_spec, slope):
         """Exact minimum of the quartic ray restriction along `direction`,
@@ -243,55 +207,80 @@ def _descend(eng: Kernel, f, fs, val, dens, gs, res, tol, opts: MinimizeOptions)
             return tv, tf, tfs, tdens
         return None
 
-    while iters < opts.max_iters:
-        slope = eng.spectral_dot(gs, ds)
-        if slope >= 0:
-            d, ds, steepest, slope = -z, -zs, True, -gz
-        hit = search(d, ds, slope)
-        if hit is None and not steepest:
-            d, ds, steepest = -z, -zs, True
-            hit = search(d, ds, -gz)
-        if hit is None:
-            break  # stalled: no descent possible at rounding level
-        val, f, fs, dens = hit
-        iters += 1
-        refresh = iters % RESTART_EVERY == 0
-        if refresh:
-            # refresh the carried spectrum, action and density from the nodes
-            fs = eng.forward(f)
-            val, dens = eng.action(f, fs)
-        gs_old = gs
-        gs, z, zs = eng.preconditioned_gradient(f, fs, dens)
-        res = np.sqrt(eng.spectral_dot(gs, gs))
-        if res <= tol and not refresh:
-            # confirm: gs's cubic part already comes from the nodes' dens
-            fresh = eng.forward(f)
-            gs += eng.linear * (fresh - fs)
-            fs = fresh
-            val = eng.action(f, fs)[0]
+    if not converged:
+        # z = (1 - Lap)^(-1) g and d, with their spectra zs and ds, and
+        # gs_old the previous gradient spectrum. f is never written in
+        # place: each accepted step takes over the trial arrays.
+        zs = gs * eng.preconditioner
+        z = eng.inverse(zs)
+        gz = eng.spectral_dot(gs, zs)
+        d, ds, gs_old = -z, -zs, gs
+        steepest = True
+        # residual and action at the last refresh (start, restart or confirm)
+        refresh_res, refresh_val = res, val
+        while iters < opts.max_iters:
+            slope = eng.spectral_dot(gs, ds)
+            if slope >= 0:
+                d, ds, steepest, slope = -z, -zs, True, -gz
+            hit = search(d, ds, slope)
+            if hit is None and not steepest:
+                d, ds, steepest = -z, -zs, True
+                hit = search(d, ds, -gz)
+            if hit is None:
+                break  # stalled: no descent possible at rounding level
+            val, f, fs, dens = hit
+            iters += 1
+            refresh = iters % RESTART_EVERY == 0
+            if refresh:
+                # refresh the carried spectrum, action and density from the nodes
+                fs = eng.forward(f)
+                val, dens = eng.action(f, fs)
+            gs_old = gs
+            gs, z, zs = eng.preconditioned_gradient(f, fs, dens)
             res = np.sqrt(eng.spectral_dot(gs, gs))
-            refresh = True
-            if res > tol:
-                zs = gs * eng.preconditioner
-                z = eng.inverse(zs)
-        gz_new = eng.spectral_dot(gs, zs)
-        if log is not None:
-            log.write(f"{iters} {val:.17g} {res:.17g}\n")
-        if refresh:
-            converged = res <= tol
-            if converged or (res >= refresh_res and admits(refresh_val, val)):
-                break  # converged, or stalled at the floor
-            refresh_res, refresh_val = res, val
-        # Preconditioned Polak-Ribiere, restarted by a refresh or a negative beta
-        beta = 0.0 if refresh or not gz > 0 else max(
-            (gz_new - eng.spectral_dot(gs_old, zs)) / gz, 0.0)
-        d *= beta
-        d -= z
-        ds *= beta
-        ds -= zs
-        steepest = beta == 0.0
-        gz = gz_new
-    return f, fs, dens, gs, res, converged, iters
+            if res <= tol and not refresh:
+                # confirm: gs's cubic part already comes from the nodes' dens
+                fresh = eng.forward(f)
+                gs += eng.linear * (fresh - fs)
+                fs = fresh
+                val = eng.action(f, fs)[0]
+                res = np.sqrt(eng.spectral_dot(gs, gs))
+                refresh = True
+                if res > tol:
+                    zs = gs * eng.preconditioner
+                    z = eng.inverse(zs)
+            gz_new = eng.spectral_dot(gs, zs)
+            if log is not None:
+                log.write(f"{iters} {val:.17g} {res:.17g}\n")
+            if refresh:
+                converged = res <= tol
+                if converged or (res >= refresh_res and admits(refresh_val, val)):
+                    break  # converged, or stalled at the floor
+                refresh_res, refresh_val = res, val
+            # Preconditioned Polak-Ribiere, restarted by a refresh or a negative beta
+            beta = 0.0 if refresh or not gz > 0 else max(
+                (gz_new - eng.spectral_dot(gs_old, zs)) / gz, 0.0)
+            d *= beta
+            d -= z
+            ds *= beta
+            ds -= zs
+            steepest = beta == 0.0
+            gz = gz_new
+        del z, zs, d, ds, gs_old
+
+    report = ActionReport.assemble(*eng.parts(f, fs), p.c)
+    integral = complex(-eng.volume * gs.flat[0])
+    final = eng.field(f)
+    del eng, f, fs, gs, dens  # classify holds the final field alone
+    return CriticalPoint(
+        field=final,
+        report=report,
+        residual=res,
+        classification=classify(final),
+        integral=integral,
+        converged=converged,
+        iterations=iters,
+    )
 
 
 def classify(f: ComplexField) -> str:
