@@ -127,12 +127,9 @@ class Kernel:
     half grid's interior last-axis columns twice. The pointwise terms are
     the same formulas on conjugated values, as |v|^2 and the pairing u.v
     are unchanged by conjugating both. Both bases implement every method;
-    store and field convert from and to a ComplexField. The solvers that
-    start in H run in the class basis (minimize.minimize_action,
-    mountainpass.relax_path, newton.newton_minres,
-    spectrum.smallest_direction), and certify computes the residual of a
-    field of H there; the other module wrappers below, Morse counts and the
-    spectra at constants use the full basis.
+    store and field convert from and to a ComplexField. A solve takes its
+    kernel from Kernel.of, which picks the basis from its input; questions
+    of the full space construct Kernel(grid, p, half=False).
 
     action and preconditioned_gradient also take what the caller holds, and
     then skip its computation: the normalized spectrum forward(v) of their
@@ -165,6 +162,21 @@ class Kernel:
         self.weight = grid.quad_weight
         self.volume = grid.cell_volume
         self.dimension = grid.node_count if half else 2 * grid.node_count
+
+    @classmethod
+    def of(cls, p: Params, *fields: ComplexField) -> "Kernel":
+        """The kernel of a solve on `fields`, which share one grid: the
+        class basis when every field lies in the reflection class H
+        (field.in_class), else the full basis; the package's one choice.
+
+        H is a symmetry class of the action, so its critical points are
+        critical points of I (Palais, Comm. Math. Phys. 69, 1979), and on H
+        the Hessian has no symmetry zero mode. A solve in H runs on half
+        the arrays and real transforms of half the size, with the control
+        flow and transform counts of the full route; one translated or
+        phase-rotated field puts it on the full grid.
+        """
+        return cls(fields[0].grid, p, half=all(in_class(f) for f in fields))
 
     @cached_property
     def linear(self) -> np.ndarray:
@@ -251,8 +263,8 @@ class Kernel:
         """forward(gradient(v)) from spec = forward(v) and, when given,
         dens = 1 - |v|^2: linear*spec - forward((1-|v|^2) v), one forward
         transform."""
-        gs = self.linear * spec
-        gs -= self.forward((density(v) if dens is None else dens) * v)
+        gs = self.forward((density(v) if dens is None else dens) * v)
+        np.subtract(self.linear * spec, gs, out=gs)
         return gs
 
     def preconditioned_gradient(self, v: np.ndarray, spec: np.ndarray,
@@ -309,10 +321,7 @@ class Kernel:
     def precondition_real(self, x: np.ndarray) -> np.ndarray:
         """(1 - Lap)^(-1) on spectral coordinates (hessian_real): each
         coordinate times the preconditioner of its mode, no transform."""
-        if self.half:
-            return (x.reshape(self.grid.sizes) * self.preconditioner).ravel()
-        pairs = x.reshape(*self.grid.sizes, 2)
-        return (pairs * self.preconditioner[..., None]).ravel()
+        return self.to_coords(self.from_coords(x) * self.preconditioner)
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """Real L2 pairing int a.b of two node arrays."""
@@ -414,6 +423,9 @@ def quiet_overflow(solve):
     return run
 
 
+# The wrappers below stay on the full grid for every field: the CLI's CSVs
+# and the tests pin their full-grid bits, and Kernel.of would add an
+# in_class test to each call, about half the cost of a full-grid action.
 @quiet_overflow
 def action(f: ComplexField, p: Params) -> ActionReport:
     return ActionReport.assemble(*Kernel(f.grid, p, half=False).parts(f.values), p.c)
@@ -466,15 +478,13 @@ def certify(f: ComplexField, p: Params) -> Certificate:
 
     The solvers report residual and integral from what they hold
     (gptw.minimize.CriticalPoint); certify runs for `gptw certify` and the
-    certificate CSVs. The residual is computed in the basis of Kernel that
-    f picks, as the solvers pick theirs from a start: the class basis for a
-    field of H (field.in_class), such as every field a solver returns from
-    a start in H, else the full grid. It therefore repeats the arithmetic
-    of the solver that found f: near the descent floor the two bases round
-    a residual apart by a few 1e-14, from the linear symbol acting on the
-    different rounding of their transforms.
+    certificate CSVs. The residual is computed in the basis Kernel.of
+    picks for f, as each solver's is for its start, so it repeats the
+    arithmetic of the solver that found f: near the descent floor the two
+    bases round a residual apart by a few 1e-14, from the linear symbol
+    acting on the different rounding of their transforms.
     """
-    kern = Kernel(f.grid, p, half=in_class(f))
+    kern = Kernel.of(p, f)
     # a raw array, not a ComplexField, which would reject an overflow
     g = kern.gradient(kern.store(f))
     return Certificate(math.sqrt(kern.dot(g, g)), equation_integral(f), spectral_tail(f))

@@ -43,18 +43,15 @@ It also stalls when neither direction gives an admitted step, as at a
 start whose action or gradient is not finite, which it returns after 0
 iterations, as newton.newton_minres does: the descent never raises.
 
-The descent runs in the basis of functionals.Kernel that its start picks:
-the class basis of the reflection class H when the start lies in H
-(field.in_class), the full grid otherwise. H holds criterion 5's start
-1 + w_R, its coarse minimizer and that minimizer prolonged; every perturbed
-start of the constancy scan and every translated or phase-rotated start
-lie off H. H is a symmetry class of the action, so a critical point in it
-is a critical point of I (Palais, Comm. Math. Phys. 69, 1979), and in it
-every array and transform is half the size (irfftn and rfftn for fftn and
-ifftn). From the 32^2 (T = 13, R = 3) and 64^2 criterion-5 starts the
-class descent takes the iterations of the full descent from the start
-rotated by e^{0.7i}, to the same action within 1e-15 relative. The
-returned field is mirrored to the full grid, with no transform.
+The descent runs in the basis that functionals.Kernel.of picks for its
+start: criterion 5's start 1 + w_R, its coarse minimizer and that
+minimizer prolonged descend in the class basis of the reflection class H,
+and every perturbed start of the constancy scan and every translated or
+phase-rotated start on the full grid. From the 32^2 (T = 13, R = 3) and
+64^2 criterion-5 starts the class descent takes the iterations of the full
+descent from the start rotated by e^{0.7i}, to the same action within
+1e-15 relative. The returned field is mirrored to the full grid, with no
+transform.
 
 A start that meets grad_tol costs 2 transforms, its spectrum and its
 gradient spectrum, and builds no preconditioned image or direction; the
@@ -99,8 +96,7 @@ from typing import TextIO
 import numpy as np
 
 from .ansatz import fitted_vortex_ansatz, vortex_test_function
-from .field import (ComplexField, TorusGrid, axis_windings, coarsest_grid, in_class, resample,
-                    vortex_count)
+from .field import ComplexField, TorusGrid, axis_windings, coarsest_grid, resample, vortex_count
 from .functionals import ActionReport, Kernel, Params, admits, default_grad_tol, quiet_overflow
 
 ZERO_CONSTANT = "ZeroConstant"
@@ -173,13 +169,13 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
     on a residual from the nodes' spectrum, or the last iterate with
     converged=False when the descent stalls (see the module docstring),
     the start among them when its action or gradient is not finite, or
-    after max_iters. A start in the reflection class H (field.in_class)
-    descends in the class basis of the Kernel, any other on the full grid.
+    after max_iters. The descent runs in the basis Kernel.of picks for
+    `init`.
     """
     opts = opts or MinimizeOptions()
     grid = init.grid
     tol = opts.grad_tol if opts.grad_tol is not None else default_grad_tol(grid)
-    eng = Kernel(grid, p, half=in_class(init))
+    eng = Kernel.of(p, init)
     log = opts.log_stream
 
     # fs and gs are the spectra (Kernel.forward) of f and of its gradient;

@@ -15,13 +15,10 @@ The straight path, the string and the saddle lie in the reflection class
 H = {psi : psi(-x) = conj psi(x)} of gptw.field, which the action's
 symmetries (conjugation and x -> -x each flip the momentum) make a class
 whose critical points are critical points of I (Palais, Comm. Math. Phys.
-69, 1979). relax_path, newton_minres and smallest_direction run in the
-Kernel's class basis when their path, start or base lies in H
-(field.in_class), on half the arrays and real transforms of half the size,
-and return full ComplexFields by mirroring; on H the Hessian has no
-symmetry zero mode, so the witness is the smallest eigenvalue on H. A path
-or start off H, such as a translated or phase-rotated copy, runs on the
-full grid, with the same control flow and transform counts.
+69, 1979). relax_path, newton_minres and smallest_direction each run in
+the basis that functionals.Kernel.of picks for their path, start or base,
+and return full ComplexFields; in H the witness is the smallest eigenvalue
+on H.
 
 Node actions are evaluated once per path, by the function that holds it:
 relax_path its start path's and its relaxed path's, which it returns, and
@@ -54,7 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ansatz import VortexAnsatz, fitted_vortex_ansatz, vortex_test_function
-from .field import ComplexField, TorusGrid, coarsest_grid, fft_forward, in_class, resample
+from .field import ComplexField, TorusGrid, coarsest_grid, resample
 from .functionals import Kernel, Params, action, admits, quiet_overflow
 from .minimize import CriticalPoint
 from .newton import certified_tol, newton_minres
@@ -155,7 +152,7 @@ def _straight_path_max(kern: Kernel, w: np.ndarray, node_count: int) -> float:
     constant 1 is a critical point of action 0 and density 0, so the
     quartic's value and slope at t = 0 are 0."""
     quartic = kern.ray_coefficients(np.ones_like(w), w, 0.0, 0.0, np.zeros(w.shape),
-                                    fft_forward(w))
+                                    kern.forward(w))
     return float(np.polyval(quartic[::-1], np.linspace(0.0, 1.0, node_count)).max())
 
 
@@ -209,15 +206,14 @@ def relax_path(path: Path, p: Params,
     returned actions, evaluated on the returned nodes, one per interior
     node.
 
-    When every node lies in H (field.in_class) the string runs in the
-    Kernel's class basis: the transforms above are class_forward and
-    class_inverse, the returned actions are evaluated there, and the
-    relaxed interior nodes are mirrored to the full grid. Otherwise it runs
-    on the full grid.
+    The string runs in the basis Kernel.of picks for all its nodes, so one
+    node off H puts it on the full grid. In the class basis the transforms
+    above are class_forward and class_inverse, the returned actions are
+    evaluated there, and the relaxed interior nodes are mirrored to the
+    full grid.
     """
     opts = opts or RelaxOptions()
-    grid = path.grid
-    eng = Kernel(grid, p, half=all(in_class(n) for n in path.nodes))
+    eng = Kernel.of(p, *path.nodes)
     interior = range(1, len(path.nodes) - 1)
     # nothing below writes a node array or a spectrum in place, so the
     # full path's frozen arrays are shared, not copied
@@ -374,6 +370,8 @@ def mountain_pass_pipeline(c: float, grid: TorusGrid, R: float,
     ends = _straight_nodes(grid, w, (0.0, 1.0))
     coarse = coarsest_grid(ends[-1])
     start = init_path(coarse, R, node_count, ansatz)
+    # the straight path lies in H, but M keeps the full-grid bits that
+    # the tests and `gptw mp` pin
     upper = _straight_path_max(Kernel(grid, p, half=False), w, node_count)
     strung, _, _ = relax_path(start, p, relax_opts)
     interior = tuple(resample(n, grid) for n in strung.nodes[1:-1])

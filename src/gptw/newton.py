@@ -12,13 +12,11 @@ the system stays consistent and MINRES solves it without projecting them out
 the L2 residual ||grad I|| (Knoll & Keyes, J. Comput. Phys. 193, 2004).
 Newton converges to unstable critical points as well as to minimizers.
 
-A start in the reflection class H of gptw.field (field.in_class) is solved
-in the Kernel's class basis, on its real spectrum: the iterates stay in H,
-where i*psi and d_j psi, odd under the reflection, do not lie, so the
-Hessian has no symmetry zero mode there, and MINRES works on half the
-coordinates with real transforms of half the size. The point is returned on
-the full grid, mirrored from the half grid. Any other start is solved on the
-full grid.
+The solve runs in the basis that functionals.Kernel.of picks for its
+start. In the class basis of H the iterates stay in H, where the Hessian
+has no symmetry zero mode, and MINRES works on the real spectrum, half the
+coordinates; the point is returned on the full grid, mirrored from the half
+grid.
 
 The iterate carries its spectrum: a trial point is the inverse transform of
 fs + alpha*s_hat, and its gradient's spectrum, the right-hand side and the
@@ -34,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import ComplexField, TorusGrid, in_class
+from .field import ComplexField, TorusGrid
 from .functionals import (Kernel, Params, action, default_grad_tol, equation_integral,
                           quiet_overflow)
 from .minimize import CriticalPoint, classify
@@ -63,8 +61,8 @@ def certified_tol(grid: TorusGrid, grad_tol: float | None = None) -> float:
 @quiet_overflow
 def newton_minres(init: ComplexField, p: Params, tol: float,
                   max_steps: int = 50) -> CriticalPoint:
-    """Newton iteration from `init` until ||grad I|| <= tol, in the class
-    basis of the Kernel when field.in_class(init), else on the full grid.
+    """Newton iteration from `init` until ||grad I|| <= tol, in the basis
+    Kernel.of picks for `init`.
 
     Returns the point at the last iterate (see the module docstring), with
     converged=False when max_steps is spent, when a MINRES solution is not
@@ -73,7 +71,7 @@ def newton_minres(init: ComplexField, p: Params, tol: float,
     """
     from scipy.sparse.linalg import LinearOperator, minres
 
-    kern = Kernel(init.grid, p, half=in_class(init))
+    kern = Kernel.of(p, init)
     dim = kern.dimension
     f = kern.store(init)
     # the Hessian held at the current iterate, set before each MINRES solve

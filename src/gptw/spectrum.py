@@ -14,9 +14,9 @@ against the symbol formula and a dense eigensolve on small grids; at a
 saddle it gives the index witness (smallest_direction) and, with a larger
 block, the Morse count. The Hessian is Newton-MINRES's (Kernel.hessian_real),
 in spectral coordinates; the dense check (dense_hessian) is assembled on
-node values from Kernel.hessian, apart from them. The witness at a saddle in
-the reflection class H (field.in_class) is solved in H, where no symmetry
-direction lies; Morse counts and the spectra at constants stay full-space.
+node values from Kernel.hessian, apart from them. The witness is solved in
+the basis that functionals.Kernel.of picks for its base; Morse counts and
+the spectra at constants stay full-space.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import SupportTooLarge, constant, fitted_vortex_ansatz, perturb, vortex_test_function
-from .field import (ComplexField, TorusGrid, fft_forward, fft_inverse, from_real, in_class,
-                    l2_norm, to_real)
+from .field import ComplexField, TorusGrid, fft_forward, fft_inverse, from_real, l2_norm, to_real
 from .functionals import Kernel, Params, hessian_apply, quiet_overflow
 from .minimize import CONSTANT_CLASSES, minimize_action
 
@@ -223,42 +222,38 @@ def symmetry_basis(f: ComplexField) -> np.ndarray:
     return np.column_stack(basis) if basis else np.zeros((2 * spec.size, 0))
 
 
-def hessian_operator(base: ComplexField, p: Params, half: bool = False):
-    """Matrix-free Hessian held at `base` on spectral coordinates, as a
-    function of one vector (Kernel.hessian_real): on H's real spectra when
-    half, for a base in field.in_class, else on the full grid."""
-    kern = Kernel(base.grid, p, half=half)
+def hessian_operator(kern: Kernel, base: ComplexField):
+    """Matrix-free Hessian held at `base` on the spectral coordinates of
+    `kern`, the kernel its caller chose, as a function of one vector
+    (Kernel.hessian_real)."""
     return kern.hessian_real(kern.store(base))
 
 
-def _smallest_pairs(base: ComplexField, p: Params, count: int, rng, half: bool,
-                    tol: float = 1e-6):
-    """(kernel, values, vectors): lanczos_smallest of the Hessian at
-    `base` in the kernel's spectral coordinates, on the full grid off
-    symmetry_basis(base), or on H, where no symmetry direction lies."""
-    kern = Kernel(base.grid, p, half=half)
-    basis = np.zeros((kern.dimension, 0)) if half else symmetry_basis(base)
-    vals, vecs = lanczos_smallest(hessian_operator(base, p, half), kern.precondition_real,
-                                  basis, count, rng, tol=tol)
-    return kern, vals, vecs
+def _smallest_pairs(kern: Kernel, base: ComplexField, count: int, rng, tol: float = 1e-6):
+    """(values, vectors): lanczos_smallest of the Hessian at `base` in the
+    spectral coordinates of `kern`, off symmetry_basis(base) on the full
+    grid; no symmetry direction lies in the class basis."""
+    basis = np.zeros((kern.dimension, 0)) if kern.half else symmetry_basis(base)
+    return lanczos_smallest(hessian_operator(kern, base), kern.precondition_real,
+                            basis, count, rng, tol=tol)
 
 
 @quiet_overflow
 def smallest_direction(base: ComplexField, p: Params, rng) -> tuple[float, ComplexField]:
     """Smallest Hessian eigenvalue at `base` and its direction on the
-    nodes. For a base in the reflection class H (field.in_class) it is the
-    smallest eigenvalue on H, in the Kernel's class basis: i*psi and d_j psi are
-    odd under the reflection, so no symmetry zero mode lies in H, and a
-    negative value still certifies index >= 1, as a direction in H is one
-    in the full space. Any other base is solved on the full grid off the
-    symmetry directions i*base and d_j base (symmetry_basis), which carry
-    the zero modes of every critical point.
+    nodes, in the basis Kernel.of picks for `base`. In the class basis it
+    is the smallest eigenvalue on H, where no symmetry zero mode lies, and
+    a negative value still certifies index >= 1, as a direction in H is one
+    in the full space. On the full grid it is solved off the symmetry
+    directions i*base and d_j base (symmetry_basis), which carry the zero
+    modes of every critical point.
 
     The residual tolerance 1e-3 keeps this cheap on large grids, as an
     index witness needs only the sign; the eigenvalue is still accurate to
     about the square of that over the spectral gap.
     """
-    kern, vals, vecs = _smallest_pairs(base, p, 1, rng, in_class(base), tol=1e-3)
+    kern = Kernel.of(p, base)
+    vals, vecs = _smallest_pairs(kern, base, 1, rng, tol=1e-3)
     return float(vals[0]), kern.field(kern.inverse(kern.from_coords(vecs[:, 0])))
 
 
@@ -339,7 +334,10 @@ def hessian_spectrum_at_constant(theta: float, p: Params, grid: TorusGrid,
     base = constant(theta, grid)
     hphase = hessian_apply(base, ComplexField(grid, 1j * base.values), p)
     degenerate_residual = l2_norm(hphase)
-    kern, vals, vecs = _smallest_pairs(base, p, count, np.random.default_rng(seed), False)
+    # the constant lies in H, but its spectrum includes the phase and
+    # translation directions, which are odd under the reflection
+    kern = Kernel(grid, p, half=False)
+    vals, vecs = _smallest_pairs(kern, base, count, np.random.default_rng(seed))
     plus, minus = _symbol_branches(grid, p.c)
     # the smallest symbol entry off the phase direction, the lower branch at
     # flat index 0 (k = 0)

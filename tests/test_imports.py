@@ -1,5 +1,6 @@
 """Package structure: no module reaches into another module's private
-names, every name the benchmark looks up exists, every option field and
+names, every name the benchmark looks up exists, every transform is
+counted, the Kernel's basis is chosen in one place, every option field and
 defaulted parameter is set by some caller, every exception class is raised
 and has an exit code, every module constant is read, and every public
 function and class is read by the package or the benchmark."""
@@ -155,6 +156,46 @@ def test_detects_fft_call(tmp_path):
                      "def f(x):\n    np.fft.fftfreq(4)\n    scipy.fft.rfftn(x)\n"
                      "    d(x)\n    hfft(x)\n    np.linalg.norm(x)\n    x.fft.y()\n")
     assert sorted(_fft_calls(probe)) == [(6, "fftfreq"), (7, "rfftn"), (8, "dctn"), (9, "hfft")]
+
+
+def _basis_decisions(path):
+    """(line, what) of every basis decision in the file at `path`: a call
+    of in_class, and a Kernel(...) call whose half= keyword is not the
+    literal False."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name == "in_class":
+            found.append((node.lineno, "in_class"))
+        elif name == "Kernel":
+            found += [(node.lineno, f"half={ast.unparse(k.value)}") for k in node.keywords
+                      if k.arg == "half" and not (isinstance(k.value, ast.Constant)
+                                                  and k.value.value is False)]
+    return sorted(found)
+
+
+def test_the_basis_is_decided_once():
+    # Kernel.of is the one place that picks the class or the full basis;
+    # every other Kernel the package builds is a full-grid one
+    decisions = {path.name: _basis_decisions(path) for path in MODULES}
+    assert [what for _, what in decisions.pop("functionals.py")] == ["in_class"]
+    assert {name: found for name, found in decisions.items() if found} == {}
+
+
+def test_detects_basis_decision(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .field import in_class\n"
+                     "def f(g, p, u):\n"
+                     "    a = Kernel(g, p, half=in_class(u))\n"
+                     "    b = functionals.Kernel(g, p, half=True)\n"
+                     "    c = Kernel(g, p, half=False)\n"
+                     "    d = Kernel.of(p, u)\n"
+                     "    return field.in_class(u)\n")
+    assert _basis_decisions(probe) == [(3, "half=in_class(u)"), (3, "in_class"),
+                                       (4, "half=True"), (7, "in_class")]
 
 
 # Option classes whose every field some caller outside the tests must set

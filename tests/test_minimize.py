@@ -527,17 +527,18 @@ class TestClassRoute:
     @pytest.mark.parametrize("n", [128, 256])
     def test_finish_memory(self, criterion5_coarse, n):
         # the traced peak of the finish on the prolonged criterion-5 point,
-        # in full-size complex arrays: the full route's is its gradient
-        # spectrum (spectrum, density, gradient spectrum, cubic term and
-        # its transform, with the symbol), the class route's is classify
-        # (3 arrays) next to the mirrored field
+        # in full-size complex arrays: the full route's is its action
+        # report (|spectrum|^2 and a second density next to the spectrum,
+        # density, gradient spectrum and symbol; the gradient spectrum
+        # itself peaks below it), the class route's is classify (3 arrays)
+        # next to the mirrored field
         import tracemalloc
 
         grid = TorusGrid((n, n), 40.0)
         fine = resample(criterion5_coarse, grid)
         full_array = 16 * grid.node_count
         p, opts = Params(c=1.0), MinimizeOptions(grad_tol=2e-7)
-        for f, arrays in ((fine, 4.25), (_rotated(fine), 5.25)):
+        for f, arrays in ((fine, 4.25), (_rotated(fine), 4.75)):
             minimize_action(f, p, opts)  # the grid's symbols are cached on it
             tracemalloc.start()
             try:

@@ -328,7 +328,8 @@ class TestFindSaddle:
         # direction and the bottom of the positive cluster above it
         result, _, _ = small_pipeline
         s = result.saddle.field
-        hess = hessian_operator(s, P1)
+        kern = Kernel(s.grid, P1, half=False)
+        hess = hessian_operator(kern, s)
         products = 0
 
         def matvec(vec):
@@ -336,8 +337,8 @@ class TestFindSaddle:
             products += 1
             return hess(vec)
 
-        vals, _ = lanczos_smallest(matvec, Kernel(s.grid, P1, half=False).precondition_real,
-                                   symmetry_basis(s), 2, np.random.default_rng(0))
+        vals, _ = lanczos_smallest(matvec, kern.precondition_real, symmetry_basis(s), 2,
+                                   np.random.default_rng(0))
         assert np.sum(vals < 0.0) == 1
         assert products <= 1000
 
@@ -420,6 +421,19 @@ class TestClassRoute:
         assert abs(got.saddle.report.action - want.saddle.report.action) <= 1e-12
         assert got.saddle.iterations == want.saddle.iterations
         assert abs(got.witness_value - want.witness_value) <= 1e-6
+
+    def test_one_node_off_class_puts_the_string_on_the_full_grid(self, fft_calls):
+        # Kernel.of reads every node: one interior node times PHASE leaves
+        # H, and the whole string runs on the full grid
+        path = init_path(TorusGrid((32, 32), SMALL["T"]), SMALL["R"], node_count=5)
+        node = path.nodes[2]
+        rotated = node.with_values(PHASE * node.values)
+        mixed = Path(path.nodes[:2] + (rotated,) + path.nodes[3:])
+        assert not Kernel.of(P1, node, rotated).half and Kernel.of(P1, node).half
+        for start, names in ((mixed, {"fftn", "ifftn"}), (path, {"irfftn", "rfftn"})):
+            fft_calls.clear()
+            relax_path(start, P1, RelaxOptions(sweeps=2))
+            assert {fn.__name__ for fn in fft_calls} == names
 
     def test_witness_is_in_class_without_zero_modes(self, small_pipeline):
         # on H the Hessian has no symmetry zero mode: the witness direction

@@ -13,7 +13,7 @@ import gptw
 from gptw import functionals, spectrum
 from gptw.field import (ComplexField, TorusGrid, fft_forward, fft_inverse, from_real,
                         l2_product, to_real)
-from gptw.functionals import Params, hessian_apply
+from gptw.functionals import Kernel, Params, hessian_apply
 from gptw.ansatz import constant, perturb, plane_wave
 from gptw.spectrum import (
     NoConvergence,
@@ -193,7 +193,7 @@ class TestHeldHessian:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(functionals, "density",
                       lambda v, _fn=functionals.density: densities.append(v) or _fn(v))
-            held = hessian_operator(base, p)
+            held = hessian_operator(Kernel(grid, p, half=False), base)
             products = []
             for x in directions:
                 before = len(fft_calls)
@@ -221,7 +221,7 @@ class TestHeldHessian:
         grid = TorusGrid((size, size), 6.0)
         p = Params(c=1.0)
         base = constant(0.0, grid) if kind == "constant" else plane_wave(-1, 1.0, grid)
-        held = hessian_operator(base, p)
+        held = hessian_operator(Kernel(grid, p, half=False), base)
         dim = 2 * grid.node_count
         A = np.column_stack([held(e) for e in np.eye(dim)])
         assert np.abs(A - A.T).max() <= 1e-12 * np.abs(A).max()
