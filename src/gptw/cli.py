@@ -62,7 +62,9 @@ _FLAGS = {
     "core_width": dict(type=float),
     "cutoff_inner": dict(type=float),
     "cutoff_outer": dict(type=float),
-    "seed": dict(type=int, help="random seed"),
+    "seed": dict(type=int, help="random seed (mp: the start block of the index witness's "
+                 "first eigensolve, on the coarse Newton grid when there is one; spectrum: the "
+                 "eigensolve's start block; scan: the perturbed starts)"),
     "starts": dict(type=int, help="multistart count"),
     "band": dict(type=int, help="perturbation band limit"),
     "tol": dict(type=float, help="residual tolerance"),

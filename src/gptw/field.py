@@ -416,8 +416,11 @@ def l2_norm(f: ComplexField) -> float:
 
 def _increments(v: np.ndarray, axis: int) -> np.ndarray:
     """Phase increment angle(v_b * conj(v_a)) in (-pi, pi] from each node a
-    to its periodic neighbour b along `axis`."""
-    return np.angle(np.roll(v, -1, axis=axis) * np.conj(v))
+    to its periodic neighbour b along `axis`. The product is formed in the
+    rolled copy, so at most two arrays of v's size are live."""
+    prod = np.roll(v, -1, axis=axis)
+    prod *= np.conj(v)
+    return np.angle(prod)
 
 
 def axis_windings(f: ComplexField) -> tuple[int, ...]:
@@ -450,8 +453,14 @@ def vortex_count(f: ComplexField) -> tuple[int, int]:
     inc = [_increments(f.values, ax) for ax in range(f.grid.dim)]
     plus = minus = 0
     for a, b in itertools.combinations(range(f.grid.dim), 2):
-        circ = inc[a] + np.roll(inc[b], -1, axis=a) - np.roll(inc[a], -1, axis=b) - inc[b]
-        w = np.rint(circ / (2.0 * np.pi)).astype(int)
+        # inc[a] + roll(inc[b]) - roll(inc[a]) - inc[b], summed in the
+        # rolled copy and rounded there to the cell windings
+        w = np.roll(inc[b], -1, axis=a)
+        w += inc[a]
+        w -= np.roll(inc[a], -1, axis=b)
+        w -= inc[b]
+        w /= 2.0 * np.pi
+        np.rint(w, out=w)
         plus += int(w[w > 0].sum())
         minus -= int(w[w < 0].sum())
     return plus, minus

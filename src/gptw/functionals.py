@@ -226,9 +226,10 @@ class Kernel:
             total = 2.0 * total - _sum_dot(a[..., 0], b[..., 0]) - _sum_dot(a[..., -1], b[..., -1])
         return total
 
-    def _terms(self, v: np.ndarray, spec: np.ndarray | None
+    def _terms(self, v: np.ndarray, spec: np.ndarray | None, dens: np.ndarray | None = None
                ) -> tuple[float, float, float, np.ndarray]:
-        """Kinetic, potential and momentum parts with the density 1 - |v|^2."""
+        """Kinetic, potential and momentum parts with the density 1 - |v|^2,
+        formed unless `dens` holds it."""
         if spec is None:
             spec = self.forward(v)
         p2 = self._power(spec)
@@ -237,15 +238,18 @@ class Kernel:
         # sums |spec|^2 against it
         xi1 = self.xi1.ravel()
         mom = -0.5 * self.volume * float(np.dot(xi1, p2.reshape(xi1.size, -1)).sum())
-        dens = density(v)
+        if dens is None:
+            dens = density(v)
         potential = 0.25 * self.weight * self._node_sum(dens, dens)
         return kinetic, potential, mom, dens
 
-    def parts(self, v: np.ndarray, spec: np.ndarray | None = None) -> tuple[float, float, float]:
+    def parts(self, v: np.ndarray, spec: np.ndarray | None = None,
+              dens: np.ndarray | None = None) -> tuple[float, float, float]:
         """Kinetic (1/2)int|grad v|^2, potential (1/4)int(1-|v|^2)^2 and
         momentum (1/2)int (i d_x1 v).v, from one forward transform, or none
-        when spec = forward(v) is given."""
-        return self._terms(v, spec)[:3]
+        when spec = forward(v) is given; the density 1 - |v|^2 is read from
+        `dens` when given, else formed."""
+        return self._terms(v, spec, dens)[:3]
 
     def action(self, v: np.ndarray, spec: np.ndarray | None = None) -> tuple[float, np.ndarray]:
         """(kinetic + potential - c * momentum, 1 - |v|^2) (see parts)."""

@@ -61,11 +61,13 @@ the previous gradient spectrum, and releases them when it ends.
 
 The critical point is built from what the descent holds when it stops, at
 no transform: the action report from the spectrum (Kernel.parts), which
-at convergence is the nodes', the residual that the stopping rule tested,
-so converged implies residual <= grad_tol exactly, and int (1-|f|^2) f =
--volume * G_0, where G_0 is the k = 0 entry of the gradient's spectrum
-(the linear symbol vanishes there). The spectra and the density are
-released before classify runs on the final field, alone. The spectral
+at convergence is the nodes', and the carried density, which at every
+exit is 1 - |f|^2 of the final nodes; the residual that the stopping rule
+tested, so converged implies residual <= grad_tol exactly; and
+int (1-|f|^2) f = -volume * G_0, where G_0 is the k = 0 entry of the
+gradient's spectrum (the linear symbol vanishes there). The spectra and
+the density are released before the final nodes are mirrored, and
+classify runs on the final field alone. The spectral
 tail is not computed: functionals.certify reports it, for `gptw certify`
 and the certificate CSVs.
 
@@ -264,10 +266,11 @@ def minimize_action(init: ComplexField, p: Params, opts: MinimizeOptions | None 
             gz = gz_new
         del z, zs, d, ds, gs_old
 
-    report = ActionReport.assemble(*eng.parts(f, fs), p.c)
+    report = ActionReport.assemble(*eng.parts(f, fs, dens), p.c)
     integral = complex(-eng.volume * gs.flat[0])
+    del fs, gs, dens  # the nodes alone are mirrored
     final = eng.field(f)
-    del eng, f, fs, gs, dens  # classify holds the final field alone
+    del eng, f  # classify holds the final field alone
     return CriticalPoint(
         field=final,
         report=report,
@@ -290,14 +293,16 @@ def classify(f: ComplexField) -> str:
     """
     v = f.values
     mod = np.abs(v)
-    if float(mod.max()) <= CLASS_TOL:
+    top, bottom = float(mod.max()), float(mod.min())
+    if top <= CLASS_TOL:
         return ZERO_CONSTANT
     mean = v.mean()
     if float(np.abs(v - mean).max()) <= CLASS_TOL and float(np.abs(mod - 1.0).max()) <= CLASS_TOL:
         return UNIT_CONSTANT
-    if any(vortex_count(f)) or float(mod.min()) == 0.0:
+    del mod  # vortex_count holds the most memory here
+    if any(vortex_count(f)) or bottom == 0.0:
         return VORTEXFUL
-    if float(mod.max() - mod.min()) <= CLASS_TOL and any(axis_windings(f)):
+    if top - bottom <= CLASS_TOL and any(axis_windings(f)):
         return PLANE_WAVE
     return OTHER_NONCONSTANT
 

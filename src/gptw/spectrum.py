@@ -141,15 +141,18 @@ def positivity_criterion(c: float, period: float) -> bool:
 
 
 def lanczos_smallest(matvec, precondition, basis: np.ndarray, count: int, rng,
-                     tol: float = 1e-6):
+                     tol: float = 1e-6, start: np.ndarray | None = None):
     """Smallest `count` eigenpairs, multiplicity included, of a symmetric
     operator on the complement of the orthonormal columns of `basis`
     (dim x k, k may be 0). Returns (values, vectors) sorted ascending.
 
     One block solve by LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001),
-    scipy.sparse.linalg.lobpcg, preconditioned by `precondition`, from a
-    start block drawn from `rng`; a block holds every copy of a multiple
-    eigenvalue. The iterates stay off `basis` (lobpcg's Y) and so does the
+    scipy.sparse.linalg.lobpcg, preconditioned by `precondition`, from the
+    dim x count block `start` or, when it is None, from a standard normal
+    block drawn from `rng`; a block holds every copy of a multiple
+    eigenvalue. A start close to the wanted eigenvectors, such as the
+    prolonged directions of a coarser grid's solve, cuts the products to a
+    few. The iterates stay off `basis` (lobpcg's Y) and so does the
     operator's output, which at a field that is not a critical point has
     components along it that would keep the residuals up. LOBPCG iterates
     to ITERATE_TOL_FRACTION * tol for at most MAX_BLOCK_ITERS iterations.
@@ -157,7 +160,8 @@ def lanczos_smallest(matvec, precondition, basis: np.ndarray, count: int, rng,
     unit Ritz vector is above tol, a block product is not finite or lobpcg
     breaks down with a ValueError (numpy's LinAlgError is one), and
     ValueError unless count >= 1 and the complement has 5 * count
-    dimensions or more, below which lobpcg does not iterate.
+    dimensions or more, below which lobpcg does not iterate, and for a
+    start block of another shape.
     scipy.sparse.linalg is imported on first use. The name is older than
     LOBPCG; perfbench/tracer.py looks it up, so it stays until the trace of
     ROADMAP item I replaces that tracer.
@@ -168,6 +172,10 @@ def lanczos_smallest(matvec, precondition, basis: np.ndarray, count: int, rng,
     if not 1 <= count <= (dim - k) // 5:
         raise ValueError(f"count {count} outside [1, {(dim - k) // 5}]: lobpcg needs 5 "
                          f"dimensions per eigenpair and the complement has {dim - k}")
+    if start is None:
+        start = rng.standard_normal((dim, count))
+    elif start.shape != (dim, count):
+        raise ValueError(f"start block of shape {start.shape}, not {(dim, count)}")
 
     # lobpcg applies both operators to blocks of column vectors
     def A(X):
@@ -185,7 +193,7 @@ def lanczos_smallest(matvec, precondition, basis: np.ndarray, count: int, rng,
         # against tol below
         warnings.filterwarnings("ignore", "Exited (at iteration|postprocessing)", UserWarning)
         try:
-            vals, vecs, history = lobpcg(A, rng.standard_normal((dim, count)), M=M,
+            vals, vecs, history = lobpcg(A, start, M=M,
                                          Y=basis if k else None, tol=ITERATE_TOL_FRACTION * tol,
                                          maxiter=MAX_BLOCK_ITERS, largest=False,
                                          retResidualNormsHistory=True)
@@ -229,17 +237,20 @@ def hessian_operator(kern: Kernel, base: ComplexField):
     return kern.hessian_real(kern.store(base))
 
 
-def _smallest_pairs(kern: Kernel, base: ComplexField, count: int, rng, tol: float = 1e-6):
+def _smallest_pairs(kern: Kernel, base: ComplexField, count: int, rng, tol: float = 1e-6,
+                    start: np.ndarray | None = None):
     """(values, vectors): lanczos_smallest of the Hessian at `base` in the
-    spectral coordinates of `kern`, off symmetry_basis(base) on the full
-    grid; no symmetry direction lies in the class basis."""
+    spectral coordinates of `kern`, from the start block `start` (drawn
+    from `rng` when None), off symmetry_basis(base) on the full grid; no
+    symmetry direction lies in the class basis."""
     basis = np.zeros((kern.dimension, 0)) if kern.half else symmetry_basis(base)
     return lanczos_smallest(hessian_operator(kern, base), kern.precondition_real,
-                            basis, count, rng, tol=tol)
+                            basis, count, rng, tol=tol, start=start)
 
 
 @quiet_overflow
-def smallest_direction(base: ComplexField, p: Params, rng) -> tuple[float, ComplexField]:
+def smallest_direction(base: ComplexField, p: Params, rng,
+                       start: ComplexField | None = None) -> tuple[float, ComplexField]:
     """Smallest Hessian eigenvalue at `base` and its direction on the
     nodes, in the basis Kernel.of picks for `base`. In the class basis it
     is the smallest eigenvalue on H, where no symmetry zero mode lies, and
@@ -248,12 +259,18 @@ def smallest_direction(base: ComplexField, p: Params, rng) -> tuple[float, Compl
     directions i*base and d_j base (symmetry_basis), which carry the zero
     modes of every critical point.
 
+    The solve starts from the spectral coordinates of `start`, a field on
+    base's grid (one forward transform), or, when it is None, from a
+    random vector drawn from `rng`. mountainpass.find_saddle starts the
+    target-grid solve from the coarse grid's direction, prolonged.
+
     The residual tolerance 1e-3 keeps this cheap on large grids, as an
     index witness needs only the sign; the eigenvalue is still accurate to
     about the square of that over the spectral gap.
     """
     kern = Kernel.of(p, base)
-    vals, vecs = _smallest_pairs(kern, base, 1, rng, tol=1e-3)
+    block = None if start is None else kern.to_coords(kern.forward(kern.store(start)))[:, None]
+    vals, vecs = _smallest_pairs(kern, base, 1, rng, tol=1e-3, start=block)
     return float(vals[0]), kern.field(kern.inverse(kern.from_coords(vecs[:, 0])))
 
 

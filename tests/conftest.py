@@ -60,3 +60,21 @@ def fft_calls(monkeypatch):
         for name in COUNTED_TRANSFORMS:
             monkeypatch.setattr(module, name, counting(getattr(module, name)))
     return calls
+
+
+@pytest.fixture
+def traced_peak():
+    """A function that calls fn(*args, **kwargs) under tracemalloc and
+    returns (its result, the peak bytes traced during the call). Only
+    allocations made inside the call are traced."""
+    import tracemalloc
+
+    def run(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            result = fn(*args, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak
+    return run

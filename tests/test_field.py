@@ -718,19 +718,12 @@ class TestClassVerdict:
         assert not in_class(f)
 
     @pytest.mark.parametrize("n", [128, 256])
-    def test_one_full_temporary(self, n):
+    def test_one_full_temporary(self, n, traced_peak):
         # |f| for the scale, n reals, then the reflected values, in which
         # the deviation is formed, and its modulus, n reals
-        import tracemalloc
-
         g = TorusGrid((n, n), 40.0)
         start = vortex_test_function(fitted_vortex_ansatz(8.0, 40.0), g)
         full_array = 16 * g.node_count
         for f in (start, start.with_values(np.exp(0.7j) * start.values)):
-            tracemalloc.start()
-            try:
-                in_class(f)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(in_class, f)
             assert peak <= 1.52 * full_array

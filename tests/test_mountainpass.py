@@ -1,5 +1,8 @@
 """Path construction, string relaxation and saddle refinement."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,7 @@ from gptw.mountainpass import (
     relax_path,
 )
 from gptw.newton import CERT_TOL, certified_tol, newton_minres
-from gptw.spectrum import hessian_operator, lanczos_smallest, symmetry_basis
+from gptw.spectrum import hessian_operator, lanczos_smallest, smallest_direction, symmetry_basis
 
 
 P1 = Params(c=1.0)
@@ -601,3 +604,119 @@ class TestCoarseString:
             assert np.array_equal(a.values, b.values)
         assert np.array_equal(result.path_actions, want.path_actions)
         assert np.array_equal(result.saddle.field.values, want.saddle.field.values)
+
+
+class TestOnePathPipeline:
+    """mountain_pass_pipeline holds one path at a time: the coarse straight
+    path lives in relax_path's call only, and the relaxed coarse string
+    until its interior is prolonged to the target grid."""
+
+    T, R, NODES = 40.0, 8.0, 33
+
+    def test_coarse_paths_are_released_before_find_saddle(self, monkeypatch):
+        from gptw import mountainpass
+
+        class Entered(Exception):
+            pass
+
+        held, grids, alive = [], [], []
+        relax = mountainpass.relax_path
+
+        def spy_relax(path, *args):
+            out = relax(path, *args)
+            grids.append(path.grid)
+            held.extend(weakref.ref(n.values) for n in path.nodes + out[0].nodes)
+            return out
+
+        def spy_find(path, *args):
+            gc.collect()
+            alive.extend(ref() is not None for ref in held)
+            raise Entered
+
+        monkeypatch.setattr(mountainpass, "relax_path", spy_relax)
+        monkeypatch.setattr(mountainpass, "find_saddle", spy_find)
+        with pytest.raises(Entered):
+            mountain_pass_pipeline(1.0, TorusGrid((128, 128), self.T), self.R, node_count=5,
+                                   relax_opts=RelaxOptions(sweeps=2))
+        assert grids == [TorusGrid((64, 64), self.T)]
+        assert len(alive) == len(held) == 10 and not any(alive)
+
+    def test_traced_peak(self, traced_peak):
+        # measured 1.53 target-grid paths (33 complex 128^2 arrays), inside
+        # relax_path; find_saddle holds the target-grid path and peaks
+        # below that
+        grid = TorusGrid((128, 128), self.T)
+
+        def run():
+            return mountain_pass_pipeline(1.0, grid, self.R, node_count=self.NODES,
+                                          saddle_opts=SaddleOptions(grad_tol=1e-6 * self.T))
+
+        run()  # scipy's first-use imports and the grids' cached symbols
+        (result, relaxed, _), peak = traced_peak(run)
+        assert result.saddle.converged and len(relaxed.nodes) == self.NODES
+        assert peak <= 1.6 * self.NODES * 16 * grid.node_count
+
+
+class TestNestedWitness:
+    """find_saddle solves the index witness at the coarse Newton point from
+    a seeded block, then on the path's grid from that direction prolonged."""
+
+    @pytest.fixture(scope="class")
+    def counted(self, coarse_string):
+        """find_saddle on the 128^2 relaxed path of coarse_string, with the
+        Hessian products counted per grid."""
+        from gptw import spectrum
+
+        (_, relaxed, _), _ = coarse_string
+        products = {}
+        original = spectrum.hessian_operator
+
+        def counting(kern, base):
+            apply = original(kern, base)
+
+            def product(x):
+                products[kern.grid.sizes] = products.get(kern.grid.sizes, 0) + 1
+                return apply(x)
+            return product
+
+        spectrum.hessian_operator = counting
+        try:
+            result = find_saddle(relaxed, P1, TestCoarseString.SADDLE)
+        finally:
+            spectrum.hessian_operator = original
+        return result, products
+
+    def test_products_per_grid(self, counted):
+        result, products = counted
+        assert result.coarse is not None
+        assert set(products) == {(64, 64), (128, 128)}
+        assert products[(64, 64)] > 0
+        assert products[(128, 128)] <= 8
+
+    def test_agrees_with_a_random_start(self, counted):
+        result, _ = counted
+        s, w = result.saddle.field, result.index_witness
+        assert w.grid == s.grid and result.witness_value < 0.0
+        value, _ = smallest_direction(s, P1, np.random.default_rng(0))
+        assert abs(result.witness_value - value) <= 1e-6
+        quad = l2_product(hessian_apply(s, w, P1), w)
+        assert quad / l2_product(w, w) == pytest.approx(result.witness_value, rel=1e-9)
+
+    def test_seeds_draw_the_coarse_block(self, coarse_string, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        (_, relaxed, _), _ = coarse_string
+        original = sla.lobpcg
+        blocks = []
+
+        def spy(A, X, **kwargs):
+            blocks.append(np.array(X))
+            return original(A, X, **kwargs)
+
+        monkeypatch.setattr(sla, "lobpcg", spy)
+        for seed in (0, 1):
+            find_saddle(relaxed, P1, SaddleOptions(grad_tol=TestCoarseString.SADDLE.grad_tol,
+                                                   seed=seed))
+        # per run: the coarse solve's block, then the target grid's
+        assert [b.shape for b in blocks] == [(64 * 64, 1), (128 * 128, 1)] * 2
+        assert not np.allclose(blocks[0], blocks[2])

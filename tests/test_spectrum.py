@@ -111,6 +111,33 @@ class TestLanczos:
             lanczos_smallest(lambda v: d * v, lambda v: v, np.zeros((n, 0)), 0,
                              np.random.default_rng(0))
 
+    def test_start_block_shape_is_checked(self):
+        n = 40
+        for start in (np.ones((n, 2)), np.ones(n), np.ones((n - 1, 1))):
+            with pytest.raises(ValueError, match="start block"):
+                lanczos_smallest(lambda v: v, lambda v: v, np.zeros((n, 0)), 1, None,
+                                 start=start)
+
+    def test_start_block_near_the_answer_takes_few_products(self):
+        # a start close to the eigenvectors replaces the random block: from
+        # the lowest two unit vectors, perturbed, the solve takes a third of
+        # the products it takes from a random block (measured 11 and 33)
+        n = 200
+        d = np.linspace(1.0, 50.0, n)
+        near = np.eye(n)[:, :2] + 1e-6 * np.random.default_rng(3).standard_normal((n, 2))
+        products = {}
+        for name, start in (("near", near), ("random", None)):
+            products[name] = 0
+
+            def matvec(v, name=name):
+                products[name] += 1
+                return d * v
+
+            vals, _ = lanczos_smallest(matvec, lambda v: v / d, np.zeros((n, 0)), 2,
+                                       np.random.default_rng(0), start=start)
+            assert np.abs(vals - d[:2]).max() <= 1e-8
+        assert 2 * products["near"] <= products["random"]
+
     def test_projects_output_off_the_basis(self):
         # a perturbed constant is no critical point: the Hessian maps the
         # phase direction partly off itself, and only the projected output
